@@ -52,7 +52,6 @@ from .pages import (
     Page,
     SpectralRun,
     SubquotientCell,
-    collapse_check,
     run_to_infinity,
     turn_page,
     validate_page,

@@ -394,12 +394,6 @@ def solve_columns(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     return IntMatrix.from_columns(sol_cols, a.cols)
 
 
-def in_lattice(gens: IntMatrix, vec: Sequence[int]) -> bool:
-    """Whether vec lies in the column lattice of gens."""
-    b = IntMatrix.from_columns([list(vec)], gens.rows)
-    return solve_columns(gens, b) is not None
-
-
 def kernel_basis(a: IntMatrix) -> IntMatrix:
     """Basis of the integer kernel {x : a @ x = 0} (cols x k)."""
     s = smith_normal_form(a)

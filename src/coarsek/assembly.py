@@ -135,57 +135,55 @@ def build_ideal_chain_e1(inp: IdealChainInput) -> Page:
 
 
 def _concatenated_cell(parts: Sequence[FgAbGroup]) -> SubquotientCell:
-    """First-page cell for a direct sum, keeping summand generator blocks."""
-    finite = [g for g in parts if not g.is_zero]
-    if any(g.is_countable for g in finite):
-        total = FgAbGroup.zero().direct_sum(*finite)
+    """First-page cell for a direct sum of nonzero groups, keeping summand
+    generator blocks."""
+    total = FgAbGroup.zero().direct_sum(*parts)
+    if total.is_countable:
         return full_cell(total)
-    m = sum(g.gen_count for g in finite)
+    m = sum(g.gen_count for g in parts)
     rel_cols: list[list[int]] = []
     offset = 0
-    for g in finite:
+    for g in parts:
         for i, d in enumerate(g.torsion):
             col = [0] * m
             col[offset + g.free_rank + i] = d
             rel_cols.append(col)
         offset += g.gen_count
-    total = FgAbGroup.zero().direct_sum(*finite)
     return subquotient(total, IntMatrix.identity(m), IntMatrix.from_columns(rel_cols, m))
 
 
 def build_mv_e1(inp: MvInput) -> Page:
     """Direct sums of intersection K-groups over |J| = p + 1, column by column.
 
-    Summands are ordered lexicographically on the sorted index sets and the
-    order is recorded on the page, so user d1 matrices (acting on the
-    concatenated summand generators) are unambiguous.
+    Only nonzero summands enter a cell; they are ordered lexicographically
+    on the sorted index sets and the order is recorded on the page, so user
+    d1 matrices (acting on the concatenated summand generators) are
+    unambiguous.  Zero summands have no generators, so leaving them out
+    does not move any generator.
     """
     per = inp.grading.period
     ordered_labels = sorted(inp.labels)
     cells: dict[tuple[int, int], SubquotientCell] = {}
-    groups_seen: dict[tuple[int, int], FgAbGroup] = {}
     concat_dims: dict[tuple[int, int], int] = {}
     summands: dict[tuple[int, int], tuple] = {}
     for p in range(inp.cap + 1):
-        index_sets = list(combinations(ordered_labels, p + 1))
-        graded = [inp.graded_for(j) for j in index_sets]
+        graded = [(j, inp.graded_for(j)) for j in combinations(ordered_labels, p + 1)]
         for q in range(per):
-            parts = [g.get(q, FgAbGroup.zero()) for g in graded]
-            cell = _concatenated_cell(parts)
-            groups_seen[(p, q)] = cell.group
-            concat_dims[(p, q)] = (
-                0 if cell.cycles is None else cell.cycles.rows
-            )
-            summands[(p, q)] = tuple(index_sets)
-            if not cell.group.is_zero:
-                cells[(p, q)] = cell
+            nonzero = [(j, g[q]) for j, g in graded if q in g and not g[q].is_zero]
+            concat_dims[(p, q)] = 0
+            if not nonzero:
+                continue
+            cell = _concatenated_cell([g for _, g in nonzero])
+            cells[(p, q)] = cell
+            summands[(p, q)] = tuple(j for j, _ in nonzero)
+            if cell.cycles is not None:
+                concat_dims[(p, q)] = cell.cycles.rows
     if inp.mode == "exact" and inp.cap < len(inp.labels) - 1:
-        for q in range(per):
-            if not groups_seen[(inp.cap, q)].is_zero:
-                raise CapTooSmall(
-                    f"nonzero group at the cap boundary p={inp.cap}; "
-                    "raise the cap or mark the run as truncated"
-                )
+        if any((inp.cap, q) in cells for q in range(per)):
+            raise CapTooSmall(
+                f"nonzero group at the cap boundary p={inp.cap}; "
+                "raise the cap or mark the run as truncated"
+            )
     page = Page(
         1,
         inp.cap,
@@ -241,8 +239,9 @@ class FiltrationReport:
     d1_assumed_zero: bool
     truncated_at: int | None
     degrees: tuple[DegreeReport, ...]
-    # first-page summand order per cell, when the page was a direct-sum
-    # build; this is what makes user d1 matrices unambiguous
+    # first-page order of the nonzero summands per nonzero cell, when the
+    # page was a direct-sum build; this is what makes user d1 matrices
+    # unambiguous
     summands: Mapping[tuple[int, int], tuple] | None = None
 
     def degree(self, s: int) -> DegreeReport:

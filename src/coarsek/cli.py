@@ -81,6 +81,8 @@ def _cmd_run(args) -> int:
         raw = None
     elif args.input:
         obj, raw = _load_json(args.input)
+        if not isinstance(obj, dict):
+            raise SchemaError(f"input: expected an object, got {type(obj).__name__}")
         kind = obj.get("kind", "mv")
         if kind == "mv":
             page = build_mv_e1(jsonio.mv_from_json(obj, args.period))

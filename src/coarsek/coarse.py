@@ -18,12 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import floor, lcm
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .abelian import FgAbGroup
 from .assembly import MvInput
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class CoarseError(Exception):
@@ -94,23 +95,12 @@ def intersect(spaces: Sequence[BlockySpace]) -> BlockySpace:
     """Factorwise meet; the intersection of blocky sets is blocky."""
     if not spaces:
         raise ValueError("intersection of an empty family")
-    dim = spaces[0].dim
-    for s in spaces:
-        if s.dim != dim:
+    factors = spaces[0].factors
+    for s in spaces[1:]:
+        if s.dim != len(factors):
             raise DimensionMismatch("blocky spaces of different dimensions")
-    return BlockySpace(
-        tuple(
-            _meet_all([s.factors[i] for s in spaces])
-            for i in range(dim)
-        )
-    )
-
-
-def _meet_all(factors: Iterable[Factor]) -> Factor:
-    out = Factor.FULL
-    for f in factors:
-        out = meet(out, f)
-    return out
+        factors = tuple(map(meet, factors, s.factors))
+    return BlockySpace(factors)
 
 
 @dataclass(frozen=True)
@@ -241,25 +231,28 @@ def zinf_block_family(m: int) -> list[BlockySpace]:
     ]
 
 
+def _blocky_rule(spaces: Sequence[BlockySpace]) -> Callable[[tuple], dict[int, FgAbGroup]]:
+    """K-data rule of a blocky cover: the meet of a sorted J is the memoised
+    meet of J[:-1] met with one more space, one factorwise meet per set."""
+    meets: dict[tuple, BlockySpace] = {}
+
+    def meet_of(j: tuple) -> BlockySpace:
+        if j not in meets:
+            meets[j] = intersect([meet_of(j[:-1]), spaces[j[-1]]]) if len(j) > 1 else spaces[j[0]]
+        return meets[j]
+
+    return lambda j: roe_k_theory(meet_of(j))
+
+
 def rn_mv_input(n: int) -> MvInput:
     """Mayer-Vietoris input for the block decomposition of Z^n."""
-    blocks = block_decomposition(n)
-
-    def rule(j: tuple) -> dict[int, FgAbGroup]:
-        return roe_k_theory(intersect([blocks[i] for i in j]))
-
-    return MvInput(labels=tuple(range(n + 1)), cap=n, rule=rule)
+    return MvInput(labels=tuple(range(n + 1)), cap=n, rule=_blocky_rule(block_decomposition(n)))
 
 
 def zinf_mv_input(m: int, cap: int) -> MvInput:
     """Truncated input for the countable block family; exact because every
     finite intersection is provably flasque, at any cap."""
-    spaces = zinf_block_family(m)
-
-    def rule(j: tuple) -> dict[int, FgAbGroup]:
-        return roe_k_theory(intersect([spaces[i] for i in j]))
-
-    return MvInput(labels=tuple(range(m + 1)), cap=min(cap, m), rule=rule)
+    return MvInput(labels=tuple(range(m + 1)), cap=min(cap, m), rule=_blocky_rule(zinf_block_family(m)))
 
 
 def wedge_mv_input(k: int, truncated: bool = False) -> MvInput:
@@ -419,6 +412,8 @@ def _scaled_tables(
     Contributions come pre-multiplied by ``scale`` (and the weights), so
     radius comparisons happen in plain integers at numpy speed.
     """
+    import numpy as np
+
     if metric.kind == "weighted":
         factors = [int(w * scale) for w in metric.weights]
     else:
@@ -440,6 +435,8 @@ def _scaled_tables(
 
 
 def _distance_grid(per_dim: list[np.ndarray], metric: Metric, dim: int) -> np.ndarray:
+    import numpy as np
+
     # every axis has the full value range, so the chain of broadcasting
     # ops below always ends at the full dim-dimensional grid
     shaped = [
@@ -469,6 +466,8 @@ def check_excision(
     bounds the enumeration, never the geometry.  The first violating
     point (lexicographically) is returned as witness.
     """
+    import numpy as np
+
     if not subset:
         raise ValueError("subset of cover indices must be nonempty")
     boxes = [as_box(cover[j]) for j in subset]

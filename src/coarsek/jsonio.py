@@ -22,6 +22,15 @@ class SchemaError(ValueError):
     """Input does not match the documented schema."""
 
 
+def _need(obj: Any, key: str, where: str = "") -> Any:
+    """``obj[key]``; a SchemaError names the path when obj is no object or lacks key."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where or 'input'}: expected an object, got {type(obj).__name__}")
+    if key not in obj:
+        raise SchemaError(f"{where}.{key}: missing" if where else f"{key}: missing")
+    return obj[key]
+
+
 def group_to_json(g: FgAbGroup) -> dict:
     return {
         "free_rank": "countable" if g.is_countable else g.free_rank,
@@ -36,7 +45,7 @@ def group_from_json(obj: Any) -> FgAbGroup:
     torsion = tuple(obj.get("torsion", ()))
     if rank == "countable":
         return FgAbGroup(CountablyInfinite, torsion)
-    if not isinstance(rank, int):
+    if not isinstance(rank, int) or isinstance(rank, bool):
         raise SchemaError(f"free_rank must be an int or 'countable', got {rank!r}")
     try:
         return FgAbGroup(rank, torsion)
@@ -60,11 +69,9 @@ def matrix_from_json(obj: Any) -> IntMatrix:
 
 def _d1_from_json(items: Any) -> dict[tuple[int, int], IntMatrix]:
     out: dict[tuple[int, int], IntMatrix] = {}
-    for item in items or []:
-        if "from" not in item or "matrix" not in item:
-            raise SchemaError("each d1 entry needs 'from': [p, q] and 'matrix'")
-        p, q = item["from"]
-        out[(int(p), int(q))] = matrix_from_json(item["matrix"])
+    for i, item in enumerate(items or []):
+        p, q = _need(item, "from", f"d1[{i}]")
+        out[(int(p), int(q))] = matrix_from_json(_need(item, "matrix", f"d1[{i}]"))
     return out
 
 
@@ -82,23 +89,25 @@ def page_to_json(page: Page) -> dict:
 
 
 def page_from_json(obj: Any, default_period: int = 2) -> Page:
+    cap = int(_need(obj, "cap"))
     period = int(obj.get("period", default_period))
-    cap = int(obj["cap"])
     groups: dict[tuple[int, int], FgAbGroup] = {}
-    for cell in obj.get("cells", []):
-        groups[(int(cell["p"]), int(cell["q"]))] = group_from_json(cell["group"])
+    for i, cell in enumerate(obj.get("cells", [])):
+        at = f"cells[{i}]"
+        key = (int(_need(cell, "p", at)), int(_need(cell, "q", at)))
+        groups[key] = group_from_json(_need(cell, "group", at))
     d1 = _d1_from_json(obj.get("d1"))
     return Page.from_groups(cap, Grading(period), groups, d1=d1 or None,
                             d1_defaulted=not d1)
 
 
 def mv_from_json(obj: Any, default_period: int = 2) -> MvInput:
-    labels = tuple(obj["labels"])
+    labels = tuple(_need(obj, "labels"))
     inter: dict[tuple, dict[int, FgAbGroup]] = {}
-    for item in obj.get("intersections", []):
-        j = tuple(sorted(item["J"]))
-        graded = {int(q): group_from_json(g) for q, g in item["k"].items()}
-        inter[j] = graded
+    for i, item in enumerate(obj.get("intersections", [])):
+        at = f"intersections[{i}]"
+        j = tuple(sorted(_need(item, "J", at)))
+        inter[j] = {int(q): group_from_json(g) for q, g in _need(item, "k", at).items()}
     return MvInput(
         labels=labels,
         cap=int(obj.get("cap", len(labels) - 1)),
@@ -112,10 +121,12 @@ def mv_from_json(obj: Any, default_period: int = 2) -> MvInput:
 
 def ideal_chain_from_json(obj: Any, default_period: int = 2) -> IdealChainInput:
     groups: dict[tuple[int, int], FgAbGroup] = {}
-    for item in obj.get("groups", []):
-        groups[(int(item["p"]), int(item["s"]))] = group_from_json(item["group"])
+    for i, item in enumerate(obj.get("groups", [])):
+        at = f"groups[{i}]"
+        key = (int(_need(item, "p", at)), int(_need(item, "s", at)))
+        groups[key] = group_from_json(_need(item, "group", at))
     return IdealChainInput(
-        length=int(obj["length"]),
+        length=int(_need(obj, "length")),
         grading=Grading(int(obj.get("period", default_period))),
         groups=groups,
         d1=_d1_from_json(obj.get("d1")) or None,

@@ -150,8 +150,6 @@ class Page:
         groups: Mapping[tuple[int, int], FgAbGroup],
         d1: Mapping[tuple[int, int], IntMatrix] | None = None,
         d1_defaulted: bool = False,
-        truncated_at: int | None = None,
-        summands: dict | None = None,
     ) -> "Page":
         """First page from plain groups plus optional d1 matrices."""
         cells: dict[tuple[int, int], SubquotientCell] = {}
@@ -159,8 +157,7 @@ class Page:
             if g.is_zero:
                 continue
             cells[(p, q % grading.period)] = full_cell(g)
-        page = cls(1, cap, grading, cells,
-                   d1_defaulted=d1_defaulted, truncated_at=truncated_at, summands=summands)
+        page = cls(1, cap, grading, cells, d1_defaulted=d1_defaulted)
         if d1:
             for (p, q), mat in d1.items():
                 key = (p, q % grading.period)
@@ -228,6 +225,9 @@ def _induce_hom(
 def turn_page(page: Page, injected: Mapping[tuple[int, int], IntMatrix] | None = None) -> Page:
     """Homology of every cell under the current differentials.
 
+    A cell whose maps in and out are zero has E^{r+1} = E^r and passes
+    through as the same object, without a new Smith normal form.
+
     The next page's differentials default to zero; ``injected`` is the
     documented escape hatch for supplying a d^{r+1} as a matrix on
     first-page ambient coordinates (used by tests; the engine itself never
@@ -238,24 +238,22 @@ def turn_page(page: Page, injected: Mapping[tuple[int, int], IntMatrix] | None =
     per = page.period
     new_cells: dict[tuple[int, int], SubquotientCell] = {}
     for (p, q), cell in page.cells.items():
-        if cell.is_infinite:
-            out_h = page.diffs.get((p, q))
-            in_h = page.diffs.get(page.source_key(p, q))
-            if (out_h is not None and not out_h.is_zero_map()) or (
-                in_h is not None and not in_h.is_zero_map()
-            ):
-                raise InducedMapIllDefined(f"({p},{q}): countable-rank cell admits only zero maps")
+        out_h = page.diffs.get((p, q))
+        in_h = page.diffs.get(page.source_key(p, q))
+        out_live = out_h is not None and not out_h.is_zero_map()
+        in_live = in_h is not None and not in_h.is_zero_map()
+        if not (out_live or in_live):
             new_cells[(p, q)] = cell
             continue
-        out_h = page.diffs.get((p, q))
+        if cell.is_infinite:
+            raise InducedMapIllDefined(f"({p},{q}): countable-rank cell admits only zero maps")
         cycle_gens = cell.cycles
-        if out_h is not None and not out_h.is_zero_map():
+        if out_live:
             phi = out_h.matrix @ cell.proj
             pullback = preimage_basis(phi, out_h.target.relation_matrix())
             cycle_gens = cell.cycles @ pullback
-        in_h = page.diffs.get(page.source_key(p, q))
         boundary_gens = cell.boundaries
-        if in_h is not None and in_h.matrix is not None:
+        if in_live:
             boundary_gens = cell.boundaries.hstack(cell.gens @ in_h.matrix)
         new_cell = subquotient(cell.ambient, cycle_gens, boundary_gens)
         if not new_cell.group.is_zero:
@@ -352,8 +350,3 @@ def run_to_infinity(
     final = pages[-1]
     e_inf = {key: cell.group for key, cell in final.cells.items()}
     return SpectralRun(pages, e_inf, stabilized, page1.grading, page1.cap)
-
-
-def collapse_check(run: SpectralRun, expected_r: int) -> bool:
-    """Whether the run had stabilized by the expected page."""
-    return run.stabilized_at <= expected_r

@@ -159,10 +159,13 @@ def test_mv_summand_order_and_rank_bookkeeping():
                 table[j] = {0: random_group(rng), 1: random_group(rng)}
         inp = _mv(labels, table)
         page = build_mv_e1(inp)
+        want_summands = {}
         for p in range(len(labels)):
             sets = list(combinations(labels, p + 1))
-            assert page.summands[(p, 0)] == tuple(sets)
             for q in range(2):
+                nonzero_sets = tuple(j for j in sets if not table[j][q].is_zero)
+                if nonzero_sets:
+                    want_summands[(p, q)] = nonzero_sets
                 want_rank = sum(table[j][q].free_rank for j in sets)
                 want_order = 1
                 for j in sets:
@@ -172,6 +175,9 @@ def test_mv_summand_order_and_rank_bookkeeping():
                 assert got.free_rank == want_rank
                 if want_order is not None:
                     assert got.order() == want_order
+        # exactly the nonzero summands, lex-ordered, and no entry for a
+        # cell without one
+        assert page.summands == want_summands
 
 
 def test_mv_user_d1_acts_on_concatenated_summands():

@@ -164,14 +164,44 @@ def test_run_ko_mode_page_input(capsys, tmp_path):
 
 
 def test_summand_order_recorded_in_output(capsys):
+    # only nonzero summands are recorded, and only for nonzero cells: for
+    # the blocks of Z^2 every intersection but the triple one is flasque
     code, out, _ = run_cli(capsys, "--format", "json", "run", "--builtin", "rn:2")
     assert code == 0
-    payload = json.loads(out)
-    orders = {(e["p"], e["q"]): e["J"] for e in payload["summand_order"]}
-    assert orders[(1, 0)] == [[0, 1], [0, 2], [1, 2]]
+    zero = {"free_rank": 0, "torsion": []}
+    z = {"free_rank": 1, "torsion": []}
+    assert json.loads(out) == {
+        "cap": 2,
+        "d1_assumed_zero": True,
+        "degrees": [
+            {
+                "ambiguous": False,
+                "assembled": z,
+                "degree": 0,
+                "pieces": [{"group": zero, "p": 0}, {"group": zero, "p": 1}, {"group": z, "p": 2}],
+            },
+            {
+                "ambiguous": False,
+                "assembled": zero,
+                "degree": 1,
+                "pieces": [{"group": zero, "p": 0}, {"group": zero, "p": 1}, {"group": zero, "p": 2}],
+            },
+        ],
+        "period": 2,
+        "stabilized_at": 1,
+        "summand_order": [{"J": [[0, 1, 2]], "p": 2, "q": 0}],
+        "truncated_at": None,
+    }
     code, out, _ = run_cli(capsys, "--verbose", "run", "--builtin", "rn:2")
-    assert "summand order (for d1 matrices):" in out
-    assert "cell (1,0): {0,1}, {0,2}, {1,2}" in out
+    assert code == 0
+    assert out.splitlines() == [
+        "spectral run: period=2 cap=2 stabilized at page 1",
+        "note: differentials assumed zero (none supplied)",
+        "K_0 = Z    [pieces: p=2: Z]",
+        "K_1 = 0    [pieces: none]",
+        "summand order (for d1 matrices):",
+        "  cell (2,0): {0,1,2}",
+    ]
 
 
 def test_report_json_fully_reparses(capsys):
@@ -344,6 +374,29 @@ def test_schema_errors():
         jsonio.matrix_from_json({"rows": 1})
     with pytest.raises(jsonio.SchemaError):
         jsonio.group_from_json({"free_rank": 0, "torsion": [3, 4]})
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"kind": "mv"}, "labels: missing"),
+        ({"kind": "page", "cells": []}, "cap: missing"),
+        ([], "input: expected an object, got list"),
+        ({"kind": "page", "cap": 0, "cells": [{"p": 0, "q": 0}]}, "cells[0].group: missing"),
+        (
+            {"kind": "page", "cap": 0, "cells": [{"p": 0, "q": 0, "group": {"free_rank": True}}]},
+            "free_rank must be an int or 'countable', got True",
+        ),
+    ],
+    ids=["mv-no-labels", "page-no-cap", "top-level-list", "cell-no-group", "bool-free-rank"],
+)
+def test_bad_input_is_one_error_line(capsys, tmp_path, payload, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "run", "--input", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from coarsek.coarse import (
     Metric,
     UnknownSpace,
     WedgeCoverPiece,
+    _blocky_rule,
     block_decomposition,
     check_cover_excision,
     check_excision,
@@ -25,11 +26,13 @@ from coarsek.coarse import (
     disjoint_rays,
     intersect,
     meet,
+    rn_mv_input,
     roe_k_theory,
     set_distance,
     wedge_cover,
     wedge_mv_input,
     zinf_block_family,
+    zinf_mv_input,
 )
 from coarsek.assembly import build_mv_e1
 
@@ -78,8 +81,12 @@ def test_intersect_spec_examples():
     x2 = BlockySpace.of(Factor.NONNEG, Factor.NONNEG)
     assert intersect([x1, x2]) == BlockySpace.of(Factor.NONNEG, Factor.ZERO)
     assert intersect([x1]) == x1
-    with pytest.raises(DimensionMismatch):
-        intersect([x1, BlockySpace.of(Factor.FULL)])
+    line = BlockySpace.of(Factor.FULL)
+    for mixed in ([x1, line], [line, x1], [x1, x2, line]):
+        with pytest.raises(DimensionMismatch):
+            intersect(mixed)
+    with pytest.raises(ValueError):
+        intersect([])
 
 
 def test_full_block_intersection_is_point():
@@ -166,6 +173,31 @@ def test_zinf_family_shapes_and_flasqueness():
         for size in range(1, m + 2):
             for sub in combinations(range(m + 1), size):
                 assert classify(intersect([fam[j] for j in sub])).flasque
+
+
+def _all_index_sets_shuffled(labels, rng):
+    sets = [list(j) for size in range(1, len(labels) + 1) for j in combinations(labels, size)]
+    rng.shuffle(sets)
+    for j in sets:
+        rng.shuffle(j)
+    return [tuple(j) for j in sets]
+
+
+def test_builtin_rules_match_direct_intersections_in_any_query_order():
+    rng = random.Random(3)
+    for inp, spaces in ((rn_mv_input(5), block_decomposition(5)), (zinf_mv_input(4, 4), zinf_block_family(4))):
+        for j in _all_index_sets_shuffled(inp.labels, rng):
+            assert inp.graded_for(j) == roe_k_theory(intersect([spaces[i] for i in j]))
+
+
+def test_blocky_rule_matches_direct_intersections_on_random_covers():
+    rng = random.Random(11)
+    for _ in range(30):
+        dim = rng.randint(1, 4)
+        spaces = [BlockySpace(tuple(rng.choice(ALL_FACTORS) for _ in range(dim))) for _ in range(rng.randint(1, 5))]
+        rule = _blocky_rule(spaces)
+        for j in _all_index_sets_shuffled(range(len(spaces)), rng):
+            assert rule(tuple(sorted(j))) == roe_k_theory(intersect([spaces[i] for i in j]))
 
 
 def test_wedge_cover_pieces():

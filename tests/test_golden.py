@@ -1,0 +1,56 @@
+"""CLI outputs pinned byte for byte on small builtins and the README inputs.
+
+Each case runs in the table, ``--verbose`` and JSON formats and must print
+exactly ``tests/golden/<case>.<format>``.  Regenerate after a deliberate
+output change with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff of ``tests/golden/`` before committing it.
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from coarsek.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+FORMATS = {"table": [], "verbose": ["--verbose"], "json": ["--format", "json"]}
+
+CASES = {
+    **{f"rn{n}": ["run", "--builtin", f"rn:{n}"] for n in range(1, 6)},
+    **{f"wedge{k}": ["run", "--builtin", f"wedge:{k}"] for k in range(1, 7)},
+    **{f"zinf{m}": ["run", "--builtin", f"zinf:{m}"] for m in range(2, 6)},
+    "wedge-countable4": ["run", "--builtin", "wedge:countable:4"],
+    "sweep-wedge-countable": ["sweep", "--builtin", "wedge:countable", "--caps", "1..5"],
+    "sweep-zinf4": ["sweep", "--builtin", "zinf:4", "--caps", "1..4"],
+    **{
+        f"readme-{kind}": ["run", "--input", str(GOLDEN / "inputs" / f"readme_{kind}.json")]
+        for kind in ("mv", "ideal_chain", "page")
+    },
+}
+
+
+def _output(case: str, fmt: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(FORMATS[fmt] + CASES[case])
+    assert code == 0, (case, fmt, code)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("case", CASES)
+def test_golden_output(case, fmt):
+    assert _output(case, fmt) == (GOLDEN / f"{case}.{fmt}").read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    formats = sys.argv[1:] or list(FORMATS)
+    for case in CASES:
+        for fmt in formats:
+            (GOLDEN / f"{case}.{fmt}").write_text(_output(case, fmt), encoding="utf-8")

@@ -4,14 +4,13 @@ import random
 
 import pytest
 
-from coarsek.abelian import FgAbGroup, GroupHom, IntMatrix, homology_at
+from coarsek.abelian import CountablyInfinite, FgAbGroup, GroupHom, IntMatrix, homology_at
 from coarsek.pages import (
     Grading,
     InducedMapIllDefined,
     InvalidPage,
     Page,
     cells_isomorphic,
-    collapse_check,
     full_cell,
     run_to_infinity,
     turn_page,
@@ -135,7 +134,7 @@ def test_single_column_stabilizes_immediately():
     groups = {(3, q): FgAbGroup(1, (2,)) for q in range(2)}
     run = run_to_infinity(_page(3, groups))
     assert run.stabilized_at == 1
-    assert collapse_check(run, 1)
+    assert run.stabilized_at <= 1
     for q in range(2):
         assert run.e_infinity_at(3, q) == FgAbGroup(1, (2,))
 
@@ -152,8 +151,8 @@ def test_times_two_run_collapse_bounds():
     page = _page(1, {(1, 0): Z, (0, 0): Z}, d1={(1, 0): IntMatrix.from_rows([[2]])})
     run = run_to_infinity(page)
     assert dict(run.e_infinity) == {(0, 0): FgAbGroup.cyclic(2)}
-    assert collapse_check(run, 2)
-    assert not collapse_check(run, 1)
+    assert run.stabilized_at <= 2
+    assert not run.stabilized_at <= 1
 
 
 def test_run_requires_valid_page():
@@ -204,6 +203,44 @@ def _random_valid_page(rng, cap, period=2):
     ok, diags = validate_page(page)
     assert ok, diags
     return page
+
+
+def test_cells_with_zero_maps_pass_through_unfactored(monkeypatch):
+    from coarsek import pages
+
+    page1 = _page(
+        3,
+        {(3, 1): FgAbGroup(1, (4,)), (2, 0): Z, (1, 0): Z, (0, 0): Z, (0, 1): FgAbGroup.cyclic(6)},
+        d1={(1, 0): IntMatrix.from_rows([[2]])},
+    )
+    calls = []
+    real = pages.subquotient
+    monkeypatch.setattr(pages, "subquotient", lambda *a: calls.append(a) or real(*a))
+    page2 = turn_page(page1)
+    # only the two ends of the one nonzero d1 are re-factored
+    assert len(calls) == 2
+    for key in ((3, 1), (2, 0), (0, 1)):
+        assert page2.cells[key] is page1.cells[key]
+    assert page2.cell_group(0, 0) == FgAbGroup.cyclic(2)
+    assert (1, 0) not in page2.cells
+    later = [page2]
+    for _ in range(3):
+        later.append(turn_page(later[-1]))
+    assert len(calls) == 2
+    for page in later[1:]:
+        assert page.cells.keys() == page2.cells.keys()
+        assert all(page.cells[key] is cell for key, cell in page2.cells.items())
+
+
+def test_countable_cell_hit_by_nonzero_map_raises():
+    inf = FgAbGroup(CountablyInfinite, ())
+    page = _page(1, {(1, 0): Z, (0, 0): inf})
+    # bypasses Page.from_groups, which cannot even build such a map
+    page.diffs[(1, 0)] = GroupHom(Z, Z, IntMatrix.from_rows([[1]]))
+    with pytest.raises(InducedMapIllDefined):
+        turn_page(page)
+    page.diffs[(1, 0)] = GroupHom(Z, Z, IntMatrix.from_rows([[0]]))
+    assert turn_page(page).cells[(0, 0)] is page.cells[(0, 0)]
 
 
 # ---------------------------------------------------------------------------
