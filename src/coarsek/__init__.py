@@ -52,6 +52,7 @@ from .pages import (
     Page,
     SpectralRun,
     SubquotientCell,
+    first_page,
     run_to_infinity,
     turn_page,
     validate_page,

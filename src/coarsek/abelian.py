@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from operator import mul
 from typing import Sequence
 
 
@@ -103,29 +104,20 @@ class IntMatrix:
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
-    def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.cols)]
-
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, tuple(self[i, j] for j in range(self.cols) for i in range(self.rows)))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise IncompatibleShapes(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        flat: list[int] = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                flat.append(sum(ri[k] * other.entries[k * other.cols + j] for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(flat))
+        cols = [other.entries[j :: other.cols] for j in range(other.cols)]
+        flat = tuple(sum(map(mul, self.row(i), col)) for i in range(self.rows) for col in cols)
+        return IntMatrix(self.rows, other.cols, flat)
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:
             raise IncompatibleShapes("vector length mismatch")
-        return tuple(sum(self.row(i)[k] * vec[k] for k in range(self.cols)) for i in range(self.rows))
+        return tuple(sum(map(mul, self.row(i), vec)) for i in range(self.rows))
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
@@ -178,21 +170,6 @@ class IntMatrix:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"IntMatrix.from_rows({self.to_rows()!r})"
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: returns (g, s, t) with s*a + t*b = g >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +340,9 @@ def lattice_basis(gens: IntMatrix) -> IntMatrix:
     """Basis of the column lattice spanned by ``gens`` (m x rank)."""
     s = smith_normal_form(gens)
     cols = [
-        tuple(s.U_inv[i, k] * s.diagonal[k] for i in range(gens.rows))
-        for k in range(len(s.diagonal))
-        if s.diagonal[k] != 0
+        tuple(s.U_inv[i, k] * d for i in range(gens.rows))
+        for k, d in enumerate(s.diagonal)
+        if d != 0
     ]
     return IntMatrix.from_columns(cols, gens.rows)
 
@@ -437,7 +414,8 @@ class FgAbGroup:
     """Finitely generated abelian group in invariant-factor form.
 
     ``free_rank`` may be the CountablyInfinite sentinel, admitted purely as
-    a reporting value; such groups only support zero homomorphisms.
+    a reporting value: such a group has no generator list, so no matrix,
+    homomorphism or page cell is built on it (first pages set it aside).
 
     >>> print(FgAbGroup(1, (2, 4)))
     Z + Z/2 + Z/4
@@ -569,8 +547,6 @@ def iso_class_equal(g: FgAbGroup, h: FgAbGroup) -> bool:
     >>> iso_class_equal(FgAbGroup(0, (2, 4)), FgAbGroup(0, (8,)))
     False
     """
-    if g.is_countable or h.is_countable:
-        return g.is_countable and h.is_countable
     return g.free_rank == h.free_rank and g.torsion == h.torsion
 
 
@@ -595,23 +571,16 @@ def cokernel(a: IntMatrix) -> FgAbGroup:
 class GroupHom:
     """Homomorphism of presented groups as an integer matrix.
 
-    ``matrix`` is None exactly when an endpoint has countable rank; such
-    homs are forced to be zero (the sentinel is reporting-only).
+    ``matrix`` maps source generators to target generators (columns are
+    images).  Both endpoints need a finite generator list, so a
+    countable-rank endpoint raises InfiniteRankArithmetic.
     """
 
     source: FgAbGroup
     target: FgAbGroup
-    matrix: IntMatrix | None
+    matrix: IntMatrix
 
     def __post_init__(self) -> None:
-        if self.source.is_countable or self.target.is_countable:
-            if self.matrix is not None:
-                raise InfiniteRankArithmetic(
-                    "homs touching a countable-rank group must be the zero map"
-                )
-            return
-        if self.matrix is None:
-            raise IncompatibleShapes("finite hom requires a matrix")
         if self.matrix.rows != self.target.gen_count or self.matrix.cols != self.source.gen_count:
             raise IncompatibleShapes(
                 f"matrix {self.matrix.rows}x{self.matrix.cols} does not map "
@@ -630,34 +599,21 @@ class GroupHom:
 
     @classmethod
     def zero(cls, source: FgAbGroup, target: FgAbGroup) -> "GroupHom":
-        if source.is_countable or target.is_countable:
-            return cls(source, target, None)
         return cls(source, target, IntMatrix.zeros(target.gen_count, source.gen_count))
 
     @classmethod
     def identity(cls, group: FgAbGroup) -> "GroupHom":
-        if group.is_countable:
-            raise InfiniteRankArithmetic("no identity matrix for countable rank")
         return cls(group, group, IntMatrix.identity(group.gen_count))
 
     def is_zero_map(self) -> bool:
         """Zero as a homomorphism (not merely as a matrix)."""
-        if self.matrix is None:
-            return True
         return all(self.target.element_in_relations(self.matrix.column(j)) for j in range(self.matrix.cols))
 
     def compose(self, first: "GroupHom") -> "GroupHom":
         """self after first."""
         if first.target != self.source:
             raise IncompatibleShapes("composition endpoint mismatch")
-        if self.matrix is None or first.matrix is None:
-            return GroupHom.zero(first.source, self.target)
         return GroupHom(first.source, self.target, self.matrix @ first.matrix)
-
-    def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        if self.matrix is None:
-            raise InfiniteRankArithmetic("cannot apply a countable-rank hom")
-        return self.target.reduce_element(self.matrix.apply(vec))
 
 
 @dataclass(frozen=True)
@@ -665,7 +621,7 @@ class HomologyAt:
     """ker(g)/im(f) with representatives in the middle group's generators."""
 
     group: FgAbGroup
-    lift: IntMatrix | None  # middle gen_count x group gen_count; None for countable pass-through
+    lift: IntMatrix  # middle gen_count x group gen_count
 
 
 def _classified_snf(y: SnfResult) -> tuple[FgAbGroup, list[int]]:
@@ -695,20 +651,12 @@ def homology_at(f: GroupHom, g: GroupHom) -> HomologyAt:
     """
     if f.target != g.source:
         raise IncompatibleShapes("homology_at requires f.target == g.source")
-    mid = f.target
-    if mid.is_countable:
-        if not (f.is_zero_map() and g.is_zero_map()):
-            raise InfiniteRankArithmetic("countable-rank cell admits only zero maps")
-        return HomologyAt(mid, None)
-    m = mid.gen_count
-    fm = f.matrix if f.matrix is not None else IntMatrix.zeros(m, 0)
-    gm = g.matrix if g.matrix is not None else IntMatrix.zeros(0, m)
-    comp = gm @ fm
+    comp = g.matrix @ f.matrix
     for j in range(comp.cols):
         if not g.target.element_in_relations(comp.column(j)):
             raise CompositionNonzero("g o f is not the zero map")
-    cycles = preimage_basis(gm, g.target.relation_matrix())
-    bound_gens = fm.hstack(mid.relation_matrix())
+    cycles = preimage_basis(g.matrix, g.target.relation_matrix())
+    bound_gens = f.matrix.hstack(f.target.relation_matrix())
     expressed = solve_columns(cycles, bound_gens)
     if expressed is None:  # pragma: no cover - impossible when g o f == 0
         raise AbelianError("boundaries do not lie inside cycles")
@@ -727,6 +675,4 @@ def is_exact_at(f: GroupHom, g: GroupHom) -> tuple[bool, tuple[int, ...] | None]
     h = homology_at(f, g)
     if h.group.is_zero:
         return True, None
-    if h.lift is None:
-        return False, None
     return False, h.lift.column(0)

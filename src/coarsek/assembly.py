@@ -6,10 +6,11 @@ decomposition (cell (p, q) is the direct sum over all (p+1)-fold index
 sets J of the K-theory of the J-fold intersection).
 
 Differentials on the first page default to zero and that default is
-marked loudly in every report: the engine never fabricates maps.  User
-d1 matrices act on the concatenated summand generators, in the recorded
-lexicographic-on-sorted-J order, and are induced onto the canonical cell
-groups from there.
+marked loudly in every report: the engine never fabricates maps.  Both
+builders go through ``pages.first_page``, so user d1 matrices act on the
+concatenated summand generators (in the recorded lexicographic-on-sorted-J
+order; an ideal-chain cell has one summand, so on that group's own
+generators) and are induced onto the canonical cell groups from there.
 """
 
 from __future__ import annotations
@@ -18,17 +19,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
-from .abelian import FgAbGroup, IncompatibleShapes, IntMatrix
-from .pages import (
-    Grading,
-    Page,
-    SpectralRun,
-    SubquotientCell,
-    _induce_hom,
-    full_cell,
-    run_to_infinity,
-    subquotient,
-)
+from .abelian import FgAbGroup, IntMatrix
+from .pages import Grading, Page, SpectralRun, first_page, run_to_infinity
 
 
 class AssemblyError(Exception):
@@ -120,36 +112,12 @@ class MvInput:
 
 def build_ideal_chain_e1(inp: IdealChainInput) -> Page:
     """Cell (p, q) carries the degree-(p+q) K-group of the p-th subquotient."""
-    per = inp.grading.period
-    groups: dict[tuple[int, int], FgAbGroup] = {}
-    for p in range(inp.length + 1):
-        for q in range(per):
-            groups[(p, q)] = inp.group_at(p, p + q)
-    return Page.from_groups(
-        inp.length,
-        inp.grading,
-        groups,
-        d1=inp.d1,
-        d1_defaulted=inp.d1 is None,
-    )
-
-
-def _concatenated_cell(parts: Sequence[FgAbGroup]) -> SubquotientCell:
-    """First-page cell for a direct sum of nonzero groups, keeping summand
-    generator blocks."""
-    total = FgAbGroup.zero().direct_sum(*parts)
-    if total.is_countable:
-        return full_cell(total)
-    m = sum(g.gen_count for g in parts)
-    rel_cols: list[list[int]] = []
-    offset = 0
-    for g in parts:
-        for i, d in enumerate(g.torsion):
-            col = [0] * m
-            col[offset + g.free_rank + i] = d
-            rel_cols.append(col)
-        offset += g.gen_count
-    return subquotient(total, IntMatrix.identity(m), IntMatrix.from_columns(rel_cols, m))
+    parts = {
+        (p, q): [inp.group_at(p, p + q)]
+        for p in range(inp.length + 1)
+        for q in range(inp.grading.period)
+    }
+    return first_page(inp.length, inp.grading, parts, inp.d1)
 
 
 def build_mv_e1(inp: MvInput) -> Page:
@@ -161,56 +129,23 @@ def build_mv_e1(inp: MvInput) -> Page:
     unambiguous.  Zero summands have no generators, so leaving them out
     does not move any generator.
     """
-    per = inp.grading.period
     ordered_labels = sorted(inp.labels)
-    cells: dict[tuple[int, int], SubquotientCell] = {}
-    concat_dims: dict[tuple[int, int], int] = {}
+    parts: dict[tuple[int, int], list[FgAbGroup]] = {}
     summands: dict[tuple[int, int], tuple] = {}
     for p in range(inp.cap + 1):
         graded = [(j, inp.graded_for(j)) for j in combinations(ordered_labels, p + 1)]
-        for q in range(per):
+        for q in range(inp.grading.period):
             nonzero = [(j, g[q]) for j, g in graded if q in g and not g[q].is_zero]
-            concat_dims[(p, q)] = 0
-            if not nonzero:
-                continue
-            cell = _concatenated_cell([g for _, g in nonzero])
-            cells[(p, q)] = cell
-            summands[(p, q)] = tuple(j for j, _ in nonzero)
-            if cell.cycles is not None:
-                concat_dims[(p, q)] = cell.cycles.rows
+            if nonzero:
+                parts[(p, q)] = [g for _, g in nonzero]
+                summands[(p, q)] = tuple(j for j, _ in nonzero)
     if inp.mode == "exact" and inp.cap < len(inp.labels) - 1:
-        if any((inp.cap, q) in cells for q in range(per)):
+        if any(p == inp.cap for p, _ in parts):
             raise CapTooSmall(
                 f"nonzero group at the cap boundary p={inp.cap}; "
                 "raise the cap or mark the run as truncated"
             )
-    page = Page(
-        1,
-        inp.cap,
-        inp.grading,
-        cells,
-        {},
-        d1_defaulted=inp.d1 is None,
-        truncated_at=inp.truncated_at,
-        summands=summands,
-    )
-    if inp.d1:
-        for (p, q), matrix in inp.d1.items():
-            key = (p, q % per)
-            tkey = page.target_key(*key)
-            if key not in concat_dims:
-                raise IncompatibleShapes(f"d1 at {key} lies outside the support")
-            if matrix.cols != concat_dims[key] or matrix.rows != concat_dims.get(tkey, 0):
-                raise IncompatibleShapes(
-                    f"d1 at {key}: expected {concat_dims.get(tkey, 0)}x{concat_dims[key]} "
-                    f"on concatenated summand generators, got {matrix.rows}x{matrix.cols}"
-                )
-            src = cells.get(key)
-            tgt = cells.get(tkey)
-            if src is None or tgt is None:
-                continue  # a map into or out of the zero group is zero
-            page.diffs[key] = _induce_hom(matrix, src, tgt, key)
-    return page
+    return first_page(inp.cap, inp.grading, parts, inp.d1, inp.truncated_at, summands)
 
 
 # ---------------------------------------------------------------------------

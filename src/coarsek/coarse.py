@@ -518,17 +518,15 @@ def check_cover_excision(
     metric: Metric,
     box: int,
     s_radius=None,
-    s_for_size=None,
 ) -> dict[tuple[int, ...], ExcisionResult]:
     """Run check_excision for every nonempty subset of the cover.
 
-    ``s_for_size`` may map |J| to an S value; otherwise ``s_radius`` is
-    used for all subsets (defaulting to the radius itself).
+    ``s_radius`` is used for all subsets (defaulting to the radius itself).
     """
     results: dict[tuple[int, ...], ExcisionResult] = {}
     n = len(cover)
+    s_val = s_radius if s_radius is not None else radius
     for size in range(1, n + 1):
-        s_val = s_for_size(size) if s_for_size else (s_radius if s_radius is not None else radius)
         for subset in combinations(range(n), size):
             results[subset] = check_excision(cover, subset, radius, s_val, metric, box)
     return results

@@ -15,20 +15,59 @@ from typing import Any
 from .abelian import CountablyInfinite, FgAbGroup, IntMatrix
 from .assembly import DegreeReport, FiltrationReport, IdealChainInput, MvInput, SweepReport
 from .coarse import BlockySpace, Factor, Metric
-from .pages import Grading, Page
+from .pages import Grading, Page, first_page
 
 
 class SchemaError(ValueError):
     """Input does not match the documented schema."""
 
 
+_KINDS = {int: "an integer", list: "a list", dict: "an object"}
+_REQUIRED = object()
+
+
+def _typed(value: Any, kind: type, where: str) -> Any:
+    """``value`` if it has JSON type ``kind`` (a bool is no integer), else a
+    SchemaError naming the path."""
+    if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
+        return value
+    raise SchemaError(f"{where}: expected {_KINDS[kind]}, got {type(value).__name__}")
+
+
 def _need(obj: Any, key: str, where: str = "") -> Any:
     """``obj[key]``; a SchemaError names the path when obj is no object or lacks key."""
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{where or 'input'}: expected an object, got {type(obj).__name__}")
+    _typed(obj, dict, where or "input")
     if key not in obj:
         raise SchemaError(f"{where}.{key}: missing" if where else f"{key}: missing")
     return obj[key]
+
+
+def _get(obj: Any, key: str, kind: type, where: str = "", default: Any = _REQUIRED) -> Any:
+    """``obj[key]`` checked to have JSON type ``kind``; ``default`` when the
+    key is absent, which is an error when no default is given."""
+    if default is not _REQUIRED and key not in _typed(obj, dict, where or "input"):
+        return default
+    return _typed(_need(obj, key, where), kind, f"{where}.{key}" if where else key)
+
+
+def _ints(value: Any, where: str) -> list[int]:
+    return [_typed(x, int, f"{where}[{i}]") for i, x in enumerate(_typed(value, list, where))]
+
+
+def _degree(key: str, where: str) -> int:
+    """A degree key of a ``k`` object (JSON object keys are strings)."""
+    try:
+        return int(key)
+    except ValueError:
+        raise SchemaError(f"{where}: expected integer degree keys, got {key!r}") from None
+
+
+def _labels(value: Any, where: str) -> list:
+    """Index-set labels: all integers or all strings, so that they sort."""
+    items = _typed(value, list, where)
+    if not (all(isinstance(x, str) for x in items) or all(type(x) is int for x in items)):
+        raise SchemaError(f"{where}: expected all integers or all strings, got {items!r}")
+    return items
 
 
 def group_to_json(g: FgAbGroup) -> dict:
@@ -38,11 +77,11 @@ def group_to_json(g: FgAbGroup) -> dict:
     }
 
 
-def group_from_json(obj: Any) -> FgAbGroup:
+def group_from_json(obj: Any, where: str = "group") -> FgAbGroup:
     if not isinstance(obj, dict) or "free_rank" not in obj:
         raise SchemaError(f"group must be an object with free_rank, got {obj!r}")
     rank = obj["free_rank"]
-    torsion = tuple(obj.get("torsion", ()))
+    torsion = tuple(_ints(obj.get("torsion", []), f"{where}.torsion"))
     if rank == "countable":
         return FgAbGroup(CountablyInfinite, torsion)
     if not isinstance(rank, int) or isinstance(rank, bool):
@@ -57,21 +96,24 @@ def matrix_to_json(m: IntMatrix) -> dict:
     return {"rows": m.rows, "cols": m.cols, "entries": list(m.entries)}
 
 
-def matrix_from_json(obj: Any) -> IntMatrix:
+def matrix_from_json(obj: Any, where: str = "matrix") -> IntMatrix:
     if isinstance(obj, list):
-        if obj and not isinstance(obj[0], list):
-            raise SchemaError("matrix list form must be a list of rows")
-        return IntMatrix.from_rows(obj)
+        return IntMatrix.from_rows([_ints(row, f"{where}[{i}]") for i, row in enumerate(obj)])
     if isinstance(obj, dict) and {"rows", "cols", "entries"} <= obj.keys():
-        return IntMatrix(int(obj["rows"]), int(obj["cols"]), tuple(int(x) for x in obj["entries"]))
+        rows, cols = (_get(obj, key, int, where) for key in ("rows", "cols"))
+        return IntMatrix(rows, cols, tuple(_ints(obj["entries"], f"{where}.entries")))
     raise SchemaError(f"matrix must be nested lists or rows/cols/entries, got {obj!r}")
 
 
-def _d1_from_json(items: Any) -> dict[tuple[int, int], IntMatrix]:
+def _d1_from_json(obj: dict) -> dict[tuple[int, int], IntMatrix]:
+    """The optional ``d1`` list of an input; null means none."""
     out: dict[tuple[int, int], IntMatrix] = {}
-    for i, item in enumerate(items or []):
-        p, q = _need(item, "from", f"d1[{i}]")
-        out[(int(p), int(q))] = matrix_from_json(_need(item, "matrix", f"d1[{i}]"))
+    for i, item in enumerate(_typed(obj.get("d1") or [], list, "d1")):
+        at = f"d1[{i}]"
+        key = tuple(_ints(_need(item, "from", at), f"{at}.from"))
+        if len(key) != 2:
+            raise SchemaError(f"{at}.from: expected [p, q], got {list(key)}")
+        out[key] = matrix_from_json(_need(item, "matrix", at), f"{at}.matrix")
     return out
 
 
@@ -83,53 +125,52 @@ def page_to_json(page: Page) -> dict:
     d1 = [
         {"from": [p, q], "matrix": matrix_to_json(h.matrix)}
         for (p, q), h in sorted(page.diffs.items())
-        if h.matrix is not None
     ]
     return {"period": page.period, "cap": page.cap, "cells": cells, "d1": d1}
 
 
 def page_from_json(obj: Any, default_period: int = 2) -> Page:
-    cap = int(_need(obj, "cap"))
-    period = int(obj.get("period", default_period))
-    groups: dict[tuple[int, int], FgAbGroup] = {}
-    for i, cell in enumerate(obj.get("cells", [])):
+    cap = _get(obj, "cap", int)
+    period = _get(obj, "period", int, default=default_period)
+    parts: dict[tuple[int, int], list[FgAbGroup]] = {}
+    for i, cell in enumerate(_get(obj, "cells", list, default=[])):
         at = f"cells[{i}]"
-        key = (int(_need(cell, "p", at)), int(_need(cell, "q", at)))
-        groups[key] = group_from_json(_need(cell, "group", at))
-    d1 = _d1_from_json(obj.get("d1"))
-    return Page.from_groups(cap, Grading(period), groups, d1=d1 or None,
-                            d1_defaulted=not d1)
+        key = (_get(cell, "p", int, at), _get(cell, "q", int, at))
+        parts[key] = [group_from_json(_need(cell, "group", at), f"{at}.group")]
+    return first_page(cap, Grading(period), parts, _d1_from_json(obj))
 
 
 def mv_from_json(obj: Any, default_period: int = 2) -> MvInput:
-    labels = tuple(_need(obj, "labels"))
+    labels = tuple(_labels(_need(obj, "labels"), "labels"))
+    truncated_at = obj.get("truncated_at")
     inter: dict[tuple, dict[int, FgAbGroup]] = {}
-    for i, item in enumerate(obj.get("intersections", [])):
+    for i, item in enumerate(_get(obj, "intersections", list, default=[])):
         at = f"intersections[{i}]"
-        j = tuple(sorted(_need(item, "J", at)))
-        inter[j] = {int(q): group_from_json(g) for q, g in _need(item, "k", at).items()}
+        j = tuple(sorted(_labels(_need(item, "J", at), f"{at}.J")))
+        k = _get(item, "k", dict, at)
+        inter[j] = {_degree(q, f"{at}.k"): group_from_json(g, f"{at}.k.{q}") for q, g in k.items()}
     return MvInput(
         labels=labels,
-        cap=int(obj.get("cap", len(labels) - 1)),
+        cap=_get(obj, "cap", int, default=len(labels) - 1),
         intersections=inter,
-        d1=_d1_from_json(obj.get("d1")) or None,
-        grading=Grading(int(obj.get("period", default_period))),
+        d1=_d1_from_json(obj),
+        grading=Grading(_get(obj, "period", int, default=default_period)),
         mode=obj.get("mode", "exact"),
-        truncated_at=obj.get("truncated_at"),
+        truncated_at=None if truncated_at is None else _typed(truncated_at, int, "truncated_at"),
     )
 
 
 def ideal_chain_from_json(obj: Any, default_period: int = 2) -> IdealChainInput:
     groups: dict[tuple[int, int], FgAbGroup] = {}
-    for i, item in enumerate(obj.get("groups", [])):
+    for i, item in enumerate(_get(obj, "groups", list, default=[])):
         at = f"groups[{i}]"
-        key = (int(_need(item, "p", at)), int(_need(item, "s", at)))
-        groups[key] = group_from_json(_need(item, "group", at))
+        key = (_get(item, "p", int, at), _get(item, "s", int, at))
+        groups[key] = group_from_json(_need(item, "group", at), f"{at}.group")
     return IdealChainInput(
-        length=int(_need(obj, "length")),
-        grading=Grading(int(obj.get("period", default_period))),
+        length=_get(obj, "length", int),
+        grading=Grading(_get(obj, "period", int, default=default_period)),
         groups=groups,
-        d1=_d1_from_json(obj.get("d1")) or None,
+        d1=_d1_from_json(obj),
         default_zero=bool(obj.get("default_zero", False)),
     )
 
@@ -140,10 +181,6 @@ def blocky_from_json(obj: Any) -> BlockySpace:
         return BlockySpace(tuple(names[x] for x in obj["factors"]))
     except KeyError as exc:
         raise SchemaError(f"unknown factor {exc}") from exc
-
-
-def blocky_to_json(space: BlockySpace) -> dict:
-    return {"factors": [f.value for f in space.factors]}
 
 
 def metric_from_json(obj: Any) -> Metric:

@@ -13,12 +13,13 @@ differential beyond page cap+1 exits the support, so E^{cap+2} = E^infty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from dataclasses import dataclass, field, replace
+from typing import Iterator, Mapping, Sequence
 
 from .abelian import (
     FgAbGroup,
     GroupHom,
+    IncompatibleShapes,
     IntMatrix,
     _classified_snf,
     lattice_basis,
@@ -58,33 +59,22 @@ class SubquotientCell:
     """A cell as cycles-over-boundaries inside its first-page ancestor.
 
     ``cycles`` and ``boundaries`` are lattice bases inside Z^m where m is
-    the ancestor's generator count; the boundary lattice always contains
-    the ancestor's relation lattice, so ``group`` is genuinely Z/B.
-    For countable-rank ancestors all lattice fields are None and the cell
-    passes through page turning untouched (only zero maps may touch it).
+    the ancestor's generator count (the concatenated summand generators of
+    the first-page cell); the boundary lattice always contains the
+    ancestor's relation lattice, so ``group`` is genuinely Z/B.  ``gens``
+    (m x n) lifts the n generators of ``group`` to cycles, and ``proj``
+    (n x rank of cycles) takes cycle-basis coordinates to them.  Cells have
+    finite rank; countable-rank groups never become cells.
     """
 
-    ambient: FgAbGroup
-    cycles: IntMatrix | None
-    boundaries: IntMatrix | None
+    cycles: IntMatrix
+    boundaries: IntMatrix
     group: FgAbGroup
-    gens: IntMatrix | None
-    proj: IntMatrix | None
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.ambient.is_countable
-
-    def coords(self, vec) -> tuple[int, ...]:
-        """Generator coordinates of an ambient vector lying in the cycles."""
-        col = IntMatrix.from_columns([list(vec)], self.cycles.rows)
-        c = solve_columns(self.cycles, col)
-        if c is None:
-            raise PageError("vector is not a cycle of this cell")
-        return self.group.reduce_element(self.proj.apply(c.column(0)))
+    gens: IntMatrix
+    proj: IntMatrix
 
 
-def subquotient(ambient: FgAbGroup, cycle_gens: IntMatrix, boundary_gens: IntMatrix) -> SubquotientCell:
+def subquotient(cycle_gens: IntMatrix, boundary_gens: IntMatrix) -> SubquotientCell:
     """Build the cell Z/B from generating sets of the two sublattices."""
     zb = lattice_basis(cycle_gens)
     bb = lattice_basis(boundary_gens)
@@ -95,23 +85,34 @@ def subquotient(ambient: FgAbGroup, cycle_gens: IntMatrix, boundary_gens: IntMat
     group, sel = _classified_snf(s)
     gens = zb @ s.U_inv.select_columns(sel)
     proj = s.U.select_rows(sel)
-    return SubquotientCell(ambient, zb, bb, group, gens, proj)
+    return SubquotientCell(zb, bb, group, gens, proj)
 
 
-def full_cell(group: FgAbGroup) -> SubquotientCell:
-    """First-page cell: the whole group as a subquotient of itself."""
-    if group.is_countable:
-        return SubquotientCell(group, None, None, group, None, None)
-    m = group.gen_count
-    return subquotient(group, IntMatrix.identity(m), group.relation_matrix())
+def _concatenated_cell(parts: Sequence[FgAbGroup]) -> SubquotientCell:
+    """First-page cell for a direct sum of nonzero groups on the concatenated
+    summand generators.  When those already are an invariant-factor basis
+    of the sum (always so for one summand), they are the cell's generators."""
+    orders = [d for g in parts for d in g.generator_orders()]
+    m = len(orders)
+    eye = IntMatrix.identity(m)
+    rels = IntMatrix.from_columns(
+        [[d if i == k else 0 for i in range(m)] for k, d in enumerate(orders) if d], m
+    )
+    total = FgAbGroup.zero().direct_sum(*parts)
+    if total.generator_orders() == tuple(orders):
+        return SubquotientCell(eye, rels, total, eye, eye)
+    return subquotient(eye, rels)
 
 
 @dataclass
 class Page:
     """One page of the spectral sequence; treat as an immutable value.
 
-    Cells absent from ``cells`` are the zero group.  ``diffs[(p, q)]`` is
-    the differential leaving (p, q) for (p - r, q + r - 1 mod period).
+    Cells absent from ``cells`` and ``countable`` are the zero group.
+    ``diffs[(p, q)]`` is the differential leaving (p, q) for
+    (p - r, q + r - 1 mod period).  ``countable`` holds the countable-rank
+    cells, set aside by ``first_page``: no differential touches them, so
+    they pass unchanged to E^infty.  Build first pages with ``first_page``.
     """
 
     r: int
@@ -122,6 +123,7 @@ class Page:
     d1_defaulted: bool = False
     truncated_at: int | None = None
     summands: dict[tuple[int, int], tuple] | None = None
+    countable: dict[tuple[int, int], FgAbGroup] = field(default_factory=dict)
 
     @property
     def period(self) -> int:
@@ -134,40 +136,59 @@ class Page:
         return p + self.r, (q - self.r + 1) % self.period
 
     def cell_group(self, p: int, q: int) -> FgAbGroup:
-        cell = self.cells.get((p, q % self.period))
-        return cell.group if cell is not None else FgAbGroup.zero()
+        key = (p, q % self.period)
+        cell = self.cells.get(key)
+        return cell.group if cell is not None else self.countable.get(key, FgAbGroup.zero())
 
     def support(self) -> Iterator[tuple[int, int]]:
         for p in range(self.cap + 1):
             for q in range(self.period):
                 yield (p, q)
 
-    @classmethod
-    def from_groups(
-        cls,
-        cap: int,
-        grading: Grading,
-        groups: Mapping[tuple[int, int], FgAbGroup],
-        d1: Mapping[tuple[int, int], IntMatrix] | None = None,
-        d1_defaulted: bool = False,
-    ) -> "Page":
-        """First page from plain groups plus optional d1 matrices."""
-        cells: dict[tuple[int, int], SubquotientCell] = {}
-        for (p, q), g in groups.items():
-            if g.is_zero:
-                continue
-            cells[(p, q % grading.period)] = full_cell(g)
-        page = cls(1, cap, grading, cells, d1_defaulted=d1_defaulted)
-        if d1:
-            for (p, q), mat in d1.items():
-                key = (p, q % grading.period)
-                src = page.cell_group(*key)
-                tgt = page.cell_group(*page.target_key(*key))
-                hom = GroupHom(src, tgt, mat)
-                if src.is_zero or tgt.is_zero:
-                    continue
-                page.diffs[key] = hom
-        return page
+
+def first_page(
+    cap: int,
+    grading: Grading,
+    parts: Mapping[tuple[int, int], Sequence[FgAbGroup]],
+    d1: Mapping[tuple[int, int], IntMatrix] | None = None,
+    truncated_at: int | None = None,
+    summands: dict[tuple[int, int], tuple] | None = None,
+) -> Page:
+    """The first page: cell (p, q) is the direct sum of ``parts[(p, q)]``.
+
+    Zero groups are dropped.  A d1 matrix acts on the concatenated
+    generators of a cell's summands, in the listed order; a cell with one
+    summand keeps that group's own generators.  Each d1 is induced onto
+    the canonical cell groups and refused when it is not well defined.
+    Countable-rank cells go to ``Page.countable``, and a d1 entry that
+    touches one is refused.  ``d1_defaulted`` is set when no d1 is given.
+    """
+    page = Page(1, cap, grading, {}, d1_defaulted=not d1, truncated_at=truncated_at,
+                summands=summands)
+    by_key = {(p, q % grading.period): groups for (p, q), groups in parts.items()}
+    for key, groups in by_key.items():
+        nonzero = [g for g in groups if not g.is_zero]
+        if any(g.is_countable for g in nonzero):
+            page.countable[key] = FgAbGroup.zero().direct_sum(*nonzero)
+        elif nonzero:
+            page.cells[key] = _concatenated_cell(nonzero)
+    for (p, q), matrix in (d1 or {}).items():
+        key = (p, q % grading.period)
+        tkey = page.target_key(*key)
+        if not 0 <= p <= cap:
+            raise IncompatibleShapes(f"d1 at {key} lies outside the support")
+        if key in page.countable or tkey in page.countable:
+            raise InducedMapIllDefined(f"d1 at {key} touches a countable-rank cell")
+        src, tgt = page.cells.get(key), page.cells.get(tkey)
+        shape = (tgt.cycles.rows if tgt else 0, src.cycles.rows if src else 0)
+        if (matrix.rows, matrix.cols) != shape:
+            raise IncompatibleShapes(
+                f"d1 at {key}: expected {shape[0]}x{shape[1]} on concatenated summand "
+                f"generators, got {matrix.rows}x{matrix.cols}"
+            )
+        if src and tgt:
+            page.diffs[key] = _induce_hom(matrix, src, tgt, key)
+    return page
 
 
 def validate_page(page: Page) -> tuple[bool, list[str]]:
@@ -178,7 +199,7 @@ def validate_page(page: Page) -> tuple[bool, list[str]]:
     """
     diags: list[str] = []
     per = page.period
-    for (p, q), cell in sorted(page.cells.items()):
+    for p, q in sorted([*page.cells, *page.countable]):
         if q < 0 or q >= per:
             diags.append(f"({p},{q}): q outside 0..{per - 1}")
         if p < 0 or p > page.cap:
@@ -207,19 +228,22 @@ def _induce_hom(
     tgt: SubquotientCell,
     where: tuple[int, int],
 ) -> GroupHom:
-    """Induce a map of subquotients from an ambient-coordinate matrix."""
-    if src.is_infinite or tgt.is_infinite:
-        raise InducedMapIllDefined(f"{where}: cannot induce maps through countable-rank cells")
+    """Induce a map of subquotients from an ambient-coordinate matrix.
+
+    One solve expresses the images of the source cycles and of the source
+    generators in the target's cycle basis; ``tgt.proj`` then gives the
+    generator coordinates of the latter.
+    """
     if matrix.rows != tgt.cycles.rows or matrix.cols != src.cycles.rows:
         raise InducedMapIllDefined(f"{where}: ambient matrix has wrong shape")
-    if solve_columns(tgt.cycles, matrix @ src.cycles) is None:
+    images = solve_columns(tgt.cycles, matrix @ src.cycles.hstack(src.gens))
+    if images is None:
         raise InducedMapIllDefined(f"{where}: cycles are not carried into cycles")
     if solve_columns(tgt.boundaries, matrix @ src.boundaries) is None:
         raise InducedMapIllDefined(f"{where}: boundaries are not carried into boundaries")
-    images = matrix @ src.gens
-    cols = [list(tgt.coords(images.column(j))) for j in range(images.cols)]
-    induced = IntMatrix.from_columns(cols, tgt.group.gen_count)
-    return GroupHom(src.group, tgt.group, induced)
+    coords = tgt.proj @ images.select_columns(range(src.cycles.cols, images.cols))
+    cols = [tgt.group.reduce_element(coords.column(j)) for j in range(coords.cols)]
+    return GroupHom(src.group, tgt.group, IntMatrix.from_columns(cols, tgt.group.gen_count))
 
 
 def turn_page(page: Page, injected: Mapping[tuple[int, int], IntMatrix] | None = None) -> Page:
@@ -232,10 +256,9 @@ def turn_page(page: Page, injected: Mapping[tuple[int, int], IntMatrix] | None =
     documented escape hatch for supplying a d^{r+1} as a matrix on
     first-page ambient coordinates (used by tests; the engine itself never
     invents higher differentials).  Raises InducedMapIllDefined when an
-    injected matrix fails to respect the cycle or boundary lattices.
+    injected matrix touches a countable-rank cell, fails to respect the
+    cycle or boundary lattices, or composes to a nonzero d o d.
     """
-    r_new = page.r + 1
-    per = page.period
     new_cells: dict[tuple[int, int], SubquotientCell] = {}
     for (p, q), cell in page.cells.items():
         out_h = page.diffs.get((p, q))
@@ -245,8 +268,6 @@ def turn_page(page: Page, injected: Mapping[tuple[int, int], IntMatrix] | None =
         if not (out_live or in_live):
             new_cells[(p, q)] = cell
             continue
-        if cell.is_infinite:
-            raise InducedMapIllDefined(f"({p},{q}): countable-rank cell admits only zero maps")
         cycle_gens = cell.cycles
         if out_live:
             phi = out_h.matrix @ cell.proj
@@ -255,39 +276,23 @@ def turn_page(page: Page, injected: Mapping[tuple[int, int], IntMatrix] | None =
         boundary_gens = cell.boundaries
         if in_live:
             boundary_gens = cell.boundaries.hstack(cell.gens @ in_h.matrix)
-        new_cell = subquotient(cell.ambient, cycle_gens, boundary_gens)
+        new_cell = subquotient(cycle_gens, boundary_gens)
         if not new_cell.group.is_zero:
             new_cells[(p, q)] = new_cell
 
-    new_diffs: dict[tuple[int, int], GroupHom] = {}
+    nxt = replace(page, r=page.r + 1, cells=new_cells, diffs={})
     if injected:
         for (p, q), matrix in injected.items():
-            key = (p, q % per)
-            src = new_cells.get(key)
-            if src is None:
-                continue
-            tp = p - r_new
-            tq = (q + r_new - 1) % per
-            tgt = new_cells.get((tp, tq))
-            if tgt is None:
-                continue
-            new_diffs[key] = _induce_hom(matrix, src, tgt, key)
-        for (p, q), hom in new_diffs.items():
-            tp, tq = p - r_new, (q + r_new - 1) % per
-            nxt = new_diffs.get((tp, tq))
-            if nxt is not None and not nxt.compose(hom).is_zero_map():
-                raise InducedMapIllDefined(f"({p},{q}): induced d o d != 0")
-
-    return Page(
-        r_new,
-        page.cap,
-        page.grading,
-        new_cells,
-        new_diffs,
-        d1_defaulted=page.d1_defaulted,
-        truncated_at=page.truncated_at,
-        summands=page.summands,
-    )
+            key = (p, q % nxt.period)
+            tkey = nxt.target_key(*key)
+            if key in nxt.countable or tkey in nxt.countable:
+                raise InducedMapIllDefined(f"d{nxt.r} at {key} touches a countable-rank cell")
+            if key in new_cells and tkey in new_cells:
+                nxt.diffs[key] = _induce_hom(matrix, new_cells[key], new_cells[tkey], key)
+        ok, diags = validate_page(nxt)
+        if not ok:
+            raise InducedMapIllDefined(f"induced d{nxt.r}: {diags[0]}")
+    return nxt
 
 
 def cells_isomorphic(a: Page, b: Page) -> bool:
@@ -348,5 +353,5 @@ def run_to_infinity(
         else:
             break
     final = pages[-1]
-    e_inf = {key: cell.group for key, cell in final.cells.items()}
+    e_inf = {**final.countable, **{key: cell.group for key, cell in final.cells.items()}}
     return SpectralRun(pages, e_inf, stabilized, page1.grading, page1.cap)

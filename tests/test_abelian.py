@@ -209,10 +209,11 @@ def test_countable_rules():
         FgAbGroup(CountablyInfinite, (2,))
     with pytest.raises(InfiniteRankArithmetic):
         inf.gen_count
-    z = GroupHom.zero(inf, Z)
-    assert z.is_zero_map()
+    # GroupHom refuses a countable endpoint: it has no generator list
     with pytest.raises(InfiniteRankArithmetic):
-        GroupHom(inf, Z, IntMatrix.zeros(1, 0))
+        GroupHom.zero(inf, Z)
+    with pytest.raises(InfiniteRankArithmetic):
+        GroupHom(Z, inf, IntMatrix.zeros(0, 1))
     assert inf.direct_sum(FgAbGroup.free(2)).is_countable
     with pytest.raises(InfiniteRankArithmetic):
         inf.direct_sum(FgAbGroup.cyclic(2))
@@ -263,10 +264,8 @@ def test_homology_lift_consists_of_cycles():
     for _ in range(50):
         f, g = _random_composable_pair(rng)
         h = homology_at(f, g)
-        if h.lift is None:
-            continue
         for j in range(h.lift.cols):
-            image = g.matrix.apply(h.lift.column(j)) if g.matrix is not None else ()
+            image = g.matrix.apply(h.lift.column(j))
             assert g.target.element_in_relations(image)
 
 

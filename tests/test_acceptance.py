@@ -25,7 +25,7 @@ from coarsek.coarse import (
     wedge_mv_input,
     zinf_mv_input,
 )
-from coarsek.pages import Grading, Page, cells_isomorphic, run_to_infinity, turn_page
+from coarsek.pages import Grading, cells_isomorphic, first_page, run_to_infinity, turn_page
 from coarsek.simplex import cake_affine_maps, in_cake_piece, sample_boundary, sample_simplex, suspension_reparam
 
 from _oracles import (
@@ -129,7 +129,7 @@ def _random_page(rng, cap):
         for q in range(2):
             if rng.random() < 0.7:
                 groups[(p, q)] = random_group(rng, max_rank=2, max_torsion=1)
-    page = Page.from_groups(cap, Grading(2), groups)
+    page = first_page(cap, Grading(2), {key: [g] for key, g in groups.items()})
     for (p, q), cell in list(page.cells.items()):
         if p % 2 == 1 and rng.random() < 0.8:
             tgt = page.cell_group(p - 1, q)

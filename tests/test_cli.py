@@ -7,7 +7,7 @@ import pytest
 from coarsek import jsonio
 from coarsek.abelian import CountablyInfinite, FgAbGroup, IntMatrix
 from coarsek.cli import main
-from coarsek.pages import Grading, Page
+from coarsek.pages import Grading, first_page
 
 
 def run_cli(capsys, *args):
@@ -354,17 +354,18 @@ def test_matrix_round_trip():
 
 
 def test_page_round_trip():
-    page = Page.from_groups(
-        1,
-        Grading(2),
-        {(1, 0): FgAbGroup.free(1), (0, 0): FgAbGroup.free(1)},
-        d1={(1, 0): IntMatrix.from_rows([[2]])},
-    )
-    obj = jsonio.page_to_json(page)
-    back = jsonio.page_from_json(obj)
-    assert back.cap == page.cap
-    assert back.cell_group(1, 0) == page.cell_group(1, 0)
-    assert back.diffs[(1, 0)].matrix == page.diffs[(1, 0)].matrix
+    # a one-summand cell keeps its group's own generators, so the d1 written
+    # out is the d1 read in, also next to torsion
+    for target, column in [(FgAbGroup.free(1), [2]), (FgAbGroup(3, (4,)), [1, 2, 3, 2])]:
+        d1 = IntMatrix.from_columns([column], len(column))
+        groups = {(1, 0): [FgAbGroup.free(1)], (0, 0): [target]}
+        page = first_page(1, Grading(2), groups, d1={(1, 0): d1})
+        obj = jsonio.page_to_json(page)
+        assert obj["d1"] == [{"from": [1, 0], "matrix": jsonio.matrix_to_json(d1)}]
+        back = jsonio.page_from_json(obj)
+        assert back.cap == page.cap
+        assert back.cell_group(1, 0) == page.cell_group(1, 0)
+        assert back.diffs[(1, 0)].matrix == page.diffs[(1, 0)].matrix == d1
 
 
 def test_schema_errors():
@@ -387,8 +388,60 @@ def test_schema_errors():
             {"kind": "page", "cap": 0, "cells": [{"p": 0, "q": 0, "group": {"free_rank": True}}]},
             "free_rank must be an int or 'countable', got True",
         ),
+        ({"kind": "page", "cap": None}, "cap: expected an integer, got NoneType"),
+        ({"kind": "page", "cap": 0, "period": None}, "period: expected an integer, got NoneType"),
+        (
+            {"kind": "mv", "labels": [0], "intersections": [{"J": [0], "k": []}]},
+            "intersections[0].k: expected an object, got list",
+        ),
+        ({"kind": "mv", "labels": 5}, "labels: expected a list, got int"),
+        (
+            {"kind": "mv", "labels": [0], "intersections": [{"J": 5, "k": {}}]},
+            "intersections[0].J: expected a list, got int",
+        ),
+        (
+            {"kind": "page", "cap": 0, "cells": [{"p": 0, "q": 0, "group": {"free_rank": 0, "torsion": 5}}]},
+            "cells[0].group.torsion: expected a list, got int",
+        ),
+        (
+            {"kind": "page", "cap": 1, "d1": [{"from": 5, "matrix": [[1]]}]},
+            "d1[0].from: expected a list, got int",
+        ),
+        (
+            {
+                "kind": "mv",
+                "labels": [0, 1],
+                "intersections": [
+                    {"J": [0], "k": {"0": {"free_rank": "countable"}}},
+                    {"J": [1], "k": {}},
+                    {"J": [0, 1], "k": {"0": {"free_rank": 1}}},
+                ],
+                "d1": [{"from": [1, 0], "matrix": [[1]]}],
+            },
+            "d1 at (1, 0) touches a countable-rank cell",
+        ),
+        ({"kind": "mv", "labels": [0, "a"]}, "labels: expected all integers or all strings, got [0, 'a']"),
+        (
+            {"kind": "mv", "labels": [0], "intersections": [{"J": [0], "k": {"zero": {"free_rank": 1}}}]},
+            "intersections[0].k: expected integer degree keys, got 'zero'",
+        ),
+        ({"kind": "mv", "labels": [0], "truncated_at": [1]}, "truncated_at: expected an integer, got list"),
+        (
+            {
+                "kind": "page",
+                "cap": 1,
+                "cells": [{"p": p, "q": 0, "group": {"free_rank": 1}} for p in (0, 1)],
+                "d1": [{"from": [1, 0], "matrix": [[2.7]]}],
+            },
+            "d1[0].matrix[0][0]: expected an integer, got float",
+        ),
     ],
-    ids=["mv-no-labels", "page-no-cap", "top-level-list", "cell-no-group", "bool-free-rank"],
+    ids=[
+        "mv-no-labels", "page-no-cap", "top-level-list", "cell-no-group", "bool-free-rank",
+        "null-cap", "null-period", "list-k", "int-labels", "int-J", "int-torsion", "int-d1-from",
+        "d1-touches-countable", "mixed-labels", "str-degree-key", "list-truncated-at",
+        "float-d1-entry",
+    ],
 )
 def test_bad_input_is_one_error_line(capsys, tmp_path, payload, message):
     path = tmp_path / "bad.json"

@@ -1,4 +1,5 @@
-"""CLI outputs pinned byte for byte on small builtins and the README inputs.
+"""CLI outputs pinned byte for byte on small builtins, the README inputs and
+first pages with torsion, nonzero d1 and a countable-rank cell.
 
 Each case runs in the table, ``--verbose`` and JSON formats and must print
 exactly ``tests/golden/<case>.<format>``.  Regenerate after a deliberate
@@ -31,6 +32,10 @@ CASES = {
     **{
         f"readme-{kind}": ["run", "--input", str(GOLDEN / "inputs" / f"readme_{kind}.json")]
         for kind in ("mv", "ideal_chain", "page")
+    },
+    **{
+        name.replace("_", "-"): ["run", "--input", str(GOLDEN / "inputs" / f"{name}.json")]
+        for name in ("page_torsion_d1", "ideal_chain_d1", "mv_countable")
     },
 }
 

@@ -9,9 +9,8 @@ from coarsek.pages import (
     Grading,
     InducedMapIllDefined,
     InvalidPage,
-    Page,
     cells_isomorphic,
-    full_cell,
+    first_page,
     run_to_infinity,
     turn_page,
     validate_page,
@@ -20,11 +19,10 @@ from coarsek.pages import (
 from _oracles import random_group, random_hom
 
 Z = FgAbGroup.free(1)
-G2 = Grading(2)
 
 
 def _page(cap, groups, d1=None, period=2):
-    return Page.from_groups(cap, Grading(period), groups, d1=d1)
+    return first_page(cap, Grading(period), {key: [g] for key, g in groups.items()}, d1)
 
 
 # ---------------------------------------------------------------------------
@@ -53,8 +51,7 @@ def test_validate_catches_nonzero_composition():
 
 
 def test_validate_catches_support_violation():
-    page = _page(1, {(0, 0): Z})
-    page.cells[(5, 0)] = full_cell(Z)
+    page = _page(1, {(0, 0): Z, (5, 0): Z})
     ok, diags = validate_page(page)
     assert not ok and "support" in diags[0]
 
@@ -103,9 +100,7 @@ def test_turn_page_matches_homology_oracle_on_random_complexes():
         if not g.compose(f).is_zero_map():
             continue
         # embed A -> B -> C as the column chain (2,0) -> (1,0) -> (0,0)
-        page = Page(1, 2, G2, {
-            (2, 0): full_cell(a), (1, 0): full_cell(b), (0, 0): full_cell(c)
-        })
+        page = _page(2, {(2, 0): a, (1, 0): b, (0, 0): c})
         page.diffs[(2, 0)] = f
         page.diffs[(1, 0)] = g
         ok, diags = validate_page(page)
@@ -193,7 +188,7 @@ def _random_valid_page(rng, cap, period=2):
         for q in range(period):
             if rng.random() < 0.7:
                 groups[(p, q)] = random_group(rng, max_rank=2, max_torsion=1)
-    page = Page.from_groups(cap, Grading(period), groups)
+    page = _page(cap, groups, period=period)
     for (p, q), cell in list(page.cells.items()):
         if p % 2 == 1 and rng.random() < 0.8:
             tgt = page.cell_group(p - 1, q)
@@ -234,13 +229,23 @@ def test_cells_with_zero_maps_pass_through_unfactored(monkeypatch):
 
 def test_countable_cell_hit_by_nonzero_map_raises():
     inf = FgAbGroup(CountablyInfinite, ())
+    # the first-page constructor refuses any d1 entry at either end of
+    # which sits a countable-rank cell, whatever its matrix
+    for groups, matrix in (
+        ({(1, 0): Z, (0, 0): inf}, [[1]]),
+        ({(1, 0): Z, (0, 0): inf}, [[0]]),
+        ({(1, 0): inf, (0, 0): Z}, [[1]]),
+    ):
+        with pytest.raises(InducedMapIllDefined, match="countable"):
+            _page(1, groups, d1={(1, 0): IntMatrix.from_rows(matrix)})
     page = _page(1, {(1, 0): Z, (0, 0): inf})
-    # bypasses Page.from_groups, which cannot even build such a map
-    page.diffs[(1, 0)] = GroupHom(Z, Z, IntMatrix.from_rows([[1]]))
-    with pytest.raises(InducedMapIllDefined):
-        turn_page(page)
-    page.diffs[(1, 0)] = GroupHom(Z, Z, IntMatrix.from_rows([[0]]))
-    assert turn_page(page).cells[(0, 0)] is page.cells[(0, 0)]
+    assert page.cells.keys() == {(1, 0)}
+    assert page.cell_group(0, 0) == inf
+    run = run_to_infinity(page)
+    assert dict(run.e_infinity) == {(1, 0): Z, (0, 0): inf}
+    # so does the escape hatch for higher differentials
+    with pytest.raises(InducedMapIllDefined, match="countable"):
+        run_to_infinity(_page(2, {(2, 0): Z, (0, 1): inf}), {2: {(2, 0): IntMatrix.from_rows([[1]])}})
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +253,9 @@ def test_countable_cell_hit_by_nonzero_map_raises():
 
 
 def test_period_eight_bidegrees():
-    g8 = Grading(8)
     groups = {(1, 3): Z, (0, 3): Z}
     # d1 target of (1, 3) is (0, 3): q + r - 1 = 3 mod 8
-    page = Page.from_groups(1, g8, groups, d1={(1, 3): IntMatrix.from_rows([[2]])})
+    page = _page(1, groups, d1={(1, 3): IntMatrix.from_rows([[2]])}, period=8)
     run = run_to_infinity(page)
     assert run.e_infinity_at(0, 3) == FgAbGroup.cyclic(2)
     assert run.e_infinity_at(0, 11) == FgAbGroup.cyclic(2)  # q reduced mod 8
