@@ -15,11 +15,11 @@ from .abelian import (
     GroupHom,
     IntMatrix,
     SnfResult,
+    SubquotientCell,
     cokernel,
     homology_at,
-    is_exact_at,
-    iso_class_equal,
     smith_normal_form,
+    subquotient,
 )
 from .assembly import (
     FiltrationReport,
@@ -51,7 +51,6 @@ from .pages import (
     Grading,
     Page,
     SpectralRun,
-    SubquotientCell,
     first_page,
     run_to_infinity,
     turn_page,

@@ -541,15 +541,6 @@ class FgAbGroup:
         return " + ".join(parts)
 
 
-def iso_class_equal(g: FgAbGroup, h: FgAbGroup) -> bool:
-    """Isomorphism test; invariant-factor form is canonical.
-
-    >>> iso_class_equal(FgAbGroup(0, (2, 4)), FgAbGroup(0, (8,)))
-    False
-    """
-    return g.free_rank == h.free_rank and g.torsion == h.torsion
-
-
 def cokernel(a: IntMatrix) -> FgAbGroup:
     """Invariant-factor form of Z^rows / column-lattice(a).
 
@@ -617,62 +608,61 @@ class GroupHom:
 
 
 @dataclass(frozen=True)
-class HomologyAt:
-    """ker(g)/im(f) with representatives in the middle group's generators."""
+class SubquotientCell:
+    """A subquotient Z/B of Z^m, the cycles over the boundaries.
 
-    group: FgAbGroup
-    lift: IntMatrix  # middle gen_count x group gen_count
-
-
-def _classified_snf(y: SnfResult) -> tuple[FgAbGroup, list[int]]:
-    """Split SNF diagonal into the quotient group and selected generator indices.
-
-    The quotient is Z^t / columns(Y) for Y with SNF ``y``; selected indices
-    are into the U-coordinates, free generators first then torsion.
+    ``cycles`` (m x rank Z) and ``boundaries`` (m x rank B) are lattice
+    bases with B inside Z.  ``gens`` (m x n) lifts the n generators of
+    ``group`` to cycles, and ``proj`` (n x rank Z) takes cycle-basis
+    coordinates to them.  On a page, Z^m is the generator lattice of the
+    cell's first-page ancestor.
     """
-    t = y.D.rows
-    diag = y.diagonal
-    free_idx = [i for i in range(t) if i >= len(diag) or diag[i] == 0]
-    tor_idx = [i for i in range(len(diag)) if diag[i] >= 2]
-    group = FgAbGroup(len(free_idx), tuple(diag[i] for i in tor_idx))
-    return group, free_idx + tor_idx
+
+    cycles: IntMatrix
+    boundaries: IntMatrix
+    group: FgAbGroup
+    gens: IntMatrix
+    proj: IntMatrix
 
 
-def homology_at(f: GroupHom, g: GroupHom) -> HomologyAt:
+def subquotient(cycles: IntMatrix, boundary_gens: IntMatrix) -> SubquotientCell:
+    """Z/B from a basis of the cycle lattice Z and generators of B inside Z.
+
+    One Smith normal form of B in cycle coordinates gives the group, its
+    generators and a basis of B.
+
+    >>> print(subquotient(IntMatrix.identity(2), IntMatrix.from_rows([[2], [4]])).group)
+    Z + Z/2
+    """
+    expressed = solve_columns(cycles, boundary_gens)
+    if expressed is None:
+        raise AbelianError("boundary lattice is not contained in the cycle lattice")
+    s = smith_normal_form(expressed)
+    diag = s.diagonal
+    free = [i for i in range(cycles.cols) if i >= len(diag) or diag[i] == 0]
+    torsion = [i for i, d in enumerate(diag) if d >= 2]
+    sel = free + torsion
+    bounds = [[x * d for x in s.U_inv.column(i)] for i, d in enumerate(diag) if d]
+    return SubquotientCell(
+        cycles,
+        cycles @ IntMatrix.from_columns(bounds, cycles.cols),
+        FgAbGroup(len(free), tuple(diag[i] for i in torsion)),
+        cycles @ s.U_inv.select_columns(sel),
+        s.U.select_rows(sel),
+    )
+
+
+def homology_at(f: GroupHom, g: GroupHom) -> SubquotientCell:
     """Homology ker(g)/im(f) at the middle group f.target == g.source.
 
-    Returns the subquotient in invariant-factor form together with a lift
-    matrix whose columns express its generators in the middle group's
-    generators (needed to induce maps on the subquotient later).
+    The cell's ``gens`` express the generators of its ``group`` in the
+    middle group's generators (needed to induce maps on it later).
 
     >>> two = GroupHom(FgAbGroup.free(1), FgAbGroup.free(1), IntMatrix.from_rows([[2]]))
     >>> print(homology_at(two, GroupHom.zero(FgAbGroup.free(1), FgAbGroup.zero())).group)
     Z/2
     """
-    if f.target != g.source:
-        raise IncompatibleShapes("homology_at requires f.target == g.source")
-    comp = g.matrix @ f.matrix
-    for j in range(comp.cols):
-        if not g.target.element_in_relations(comp.column(j)):
-            raise CompositionNonzero("g o f is not the zero map")
+    if not g.compose(f).is_zero_map():
+        raise CompositionNonzero("g o f is not the zero map")
     cycles = preimage_basis(g.matrix, g.target.relation_matrix())
-    bound_gens = f.matrix.hstack(f.target.relation_matrix())
-    expressed = solve_columns(cycles, bound_gens)
-    if expressed is None:  # pragma: no cover - impossible when g o f == 0
-        raise AbelianError("boundaries do not lie inside cycles")
-    s = smith_normal_form(expressed)
-    group, sel = _classified_snf(s)
-    lift = cycles @ s.U_inv.select_columns(sel)
-    return HomologyAt(group, lift)
-
-
-def is_exact_at(f: GroupHom, g: GroupHom) -> tuple[bool, tuple[int, ...] | None]:
-    """Exactness im(f) == ker(g) at the middle group.
-
-    On failure the witness is a generator of the nonzero homology,
-    expressed in the middle group's generator coordinates.
-    """
-    h = homology_at(f, g)
-    if h.group.is_zero:
-        return True, None
-    return False, h.lift.column(0)
+    return subquotient(cycles, f.matrix.hstack(f.target.relation_matrix()))

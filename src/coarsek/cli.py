@@ -144,8 +144,7 @@ def _pick_cover(args):
     if args.custom == "disjoint-rays":
         return disjoint_rays()
     if args.cover:
-        obj, _ = _load_json(args.cover)
-        return [jsonio.blocky_from_json(item) for item in obj]
+        return jsonio.cover_from_json(_load_json(args.cover)[0])
     raise CliError("excision needs --builtin rn:<n>, --custom disjoint-rays, or --cover PATH")
 
 

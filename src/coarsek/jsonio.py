@@ -9,12 +9,11 @@ byte-identically.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Any
 
 from .abelian import CountablyInfinite, FgAbGroup, IntMatrix
 from .assembly import DegreeReport, FiltrationReport, IdealChainInput, MvInput, SweepReport
-from .coarse import BlockySpace, Factor, Metric
+from .coarse import BlockySpace, Factor
 from .pages import Grading, Page, first_page
 
 
@@ -22,7 +21,7 @@ class SchemaError(ValueError):
     """Input does not match the documented schema."""
 
 
-_KINDS = {int: "an integer", list: "a list", dict: "an object"}
+_KINDS = {int: "an integer", bool: "a boolean", list: "a list", dict: "an object"}
 _REQUIRED = object()
 
 
@@ -62,11 +61,20 @@ def _degree(key: str, where: str) -> int:
         raise SchemaError(f"{where}: expected integer degree keys, got {key!r}") from None
 
 
+def _add(out: dict, key: Any, value: Any, where: str) -> None:
+    """``out[key] = value``; a SchemaError when ``key`` is there already."""
+    if key in out:
+        raise SchemaError(f"{where}: {key} listed twice")
+    out[key] = value
+
+
 def _labels(value: Any, where: str) -> list:
-    """Index-set labels: all integers or all strings, so that they sort."""
+    """Distinct index-set labels: all integers or all strings, so that they sort."""
     items = _typed(value, list, where)
     if not (all(isinstance(x, str) for x in items) or all(type(x) is int for x in items)):
         raise SchemaError(f"{where}: expected all integers or all strings, got {items!r}")
+    if len(set(items)) < len(items):
+        raise SchemaError(f"{where}: {items!r} lists a label twice")
     return items
 
 
@@ -105,89 +113,89 @@ def matrix_from_json(obj: Any, where: str = "matrix") -> IntMatrix:
     raise SchemaError(f"matrix must be nested lists or rows/cols/entries, got {obj!r}")
 
 
-def _d1_from_json(obj: dict) -> dict[tuple[int, int], IntMatrix]:
-    """The optional ``d1`` list of an input; null means none."""
+def _d1_from_json(obj: dict, period: int) -> dict[tuple[int, int], IntMatrix]:
+    """The optional ``d1`` list (null means none), q taken modulo the period."""
     out: dict[tuple[int, int], IntMatrix] = {}
     for i, item in enumerate(_typed(obj.get("d1") or [], list, "d1")):
         at = f"d1[{i}]"
-        key = tuple(_ints(_need(item, "from", at), f"{at}.from"))
+        key = _ints(_need(item, "from", at), f"{at}.from")
         if len(key) != 2:
-            raise SchemaError(f"{at}.from: expected [p, q], got {list(key)}")
-        out[key] = matrix_from_json(_need(item, "matrix", at), f"{at}.matrix")
+            raise SchemaError(f"{at}.from: expected [p, q], got {key}")
+        matrix = matrix_from_json(_need(item, "matrix", at), f"{at}.matrix")
+        _add(out, (key[0], key[1] % period), matrix, f"{at}.from")
     return out
-
-
-def page_to_json(page: Page) -> dict:
-    cells = [
-        {"p": p, "q": q, "group": group_to_json(cell.group)}
-        for (p, q), cell in sorted(page.cells.items())
-    ]
-    d1 = [
-        {"from": [p, q], "matrix": matrix_to_json(h.matrix)}
-        for (p, q), h in sorted(page.diffs.items())
-    ]
-    return {"period": page.period, "cap": page.cap, "cells": cells, "d1": d1}
 
 
 def page_from_json(obj: Any, default_period: int = 2) -> Page:
     cap = _get(obj, "cap", int)
-    period = _get(obj, "period", int, default=default_period)
+    grading = Grading(_get(obj, "period", int, default=default_period))
     parts: dict[tuple[int, int], list[FgAbGroup]] = {}
     for i, cell in enumerate(_get(obj, "cells", list, default=[])):
         at = f"cells[{i}]"
-        key = (_get(cell, "p", int, at), _get(cell, "q", int, at))
-        parts[key] = [group_from_json(_need(cell, "group", at), f"{at}.group")]
-    return first_page(cap, Grading(period), parts, _d1_from_json(obj))
+        key = (_get(cell, "p", int, at), _get(cell, "q", int, at) % grading.period)
+        _add(parts, key, [group_from_json(_need(cell, "group", at), f"{at}.group")], at)
+    return first_page(cap, grading, parts, _d1_from_json(obj, grading.period))
 
 
 def mv_from_json(obj: Any, default_period: int = 2) -> MvInput:
     labels = tuple(_labels(_need(obj, "labels"), "labels"))
+    grading = Grading(_get(obj, "period", int, default=default_period))
     truncated_at = obj.get("truncated_at")
     inter: dict[tuple, dict[int, FgAbGroup]] = {}
     for i, item in enumerate(_get(obj, "intersections", list, default=[])):
         at = f"intersections[{i}]"
-        j = tuple(sorted(_labels(_need(item, "J", at), f"{at}.J")))
-        k = _get(item, "k", dict, at)
-        inter[j] = {_degree(q, f"{at}.k"): group_from_json(g, f"{at}.k.{q}") for q, g in k.items()}
+        graded: dict[int, FgAbGroup] = {}
+        for q, g in _get(item, "k", dict, at).items():
+            deg = _degree(q, f"{at}.k") % grading.period
+            _add(graded, deg, group_from_json(g, f"{at}.k.{q}"), f"{at}.k.{q}")
+        _add(inter, tuple(sorted(_labels(_need(item, "J", at), f"{at}.J"))), graded, f"{at}.J")
     return MvInput(
         labels=labels,
         cap=_get(obj, "cap", int, default=len(labels) - 1),
         intersections=inter,
-        d1=_d1_from_json(obj),
-        grading=Grading(_get(obj, "period", int, default=default_period)),
+        d1=_d1_from_json(obj, grading.period),
+        grading=grading,
         mode=obj.get("mode", "exact"),
         truncated_at=None if truncated_at is None else _typed(truncated_at, int, "truncated_at"),
     )
 
 
 def ideal_chain_from_json(obj: Any, default_period: int = 2) -> IdealChainInput:
+    length = _get(obj, "length", int)
+    grading = Grading(_get(obj, "period", int, default=default_period))
     groups: dict[tuple[int, int], FgAbGroup] = {}
     for i, item in enumerate(_get(obj, "groups", list, default=[])):
         at = f"groups[{i}]"
-        key = (_get(item, "p", int, at), _get(item, "s", int, at))
-        groups[key] = group_from_json(_need(item, "group", at), f"{at}.group")
+        p = _get(item, "p", int, at)
+        if not 0 <= p <= length:
+            raise SchemaError(f"{at}.p: {p} lies outside 0..{length}")
+        key = (p, _get(item, "s", int, at) % grading.period)
+        _add(groups, key, group_from_json(_need(item, "group", at), f"{at}.group"), at)
     return IdealChainInput(
-        length=_get(obj, "length", int),
-        grading=Grading(_get(obj, "period", int, default=default_period)),
+        length=length,
+        grading=grading,
         groups=groups,
-        d1=_d1_from_json(obj),
-        default_zero=bool(obj.get("default_zero", False)),
+        d1=_d1_from_json(obj, grading.period),
+        default_zero=_get(obj, "default_zero", bool, default=False),
     )
 
 
-def blocky_from_json(obj: Any) -> BlockySpace:
+def blocky_from_json(obj: Any, where: str = "space") -> BlockySpace:
     names = {f.value: f for f in Factor}
-    try:
-        return BlockySpace(tuple(names[x] for x in obj["factors"]))
-    except KeyError as exc:
-        raise SchemaError(f"unknown factor {exc}") from exc
+    factors = _get(obj, "factors", list, where)
+    if not factors:
+        raise SchemaError(f"{where}.factors: expected at least one factor, got []")
+    for i, x in enumerate(factors):
+        if not isinstance(x, str) or x not in names:
+            raise SchemaError(f"{where}.factors[{i}]: expected one of {sorted(names)}, got {x!r}")
+    return BlockySpace(tuple(names[x] for x in factors))
 
 
-def metric_from_json(obj: Any) -> Metric:
-    kind = obj["kind"]
-    if kind == "weighted":
-        return Metric.weighted([Fraction(str(w)) for w in obj["weights"]])
-    return Metric(kind)
+def cover_from_json(obj: Any) -> list[BlockySpace]:
+    """An ``excision --cover`` file: a nonempty list of blocky spaces."""
+    if not _typed(obj, list, "cover"):
+        raise SchemaError("cover: expected at least one space, got []")
+    return [blocky_from_json(item, f"cover[{i}]") for i, item in enumerate(obj)]
 
 
 def report_to_json(report: FiltrationReport) -> dict:

@@ -21,11 +21,10 @@ from .abelian import (
     GroupHom,
     IncompatibleShapes,
     IntMatrix,
-    _classified_snf,
-    lattice_basis,
+    SubquotientCell,
     preimage_basis,
-    smith_normal_form,
     solve_columns,
+    subquotient,
 )
 
 
@@ -52,40 +51,6 @@ class Grading:
     def __post_init__(self) -> None:
         if self.period not in (2, 8):
             raise ValueError("grading period must be 2 or 8")
-
-
-@dataclass(frozen=True)
-class SubquotientCell:
-    """A cell as cycles-over-boundaries inside its first-page ancestor.
-
-    ``cycles`` and ``boundaries`` are lattice bases inside Z^m where m is
-    the ancestor's generator count (the concatenated summand generators of
-    the first-page cell); the boundary lattice always contains the
-    ancestor's relation lattice, so ``group`` is genuinely Z/B.  ``gens``
-    (m x n) lifts the n generators of ``group`` to cycles, and ``proj``
-    (n x rank of cycles) takes cycle-basis coordinates to them.  Cells have
-    finite rank; countable-rank groups never become cells.
-    """
-
-    cycles: IntMatrix
-    boundaries: IntMatrix
-    group: FgAbGroup
-    gens: IntMatrix
-    proj: IntMatrix
-
-
-def subquotient(cycle_gens: IntMatrix, boundary_gens: IntMatrix) -> SubquotientCell:
-    """Build the cell Z/B from generating sets of the two sublattices."""
-    zb = lattice_basis(cycle_gens)
-    bb = lattice_basis(boundary_gens)
-    expressed = solve_columns(zb, bb)
-    if expressed is None:
-        raise PageError("boundary lattice is not contained in the cycle lattice")
-    s = smith_normal_form(expressed)
-    group, sel = _classified_snf(s)
-    gens = zb @ s.U_inv.select_columns(sel)
-    proj = s.U.select_rows(sel)
-    return SubquotientCell(zb, bb, group, gens, proj)
 
 
 def _concatenated_cell(parts: Sequence[FgAbGroup]) -> SubquotientCell:
@@ -172,23 +137,7 @@ def first_page(
             page.countable[key] = FgAbGroup.zero().direct_sum(*nonzero)
         elif nonzero:
             page.cells[key] = _concatenated_cell(nonzero)
-    for (p, q), matrix in (d1 or {}).items():
-        key = (p, q % grading.period)
-        tkey = page.target_key(*key)
-        if not 0 <= p <= cap:
-            raise IncompatibleShapes(f"d1 at {key} lies outside the support")
-        if key in page.countable or tkey in page.countable:
-            raise InducedMapIllDefined(f"d1 at {key} touches a countable-rank cell")
-        src, tgt = page.cells.get(key), page.cells.get(tkey)
-        shape = (tgt.cycles.rows if tgt else 0, src.cycles.rows if src else 0)
-        if (matrix.rows, matrix.cols) != shape:
-            raise IncompatibleShapes(
-                f"d1 at {key}: expected {shape[0]}x{shape[1]} on concatenated summand "
-                f"generators, got {matrix.rows}x{matrix.cols}"
-            )
-        if src and tgt:
-            page.diffs[key] = _induce_hom(matrix, src, tgt, key)
-    return page
+    return _install_diffs(page, d1)
 
 
 def validate_page(page: Page) -> tuple[bool, list[str]]:
@@ -222,25 +171,51 @@ def validate_page(page: Page) -> tuple[bool, list[str]]:
     return (not diags, diags)
 
 
-def _induce_hom(
-    matrix: IntMatrix,
-    src: SubquotientCell,
-    tgt: SubquotientCell,
-    where: tuple[int, int],
-) -> GroupHom:
+def _install_diffs(page: Page, matrices: Mapping[tuple[int, int], IntMatrix] | None) -> Page:
+    """Induce page.r's differentials from matrices on first-page coordinates.
+
+    Each entry's source column must lie in the support, neither end may
+    be a countable-rank cell, and the matrix needs a column per first-page
+    generator of the source and a row per first-page generator of the
+    target.  On page 1 an absent cell has none; on later pages a matrix
+    with a dead end is the zero map and is skipped.  The induced map must
+    carry cycles into cycles and boundaries into boundaries, and be well
+    defined on the cell groups.
+    """
+    for (p, q), matrix in (matrices or {}).items():
+        key = (p, q % page.period)
+        tkey = page.target_key(*key)
+        name = f"d{page.r} at {key}"
+        if not 0 <= p <= page.cap:
+            raise IncompatibleShapes(f"{name} lies outside the support")
+        if key in page.countable or tkey in page.countable:
+            raise InducedMapIllDefined(f"{name} touches a countable-rank cell")
+        src, tgt = page.cells.get(key), page.cells.get(tkey)
+        if page.r > 1 and not (src and tgt):
+            continue
+        shape = (tgt.cycles.rows if tgt else 0, src.cycles.rows if src else 0)
+        if (matrix.rows, matrix.cols) != shape:
+            raise IncompatibleShapes(
+                f"{name}: expected {shape[0]}x{shape[1]} on concatenated summand "
+                f"generators, got {matrix.rows}x{matrix.cols}"
+            )
+        if src and tgt:
+            page.diffs[key] = _induce_hom(matrix, src, tgt, name)
+    return page
+
+
+def _induce_hom(matrix: IntMatrix, src: SubquotientCell, tgt: SubquotientCell, name: str) -> GroupHom:
     """Induce a map of subquotients from an ambient-coordinate matrix.
 
     One solve expresses the images of the source cycles and of the source
     generators in the target's cycle basis; ``tgt.proj`` then gives the
     generator coordinates of the latter.
     """
-    if matrix.rows != tgt.cycles.rows or matrix.cols != src.cycles.rows:
-        raise InducedMapIllDefined(f"{where}: ambient matrix has wrong shape")
     images = solve_columns(tgt.cycles, matrix @ src.cycles.hstack(src.gens))
     if images is None:
-        raise InducedMapIllDefined(f"{where}: cycles are not carried into cycles")
+        raise InducedMapIllDefined(f"{name}: cycles are not carried into cycles")
     if solve_columns(tgt.boundaries, matrix @ src.boundaries) is None:
-        raise InducedMapIllDefined(f"{where}: boundaries are not carried into boundaries")
+        raise InducedMapIllDefined(f"{name}: boundaries are not carried into boundaries")
     coords = tgt.proj @ images.select_columns(range(src.cycles.cols, images.cols))
     cols = [tgt.group.reduce_element(coords.column(j)) for j in range(coords.cols)]
     return GroupHom(src.group, tgt.group, IntMatrix.from_columns(cols, tgt.group.gen_count))
@@ -255,9 +230,8 @@ def turn_page(page: Page, injected: Mapping[tuple[int, int], IntMatrix] | None =
     The next page's differentials default to zero; ``injected`` is the
     documented escape hatch for supplying a d^{r+1} as a matrix on
     first-page ambient coordinates (used by tests; the engine itself never
-    invents higher differentials).  Raises InducedMapIllDefined when an
-    injected matrix touches a countable-rank cell, fails to respect the
-    cycle or boundary lattices, or composes to a nonzero d o d.
+    invents higher differentials).  It is installed with the checks of
+    d1, and a nonzero d o d raises InducedMapIllDefined.
     """
     new_cells: dict[tuple[int, int], SubquotientCell] = {}
     for (p, q), cell in page.cells.items():
@@ -282,14 +256,7 @@ def turn_page(page: Page, injected: Mapping[tuple[int, int], IntMatrix] | None =
 
     nxt = replace(page, r=page.r + 1, cells=new_cells, diffs={})
     if injected:
-        for (p, q), matrix in injected.items():
-            key = (p, q % nxt.period)
-            tkey = nxt.target_key(*key)
-            if key in nxt.countable or tkey in nxt.countable:
-                raise InducedMapIllDefined(f"d{nxt.r} at {key} touches a countable-rank cell")
-            if key in new_cells and tkey in new_cells:
-                nxt.diffs[key] = _induce_hom(matrix, new_cells[key], new_cells[tkey], key)
-        ok, diags = validate_page(nxt)
+        ok, diags = validate_page(_install_diffs(nxt, injected))
         if not ok:
             raise InducedMapIllDefined(f"induced d{nxt.r}: {diags[0]}")
     return nxt

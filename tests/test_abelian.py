@@ -16,8 +16,6 @@ from coarsek.abelian import (
     IntMatrix,
     cokernel,
     homology_at,
-    is_exact_at,
-    iso_class_equal,
     smith_normal_form,
 )
 
@@ -138,22 +136,23 @@ def test_cokernel_against_minor_gcds_random():
 
 
 def test_iso_class_basic():
-    assert iso_class_equal(FgAbGroup(1, ()), FgAbGroup(1, ()))
-    assert not iso_class_equal(FgAbGroup(0, (2, 4)), FgAbGroup(0, (8,)))
-    assert iso_class_equal(FgAbGroup(0, (6,)), cokernel(IntMatrix.diagonal([2, 3])))
+    # invariant-factor form is canonical, so isomorphism is equality
+    assert FgAbGroup(1, ()) == FgAbGroup(1, ())
+    assert FgAbGroup(0, (2, 4)) != FgAbGroup(0, (8,))
+    assert FgAbGroup(0, (6,)) == cokernel(IntMatrix.diagonal([2, 3]))
 
 
 def test_iso_class_is_an_equivalence_relation():
     rng = random.Random(8)
     groups = [random_group(rng, 3, 3) for _ in range(12)]
     for g in groups:
-        assert iso_class_equal(g, g)
+        assert g == g
     for g in groups:
         for h in groups:
-            assert iso_class_equal(g, h) == iso_class_equal(h, g)
+            assert (g == h) == (h == g)
             for k in groups:
-                if iso_class_equal(g, h) and iso_class_equal(h, k):
-                    assert iso_class_equal(g, k)
+                if g == h and h == k:
+                    assert g == k
 
 
 def test_iso_invariant_under_unimodular_presentation_change():
@@ -162,7 +161,7 @@ def test_iso_invariant_under_unimodular_presentation_change():
         a = random_matrix(rng, 3, 3, -6, 6)
         s = smith_normal_form(random_matrix(rng, 3, 3, -2, 2))
         u, v = s.U, s.V  # unimodular by construction
-        assert iso_class_equal(cokernel(a), cokernel(u @ a @ v))
+        assert cokernel(a) == cokernel(u @ a @ v)
 
 
 def test_invalid_groups_rejected():
@@ -203,8 +202,8 @@ def test_direct_sum_commutative_and_associative(data):
 
 def test_countable_rules():
     inf = FgAbGroup(CountablyInfinite, ())
-    assert iso_class_equal(inf, FgAbGroup(CountablyInfinite, ()))
-    assert not iso_class_equal(inf, FgAbGroup(3, ()))
+    assert inf == FgAbGroup(CountablyInfinite, ())
+    assert inf != FgAbGroup(3, ())
     with pytest.raises(InfiniteRankArithmetic):
         FgAbGroup(CountablyInfinite, (2,))
     with pytest.raises(InfiniteRankArithmetic):
@@ -264,8 +263,8 @@ def test_homology_lift_consists_of_cycles():
     for _ in range(50):
         f, g = _random_composable_pair(rng)
         h = homology_at(f, g)
-        for j in range(h.lift.cols):
-            image = g.matrix.apply(h.lift.column(j))
+        for j in range(h.gens.cols):
+            image = g.matrix.apply(h.gens.column(j))
             assert g.target.element_in_relations(image)
 
 
@@ -289,16 +288,17 @@ def test_homology_matches_independent_oracle_on_200_pairs():
 
 
 def test_exactness_examples():
-    ok, witness = is_exact_at(GroupHom.zero(ZERO, Z), GroupHom.identity(Z))
-    assert ok and witness is None
+    # exact means zero homology; otherwise the homology generators witness it
+    h = homology_at(GroupHom.zero(ZERO, Z), GroupHom.identity(Z))
+    assert h.group.is_zero and h.gens.cols == 0
     two = GroupHom(Z, Z, IntMatrix.from_rows([[2]]))
-    ok, witness = is_exact_at(two, GroupHom.zero(Z, ZERO))
-    assert not ok
+    h = homology_at(two, GroupHom.zero(Z, ZERO))
+    assert not h.group.is_zero
     # the witness generates the Z/2 homology: odd multiple of the generator
-    assert witness is not None and witness[0] % 2 == 1
+    assert h.gens.cols == 1 and h.gens.column(0)[0] % 2 == 1
     proj = GroupHom(Z, FgAbGroup.cyclic(2), IntMatrix.from_rows([[1]]))
-    ok, witness = is_exact_at(two, proj)
-    assert ok and witness is None
+    h = homology_at(two, proj)
+    assert h.group.is_zero and h.gens.cols == 0
 
 
 def test_free_rank_agrees_with_rational_rank():

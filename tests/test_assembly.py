@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from coarsek.abelian import FgAbGroup, IntMatrix, iso_class_equal
+from coarsek.abelian import FgAbGroup, IntMatrix
 from coarsek.assembly import (
     CapTooSmall,
     IdealChainInput,
@@ -388,6 +388,6 @@ def test_sweep_monotone_stability():
         settled = False
         for a, b in zip(values, values[1:]):
             if settled:
-                assert iso_class_equal(a, b)
-            elif iso_class_equal(a, b):
+                assert a == b
+            elif a == b:
                 settled = True

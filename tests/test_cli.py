@@ -311,9 +311,12 @@ def test_simplex_seed_after_subcommand(capsys):
 def test_metric_schema_round_trip():
     from fractions import Fraction
 
-    m = jsonio.metric_from_json({"kind": "weighted", "weights": ["1/2", 3]})
+    from coarsek.coarse import Metric
+
+    # the excision command reads --weights as exact fractions
+    m = Metric.weighted(["1/2", 3])
     assert m.weights == (Fraction(1, 2), Fraction(3))
-    assert jsonio.metric_from_json({"kind": "d1"}).kind == "d1"
+    assert Metric("d1").kind == "d1"
 
 
 # ---------------------------------------------------------------------------
@@ -354,17 +357,24 @@ def test_matrix_round_trip():
 
 
 def test_page_round_trip():
-    # a one-summand cell keeps its group's own generators, so the d1 written
-    # out is the d1 read in, also next to torsion
+    # a one-summand cell keeps its group's own generators, so the d1 read
+    # from a page file is the d1 given, also next to torsion
     for target, column in [(FgAbGroup.free(1), [2]), (FgAbGroup(3, (4,)), [1, 2, 3, 2])]:
         d1 = IntMatrix.from_columns([column], len(column))
         groups = {(1, 0): [FgAbGroup.free(1)], (0, 0): [target]}
         page = first_page(1, Grading(2), groups, d1={(1, 0): d1})
-        obj = jsonio.page_to_json(page)
-        assert obj["d1"] == [{"from": [1, 0], "matrix": jsonio.matrix_to_json(d1)}]
+        obj = {
+            "period": 2,
+            "cap": 1,
+            "cells": [
+                {"p": p, "q": 0, "group": jsonio.group_to_json(g)} for (p, _), [g] in groups.items()
+            ],
+            "d1": [{"from": [1, 0], "matrix": jsonio.matrix_to_json(d1)}],
+        }
         back = jsonio.page_from_json(obj)
         assert back.cap == page.cap
         assert back.cell_group(1, 0) == page.cell_group(1, 0)
+        assert back.cell_group(0, 0) == page.cell_group(0, 0) == target
         assert back.diffs[(1, 0)].matrix == page.diffs[(1, 0)].matrix == d1
 
 
@@ -435,18 +445,133 @@ def test_schema_errors():
             },
             "d1[0].matrix[0][0]: expected an integer, got float",
         ),
+        (
+            {"kind": "ideal_chain", "length": 1, "groups": [{"p": 2, "s": 0, "group": {"free_rank": 1}}]},
+            "groups[0].p: 2 lies outside 0..1",
+        ),
+        (
+            {
+                "kind": "ideal_chain",
+                "length": 1,
+                "groups": [{"p": 0, "s": s, "group": {"free_rank": 1}} for s in (1, 3)],
+            },
+            "groups[1]: (0, 1) listed twice",
+        ),
+        (
+            {
+                "kind": "mv",
+                "labels": [0, 1],
+                "intersections": [{"J": j, "k": {}} for j in ([0, 1], [1, 0])],
+            },
+            "intersections[1].J: (0, 1) listed twice",
+        ),
+        (
+            {
+                "kind": "mv",
+                "labels": [0],
+                "intersections": [{"J": [0], "k": {"1": {"free_rank": 1}, "3": {"free_rank": 2}}}],
+            },
+            "intersections[0].k.3: 1 listed twice",
+        ),
+        (
+            {"kind": "page", "cap": 0, "cells": [{"p": 0, "q": q, "group": {"free_rank": 1}} for q in (0, -2)]},
+            "cells[1]: (0, 0) listed twice",
+        ),
+        (
+            {
+                "kind": "page",
+                "cap": 1,
+                "cells": [{"p": p, "q": 0, "group": {"free_rank": 1}} for p in (0, 1)],
+                "d1": [{"from": [1, q], "matrix": [[1]]} for q in (0, 2)],
+            },
+            "d1[1].from: (1, 0) listed twice",
+        ),
+        ({"kind": "ideal_chain", "length": 0, "default_zero": "no"}, "default_zero: expected a boolean, got str"),
+        ({"kind": "mv", "labels": [0, 0]}, "labels: [0, 0] lists a label twice"),
+        (
+            {"kind": "mv", "labels": ["a", "b"], "intersections": [{"J": ["a", "a"], "k": {}}]},
+            "intersections[0].J: ['a', 'a'] lists a label twice",
+        ),
     ],
     ids=[
         "mv-no-labels", "page-no-cap", "top-level-list", "cell-no-group", "bool-free-rank",
         "null-cap", "null-period", "list-k", "int-labels", "int-J", "int-torsion", "int-d1-from",
         "d1-touches-countable", "mixed-labels", "str-degree-key", "list-truncated-at",
-        "float-d1-entry",
+        "float-d1-entry", "ideal-chain-p-outside", "duplicate-p-s", "duplicate-J",
+        "duplicate-degree", "duplicate-cell", "duplicate-d1-from", "str-default-zero",
+        "duplicate-label", "duplicate-label-in-J",
     ],
 )
 def test_bad_input_is_one_error_line(capsys, tmp_path, payload, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
     code, out, err = run_cli(capsys, "run", "--input", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_degrees_reduce_modulo_the_period(capsys, tmp_path):
+    # every degree key of a run input is taken modulo the period, so each
+    # of these files reads the same as with the reduced keys
+    z = {"free_rank": 1, "torsion": []}
+    cases = [
+        (
+            {"kind": "mv", "labels": [0], "intersections": [{"J": [0], "k": {"3": z}}]},
+            {"kind": "mv", "labels": [0], "intersections": [{"J": [0], "k": {"1": z}}]},
+            "K_1 = Z",
+        ),
+        (
+            {"kind": "ideal_chain", "length": 0, "default_zero": True, "groups": [{"p": 0, "s": 3, "group": z}]},
+            {"kind": "ideal_chain", "length": 0, "default_zero": True, "groups": [{"p": 0, "s": 1, "group": z}]},
+            "K_1 = Z",
+        ),
+        (
+            {
+                "kind": "page",
+                "cap": 1,
+                "cells": [{"p": 1, "q": -2, "group": z}, {"p": 0, "q": 4, "group": z}],
+                "d1": [{"from": [1, 6], "matrix": [[3]]}],
+            },
+            {
+                "kind": "page",
+                "cap": 1,
+                "cells": [{"p": 1, "q": 0, "group": z}, {"p": 0, "q": 0, "group": z}],
+                "d1": [{"from": [1, 0], "matrix": [[3]]}],
+            },
+            "K_0 = Z/3",
+        ),
+    ]
+    for raw, reduced, answer in cases:
+        outs = []
+        for payload in (raw, reduced):
+            path = tmp_path / "in.json"
+            path.write_text(json.dumps(payload))
+            outs.append(run_cli(capsys, "run", "--input", str(path)))
+        assert outs[0] == outs[1]
+        assert outs[0][0] == 0 and answer in outs[0][1].splitlines()
+
+
+@pytest.mark.parametrize(
+    "cover, message",
+    [
+        (5, "cover: expected a list, got int"),
+        ([], "cover: expected at least one space, got []"),
+        ([{"factors": ["nonneg"]}, "nonpos"], "cover[1]: expected an object, got str"),
+        ([{}], "cover[0].factors: missing"),
+        ([{"factors": "nonneg"}], "cover[0].factors: expected a list, got str"),
+        ([{"factors": []}], "cover[0].factors: expected at least one factor, got []"),
+        (
+            [{"factors": ["nonneg", "up"]}],
+            "cover[0].factors[1]: expected one of ['full', 'nonneg', 'nonpos', 'zero'], got 'up'",
+        ),
+    ],
+    ids=["int", "empty", "str-item", "no-factors", "str-factors", "no-factor", "unknown-factor"],
+)
+def test_bad_cover_is_one_error_line(capsys, tmp_path, cover, message):
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps(cover))
+    code, out, err = run_cli(capsys, "excision", "--cover", str(path), "--radius", "1", "--box", "4")
     assert code == 1
     assert out == ""
     assert err == f"error: {message}\n"

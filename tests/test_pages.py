@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from coarsek.abelian import CountablyInfinite, FgAbGroup, GroupHom, IntMatrix, homology_at
+from coarsek.abelian import (
+    CountablyInfinite,
+    FgAbGroup,
+    GroupHom,
+    IncompatibleShapes,
+    IntMatrix,
+    homology_at,
+)
 from coarsek.pages import (
     Grading,
     InducedMapIllDefined,
@@ -306,3 +313,20 @@ def test_injected_d2_through_torsion_subquotient():
     run = run_to_infinity(page, injected_by_page={2: {(2, 1): IntMatrix.from_rows([[1]])}})
     assert run.e_infinity_at(0, 0).is_zero
     assert run.e_infinity_at(2, 1) == Z  # kernel of Z ->> Z/2 is 2Z = Z
+
+
+def test_injected_d2_gets_the_d1_checks():
+    page = _page(2, {(2, 0): Z, (0, 1): Z})
+    # a source column outside 0..cap is refused, as for d1
+    for key in ((3, 0), (-1, 0)):
+        with pytest.raises(IncompatibleShapes, match="outside the support"):
+            run_to_infinity(page, {2: {key: IntMatrix.from_rows([[1]])}})
+    with pytest.raises(IncompatibleShapes, match="expected 1x1"):
+        run_to_infinity(page, {2: {(2, 0): IntMatrix.from_rows([[1, 0]])}})
+    # the unit d1 from (1, 1) kills (0, 1) on page 2, so a d2 onto it is the
+    # zero map and is skipped, whatever its matrix
+    page = _page(2, {(2, 0): Z, (1, 1): Z, (0, 1): Z}, d1={(1, 1): IntMatrix.from_rows([[1]])})
+    for matrix in ([[5]], [[1, 2]]):
+        run = run_to_infinity(page, {2: {(2, 0): IntMatrix.from_rows(matrix)}})
+        assert run.pages[1].diffs == {}
+        assert dict(run.e_infinity) == {(2, 0): Z}
