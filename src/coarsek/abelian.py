@@ -142,32 +142,6 @@ class IntMatrix:
     def neg(self) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, tuple(-x for x in self.entries))
 
-    def determinant(self) -> int:
-        """Fraction-free Bareiss determinant; exact for any size."""
-        if self.rows != self.cols:
-            raise IncompatibleShapes("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = self.to_rows()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"IntMatrix.from_rows({self.to_rows()!r})"
 
@@ -196,10 +170,8 @@ class SnfResult:
         return sum(1 for d in self.diagonal if d != 0)
 
     def check(self) -> bool:
-        """Re-verify the certificate from scratch."""
+        """Re-verify the certificate from scratch; integer inverses make U, V unimodular."""
         if (self.U @ self.matrix @ self.V).entries != self.D.entries:
-            return False
-        if abs(self.U.determinant()) != 1 or abs(self.V.determinant()) != 1:
             return False
         if not (self.U @ self.U_inv).entries == IntMatrix.identity(self.U.rows).entries:
             return False
@@ -414,8 +386,9 @@ class FgAbGroup:
     """Finitely generated abelian group in invariant-factor form.
 
     ``free_rank`` may be the CountablyInfinite sentinel, admitted purely as
-    a reporting value: such a group has no generator list, so no matrix,
-    homomorphism or page cell is built on it (first pages set it aside).
+    a reporting value: such a group (torsion allowed beside it) has no
+    generator list, so no matrix, homomorphism or page cell is built on it
+    (first pages set it aside).
 
     >>> print(FgAbGroup(1, (2, 4)))
     Z + Z/2 + Z/4
@@ -426,11 +399,7 @@ class FgAbGroup:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
-        if self.is_countable:
-            if self.torsion:
-                raise InfiniteRankArithmetic("countable rank forbids torsion")
-            return
-        if not isinstance(self.free_rank, int) or self.free_rank < 0:
+        if not self.is_countable and (not isinstance(self.free_rank, int) or self.free_rank < 0):
             raise ValueError("free_rank must be a nonnegative int or CountablyInfinite")
         prev = 1
         for d in self.torsion:
@@ -497,10 +466,9 @@ class FgAbGroup:
     def direct_sum(self, *others: "FgAbGroup") -> "FgAbGroup":
         groups = (self, *others)
         if any(g.is_countable for g in groups):
-            if any(g.torsion for g in groups):
-                raise InfiniteRankArithmetic("direct sum of countable rank with torsion")
-            return FgAbGroup(CountablyInfinite, ())
-        rank = sum(g.free_rank for g in groups)
+            rank = CountablyInfinite
+        else:
+            rank = sum(g.free_rank for g in groups)
         merged = sorted(d for g in groups for d in g.torsion)
         if not merged:
             return FgAbGroup(rank, ())
@@ -528,12 +496,12 @@ class FgAbGroup:
         return tuple(out)
 
     def __str__(self) -> str:
-        if self.is_countable:
-            return "Z^inf"
         if self.is_zero:
             return "0"
         parts = []
-        if self.free_rank == 1:
+        if self.is_countable:
+            parts.append("Z^inf")
+        elif self.free_rank == 1:
             parts.append("Z")
         elif self.free_rank > 1:
             parts.append(f"Z^{self.free_rank}")

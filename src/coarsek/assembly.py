@@ -77,9 +77,8 @@ class MvInput:
     the column index p, so index sets up to size cap+1 are consulted; for
     a finite family the natural cap is len(labels) - 1.
 
-    ``mode`` is "exact" when every K-group beyond the caps is known to be
-    zero, otherwise "truncated"; truncated runs carry ``truncated_at``
-    into every report.
+    ``truncated_at`` is None when every K-group beyond the caps is known
+    to be zero; otherwise the run is truncated and every report says so.
     """
 
     labels: tuple
@@ -88,12 +87,9 @@ class MvInput:
     rule: Callable[[tuple], Mapping[int, FgAbGroup]] | None = None
     d1: Mapping[tuple[int, int], IntMatrix] | None = None
     grading: Grading = Grading(2)
-    mode: str = "exact"
     truncated_at: int | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in ("exact", "truncated"):
-            raise ValueError("mode must be 'exact' or 'truncated'")
         if not (0 <= self.cap <= max(len(self.labels) - 1, 0)):
             raise ValueError("cap must lie in 0..len(labels)-1")
 
@@ -139,7 +135,7 @@ def build_mv_e1(inp: MvInput) -> Page:
             if nonzero:
                 parts[(p, q)] = [g for _, g in nonzero]
                 summands[(p, q)] = tuple(j for j, _ in nonzero)
-    if inp.mode == "exact" and inp.cap < len(inp.labels) - 1:
+    if inp.truncated_at is None and inp.cap < len(inp.labels) - 1:
         if any(p == inp.cap for p, _ in parts):
             raise CapTooSmall(
                 f"nonzero group at the cap boundary p={inp.cap}; "

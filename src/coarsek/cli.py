@@ -73,6 +73,8 @@ def _load_json(path: str):
 
 
 def _cmd_run(args) -> int:
+    if args.cap is not None and not (args.builtin or "").startswith("zinf:"):
+        raise CliError("--cap applies only to --builtin zinf:<m>")
     if args.builtin:
         if args.period != 2:
             raise CliError("builtin examples are complex-K lookups; they require --period 2")
@@ -227,12 +229,10 @@ def _cmd_sweep(args) -> int:
     caps = _parse_caps(args.caps)
     if not caps or min(caps) < 1:
         raise CliError("caps must be positive")
-    parts = args.builtin.split(":")
-    if parts[0] == "wedge" and len(parts) >= 2 and parts[1] == "countable":
-        family = lambda c: wedge_mv_input(c, truncated=True)  # noqa: E731
-    elif parts[0] == "zinf" and len(parts) == 2:
-        m = int(parts[1])
-        family = lambda c: zinf_mv_input(m, c)  # noqa: E731
+    if args.builtin == "wedge:countable":
+        family = lambda c: _parse_builtin(f"wedge:countable:{c}", None)  # noqa: E731
+    elif args.builtin.startswith("zinf:"):
+        family = lambda c: _parse_builtin(args.builtin, c)  # noqa: E731
     else:
         raise CliError(
             f"unknown sweep builtin {args.builtin!r}; expected wedge:countable or zinf:<m>"

@@ -56,21 +56,12 @@ class Factor(enum.Enum):
     FULL = "full"
 
 
-_MEET = {
-    frozenset((Factor.NONNEG, Factor.NONPOS)): Factor.ZERO,
-}
-
-
 def meet(a: Factor, b: Factor) -> Factor:
-    if a == b:
+    """Intersection of two constraints: ``full`` is neutral, and any two
+    different constraints other than ``full`` meet in ``zero``."""
+    if a == b or b == Factor.FULL:
         return a
-    if a == Factor.FULL:
-        return b
-    if b == Factor.FULL:
-        return a
-    if a == Factor.ZERO or b == Factor.ZERO:
-        return Factor.ZERO
-    return _MEET[frozenset((a, b))]
+    return b if a == Factor.FULL else Factor.ZERO
 
 
 @dataclass(frozen=True)
@@ -110,17 +101,6 @@ class SpaceClass:
     flasque: bool
     lines: int = 0
 
-    @property
-    def is_point(self) -> bool:
-        return not self.flasque and self.lines == 0
-
-    def __str__(self) -> str:
-        if self.flasque:
-            return "Flasque"
-        if self.lines == 0:
-            return "PointLike"
-        return f"LineLike({self.lines})"
-
 
 def classify(space: BlockySpace) -> SpaceClass:
     """A retained half-ray factor makes the whole product flasque."""
@@ -145,27 +125,13 @@ class WedgeCoverPiece:
             raise UnknownSpace(f"unknown wedge piece kind {self.kind!r}")
 
 
-def wedge_cover(k):
-    """Pieces Y_0 .. Y_{k-1}; any two distinct pieces meet in the base ray.
-
-    ``k`` may be the string "countable", returning a lazy enumeration of
-    the countably many pieces (consume with islice, never list()).
-    """
-    if k == "countable":
-        return _countable_wedge_pieces()
+def wedge_cover(k: int) -> list[WedgeCoverPiece]:
+    """Pieces Y_0 .. Y_{k-1}; any two distinct pieces meet in the base ray."""
     if k < 1:
         raise ValueError("wedge cover needs at least one ray")
     return [WedgeCoverPiece(0, "base_ray")] + [
         WedgeCoverPiece(b, "double_ray") for b in range(1, k)
     ]
-
-
-def _countable_wedge_pieces():
-    from itertools import count
-
-    yield WedgeCoverPiece(0, "base_ray")
-    for b in count(1):
-        yield WedgeCoverPiece(b, "double_ray")
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +239,6 @@ def wedge_mv_input(k: int, truncated: bool = False) -> MvInput:
         labels=tuple(range(k)),
         cap=k - 1,
         rule=rule,
-        mode="truncated" if truncated else "exact",
         truncated_at=k if truncated else None,
     )
 
@@ -302,14 +267,6 @@ class Metric:
                 raise ValueError("weights must be strictly positive")
         elif self.weights is not None:
             raise ValueError("weights only apply to the weighted metric")
-
-    @classmethod
-    def d1(cls) -> "Metric":
-        return cls("d1")
-
-    @classmethod
-    def dinf(cls) -> "Metric":
-        return cls("dinf")
 
     @classmethod
     def weighted(cls, weights: Sequence) -> "Metric":
@@ -373,24 +330,6 @@ def as_box(space) -> LatticeBox:
     if isinstance(space, BlockySpace):
         return LatticeBox.from_blocky(space)
     raise UnknownSpace(f"cannot view {space!r} as a lattice set")
-
-
-def set_distance(point: Sequence[int], box: LatticeBox, metric: Metric) -> Fraction | None:
-    """Exact distance from a lattice point to a box; None when empty.
-
-    Nearest points of a product set are found coordinate by coordinate,
-    so the per-coordinate gaps aggregate by sum (1-metrics) or max.
-    """
-    if box.is_empty:
-        return None
-    gaps = [box.coordinate_gap(i, int(point[i])) for i in range(box.dim)]
-    if metric.kind == "dinf":
-        return Fraction(max(gaps, default=0))
-    if metric.kind == "d1":
-        return Fraction(sum(gaps))
-    if len(metric.weights) != box.dim:
-        raise DimensionMismatch("weight count does not match dimension")
-    return sum((w * g for w, g in zip(metric.weights, gaps)), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,13 @@ def _get(obj: Any, key: str, kind: type, where: str = "", default: Any = _REQUIR
     return _typed(_need(obj, key, where), kind, f"{where}.{key}" if where else key)
 
 
+def _size(value: Any, where: str) -> int:
+    """A nonnegative integer, else a SchemaError naming the path."""
+    if _typed(value, int, where) < 0:
+        raise SchemaError(f"{where}: expected a nonnegative integer, got {value}")
+    return value
+
+
 def _ints(value: Any, where: str) -> list[int]:
     return [_typed(x, int, f"{where}[{i}]") for i, x in enumerate(_typed(value, list, where))]
 
@@ -127,7 +134,7 @@ def _d1_from_json(obj: dict, period: int) -> dict[tuple[int, int], IntMatrix]:
 
 
 def page_from_json(obj: Any, default_period: int = 2) -> Page:
-    cap = _get(obj, "cap", int)
+    cap = _size(_need(obj, "cap"), "cap")
     grading = Grading(_get(obj, "period", int, default=default_period))
     parts: dict[tuple[int, int], list[FgAbGroup]] = {}
     for i, cell in enumerate(_get(obj, "cells", list, default=[])):
@@ -141,6 +148,11 @@ def mv_from_json(obj: Any, default_period: int = 2) -> MvInput:
     labels = tuple(_labels(_need(obj, "labels"), "labels"))
     grading = Grading(_get(obj, "period", int, default=default_period))
     truncated_at = obj.get("truncated_at")
+    if truncated_at is not None:
+        _size(truncated_at, "truncated_at")
+    mode = obj.get("mode", "exact" if truncated_at is None else "truncated")
+    if mode not in ("exact", "truncated") or (mode == "truncated") != (truncated_at is not None):
+        raise SchemaError(f"mode: expected 'truncated' with truncated_at or 'exact' without, got {mode!r}")
     inter: dict[tuple, dict[int, FgAbGroup]] = {}
     for i, item in enumerate(_get(obj, "intersections", list, default=[])):
         at = f"intersections[{i}]"
@@ -155,13 +167,12 @@ def mv_from_json(obj: Any, default_period: int = 2) -> MvInput:
         intersections=inter,
         d1=_d1_from_json(obj, grading.period),
         grading=grading,
-        mode=obj.get("mode", "exact"),
-        truncated_at=None if truncated_at is None else _typed(truncated_at, int, "truncated_at"),
+        truncated_at=truncated_at,
     )
 
 
 def ideal_chain_from_json(obj: Any, default_period: int = 2) -> IdealChainInput:
-    length = _get(obj, "length", int)
+    length = _size(_need(obj, "length"), "length")
     grading = Grading(_get(obj, "period", int, default=default_period))
     groups: dict[tuple[int, int], FgAbGroup] = {}
     for i, item in enumerate(_get(obj, "groups", list, default=[])):

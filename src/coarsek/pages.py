@@ -262,11 +262,6 @@ def turn_page(page: Page, injected: Mapping[tuple[int, int], IntMatrix] | None =
     return nxt
 
 
-def cells_isomorphic(a: Page, b: Page) -> bool:
-    keys = set(a.cells) | set(b.cells)
-    return all(a.cell_group(*k) == b.cell_group(*k) for k in keys)
-
-
 @dataclass
 class SpectralRun:
     """Record of a full run: pages 1..cap+2, the limit page, stabilization."""
@@ -281,10 +276,6 @@ class SpectralRun:
     def first_page(self) -> Page:
         return self.pages[0]
 
-    @property
-    def last_page(self) -> Page:
-        return self.pages[-1]
-
     def e_infinity_at(self, p: int, q: int) -> FgAbGroup:
         return self.e_infinity.get((p, q % self.grading.period), FgAbGroup.zero())
 
@@ -296,8 +287,9 @@ def run_to_infinity(
     """Iterate turn_page until every differential has exited the support.
 
     For support cap P that happens at page P+2 at the latest, so the last
-    computed page equals E^infty.  ``stabilized_at`` is the smallest r
-    from which all pages onward agree cellwise with zero differentials.
+    computed page equals E^infty.  ``stabilized_at`` is one more than the
+    last page with a nonzero differential, or 1 when there is none: a page
+    whose maps are all zero passes every cell on unchanged.
     """
     ok, diags = validate_page(page1)
     if not ok:
@@ -311,14 +303,7 @@ def run_to_infinity(
         if injected_by_page:
             nxt_injected = injected_by_page.get(pages[-1].r + 1)
         pages.append(turn_page(pages[-1], nxt_injected))
-    stabilized = last
-    for page in reversed(pages[:-1]):
-        if all(h.is_zero_map() for h in page.diffs.values()) and cells_isomorphic(
-            page, pages[page.r]
-        ):
-            stabilized = page.r
-        else:
-            break
+    live = [page.r for page in pages if not all(h.is_zero_map() for h in page.diffs.values())]
     final = pages[-1]
     e_inf = {**final.countable, **{key: cell.group for key, cell in final.cells.items()}}
-    return SpectralRun(pages, e_inf, stabilized, page1.grading, page1.cap)
+    return SpectralRun(pages, e_inf, max(live, default=0) + 1, page1.grading, page1.cap)

@@ -16,6 +16,7 @@ from itertools import combinations, product
 from math import gcd, prod
 
 from coarsek.abelian import FgAbGroup, GroupHom, IntMatrix
+from coarsek.coarse import DimensionMismatch
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +360,25 @@ def enumerate_quotient_order(matrix: IntMatrix) -> int:
 
 
 # ---------------------------------------------------------------------------
-# lattice distance brute force
+# lattice distances: closed form and brute force
+
+
+def set_distance(point, box, metric) -> Fraction | None:
+    """Exact distance from a lattice point to a box; None when empty.
+
+    Nearest points of a product set are found coordinate by coordinate,
+    so the per-coordinate gaps aggregate by sum (1-metrics) or max.
+    """
+    if box.is_empty:
+        return None
+    gaps = [box.coordinate_gap(i, int(point[i])) for i in range(box.dim)]
+    if metric.kind == "dinf":
+        return Fraction(max(gaps, default=0))
+    if metric.kind == "d1":
+        return Fraction(sum(gaps))
+    if len(metric.weights) != box.dim:
+        raise DimensionMismatch("weight count does not match dimension")
+    return sum((w * g for w, g in zip(metric.weights, gaps)), Fraction(0))
 
 
 def brute_force_distance(point, box, metric, search: int) -> Fraction | None:
@@ -383,6 +402,16 @@ def brute_force_distance(point, box, metric, search: int) -> Fraction | None:
         if best is None or d < best:
             best = d
     return best
+
+
+# ---------------------------------------------------------------------------
+# pages
+
+
+def cells_isomorphic(a, b) -> bool:
+    """Whether two pages carry the same cell groups."""
+    keys = set(a.cells) | set(b.cells)
+    return all(a.cell_group(*k) == b.cell_group(*k) for k in keys)
 
 
 # ---------------------------------------------------------------------------

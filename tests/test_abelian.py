@@ -1,6 +1,7 @@
 """Exact-arithmetic layer: Smith form, cokernels, homology, exactness."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from coarsek.abelian import (
     IncompatibleShapes,
     InfiniteRankArithmetic,
     IntMatrix,
+    SnfResult,
     cokernel,
     homology_at,
     smith_normal_form,
@@ -70,8 +72,8 @@ def test_snf_random_certificates_and_oracle():
         a = random_matrix(rng, rng.randint(0, 5), rng.randint(0, 5))
         s = smith_normal_form(a)
         assert s.check()
-        assert abs(s.U.determinant()) == 1
-        assert abs(s.V.determinant()) == 1
+        assert abs(laplace_det(s.U.to_rows())) == 1
+        assert abs(laplace_det(s.V.to_rows())) == 1
         rank, factors = determinantal_invariants(a.to_rows())
         assert [d for d in s.diagonal if d != 0] == factors
 
@@ -86,6 +88,25 @@ def test_snf_certificate_property(m, n, data):
     entries = data.draw(st.lists(st.integers(-50, 50), min_size=m * n, max_size=m * n))
     s = smith_normal_form(IntMatrix(m, n, tuple(entries)))
     assert s.check()
+
+
+def test_snf_certificate_rejects_forgeries():
+    def bump(m):
+        return IntMatrix(m.rows, m.cols, (m.entries[0] + 1,) + m.entries[1:])
+
+    s = smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
+    assert s.check()
+    # a tampered D no longer equals U A V
+    assert not replace(s, D=bump(s.D)).check()
+    # U = diag(2, 1) satisfies U A V == D with D a divisibility chain, but no
+    # integer U_inv exists, so the inverse check must catch it
+    eye = IntMatrix.identity(2)
+    a = IntMatrix.diagonal([1, 2])
+    assert SnfResult(a, eye, a, eye, eye, eye).check()
+    u = IntMatrix.diagonal([2, 1])
+    assert not SnfResult(a, u, IntMatrix.diagonal([2, 2]), eye, eye, eye).check()
+    # a V_inv that is not V's inverse
+    assert not replace(s, V_inv=bump(s.V_inv)).check()
 
 
 # ---------------------------------------------------------------------------
@@ -204,18 +225,21 @@ def test_countable_rules():
     inf = FgAbGroup(CountablyInfinite, ())
     assert inf == FgAbGroup(CountablyInfinite, ())
     assert inf != FgAbGroup(3, ())
-    with pytest.raises(InfiniteRankArithmetic):
-        FgAbGroup(CountablyInfinite, (2,))
+    # torsion may sit beside countable rank; it still has no generator list
+    assert str(FgAbGroup(CountablyInfinite, (2,))) == "Z^inf + Z/2"
     with pytest.raises(InfiniteRankArithmetic):
         inf.gen_count
+    with pytest.raises(InfiniteRankArithmetic):
+        FgAbGroup(CountablyInfinite, (2,)).gen_count
     # GroupHom refuses a countable endpoint: it has no generator list
     with pytest.raises(InfiniteRankArithmetic):
         GroupHom.zero(inf, Z)
     with pytest.raises(InfiniteRankArithmetic):
         GroupHom(Z, inf, IntMatrix.zeros(0, 1))
     assert inf.direct_sum(FgAbGroup.free(2)).is_countable
-    with pytest.raises(InfiniteRankArithmetic):
-        inf.direct_sum(FgAbGroup.cyclic(2))
+    # the torsion of a sum with countable rank is renormalised as usual
+    both = FgAbGroup.cyclic(2).direct_sum(inf, FgAbGroup.cyclic(3))
+    assert both == FgAbGroup(CountablyInfinite, (6,))
 
 
 # ---------------------------------------------------------------------------

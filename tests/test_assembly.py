@@ -144,7 +144,7 @@ def test_mv_cap_too_small_on_exact_runs():
     inp = _mv([0, 1], table, cap=0)
     with pytest.raises(CapTooSmall):
         build_mv_e1(inp)
-    truncated = _mv([0, 1], table, cap=0, mode="truncated", truncated_at=1)
+    truncated = _mv([0, 1], table, cap=0, truncated_at=1)
     page = build_mv_e1(truncated)
     assert page.truncated_at == 1
 

@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, serialization round trips, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from coarsek.abelian import CountablyInfinite, FgAbGroup, IntMatrix
 from coarsek.cli import main
 from coarsek.pages import Grading, first_page
 
+GOLDEN_MV = Path(__file__).parent / "golden" / "inputs" / "readme_mv.json"
 
 def run_cli(capsys, *args):
     code = main(list(args))
@@ -127,6 +129,51 @@ def test_run_countable_sentinel_reported(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "run", "--input", str(path))
     assert code == 0
     assert "K_1 = Z^inf" in out
+
+
+def test_run_countable_rank_beside_torsion(capsys, tmp_path):
+    # a free piece on top splits off, so Z/2 under Z^inf is exact; Z/2 on
+    # top of Z^inf is an extension the engine does not guess
+    z2 = {"free_rank": 0, "torsion": [2]}
+    inf = {"free_rank": "countable", "torsion": []}
+    for bottom, top, code_expected, line in [
+        (z2, inf, 0, "K_0 = Z^inf + Z/2"),
+        (inf, z2, 2, "K_0 = ambiguous extension; pieces: p=0: Z^inf, p=1: Z/2"),
+    ]:
+        payload = {
+            "kind": "ideal_chain",
+            "length": 1,
+            "default_zero": True,
+            "groups": [{"p": 0, "s": 0, "group": bottom}, {"p": 1, "s": 0, "group": top}],
+        }
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "run", "--input", str(path))
+        assert (code, err) == (code_expected, "")
+        assert line in out.splitlines()
+
+
+def test_truncated_mv_input_prints_the_note(capsys, tmp_path):
+    # the same nerve stopped at cap 0 is refused as exact and reported as
+    # truncated once the file says so
+    z = {"free_rank": 1, "torsion": []}
+    payload = {
+        "kind": "mv",
+        "labels": [0, 1, 2],
+        "cap": 0,
+        "intersections": [{"J": [j], "k": {"0": z}} for j in range(3)],
+    }
+    path = tmp_path / "mv.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "run", "--input", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: nonzero group at the cap boundary p=0")
+    for extra in ({"truncated_at": 0}, {"mode": "truncated", "truncated_at": 0}):
+        path.write_text(json.dumps({**payload, **extra}))
+        code, out, _ = run_cli(capsys, "run", "--input", str(path))
+        assert code == 0
+        assert "note: truncated at cap 0" in out.splitlines()
+        assert "K_0 = Z^3" in out.splitlines()
 
 
 def test_run_json_format_reparses(capsys):
@@ -492,6 +539,24 @@ def test_schema_errors():
             {"kind": "mv", "labels": ["a", "b"], "intersections": [{"J": ["a", "a"], "k": {}}]},
             "intersections[0].J: ['a', 'a'] lists a label twice",
         ),
+        (
+            {"kind": "mv", "labels": [0, 1, 2], "cap": 0, "mode": "truncated"},
+            "mode: expected 'truncated' with truncated_at or 'exact' without, got 'truncated'",
+        ),
+        (
+            {"kind": "mv", "labels": [0], "mode": "exact", "truncated_at": 7},
+            "mode: expected 'truncated' with truncated_at or 'exact' without, got 'exact'",
+        ),
+        (
+            {"kind": "mv", "labels": [0], "mode": "partial"},
+            "mode: expected 'truncated' with truncated_at or 'exact' without, got 'partial'",
+        ),
+        ({"kind": "page", "cap": -3}, "cap: expected a nonnegative integer, got -3"),
+        ({"kind": "ideal_chain", "length": -1}, "length: expected a nonnegative integer, got -1"),
+        (
+            {"kind": "mv", "labels": [0], "mode": "truncated", "truncated_at": -3},
+            "truncated_at: expected a nonnegative integer, got -3",
+        ),
     ],
     ids=[
         "mv-no-labels", "page-no-cap", "top-level-list", "cell-no-group", "bool-free-rank",
@@ -499,7 +564,9 @@ def test_schema_errors():
         "d1-touches-countable", "mixed-labels", "str-degree-key", "list-truncated-at",
         "float-d1-entry", "ideal-chain-p-outside", "duplicate-p-s", "duplicate-J",
         "duplicate-degree", "duplicate-cell", "duplicate-d1-from", "str-default-zero",
-        "duplicate-label", "duplicate-label-in-J",
+        "duplicate-label", "duplicate-label-in-J", "truncated-without-truncated-at",
+        "exact-with-truncated-at", "unknown-mode", "negative-page-cap",
+        "negative-ideal-chain-length", "negative-truncated-at",
     ],
 )
 def test_bad_input_is_one_error_line(capsys, tmp_path, payload, message):
@@ -572,6 +639,30 @@ def test_bad_cover_is_one_error_line(capsys, tmp_path, cover, message):
     path = tmp_path / "cover.json"
     path.write_text(json.dumps(cover))
     code, out, err = run_cli(capsys, "excision", "--cover", str(path), "--radius", "1", "--box", "4")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["run", "--builtin", "rn:3", "--cap", "1"], "--cap applies only to --builtin zinf:<m>"),
+        (["run", "--builtin", "wedge:4", "--cap", "2"], "--cap applies only to --builtin zinf:<m>"),
+        (["run", "--builtin", "wedge:countable:4", "--cap", "2"], "--cap applies only to --builtin zinf:<m>"),
+        (
+            ["run", "--input", str(GOLDEN_MV), "--cap", "0"],
+            "--cap applies only to --builtin zinf:<m>",
+        ),
+        (
+            ["sweep", "--builtin", "wedge:countable:junk", "--caps", "1..3"],
+            "unknown sweep builtin 'wedge:countable:junk'; expected wedge:countable or zinf:<m>",
+        ),
+    ],
+    ids=["rn-cap", "wedge-cap", "wedge-countable-cap", "input-cap", "sweep-wedge-countable-suffix"],
+)
+def test_bad_arguments_are_one_error_line(capsys, args, message):
+    code, out, err = run_cli(capsys, *args)
     assert code == 1
     assert out == ""
     assert err == f"error: {message}\n"

@@ -16,14 +16,13 @@ from coarsek.pages import (
     Grading,
     InducedMapIllDefined,
     InvalidPage,
-    cells_isomorphic,
     first_page,
     run_to_infinity,
     turn_page,
     validate_page,
 )
 
-from _oracles import random_group, random_hom
+from _oracles import cells_isomorphic, random_group, random_hom
 
 Z = FgAbGroup.free(1)
 
@@ -177,13 +176,28 @@ def test_idempotence_after_stabilization():
         assert cells_isomorphic(stable, again)
 
 
+def test_stabilized_at_matches_a_cellwise_scan():
+    # scan back from the last page while a page has only zero maps and the
+    # same cells as the page after it; that is where the run stabilized
+    rng = random.Random(43)
+    for _ in range(40):
+        run = run_to_infinity(_random_valid_page(rng, cap=rng.randint(0, 4)))
+        pages = run.pages
+        scan = len(pages)
+        while scan > 1 and all(h.is_zero_map() for h in pages[scan - 2].diffs.values()):
+            if not cells_isomorphic(pages[scan - 2], pages[scan - 1]):
+                break
+            scan -= 1
+        assert run.stabilized_at == scan
+
+
 def test_exiting_differential_bound_random_pages():
     rng = random.Random(41)
     for _ in range(40):
         page = _random_valid_page(rng, cap=rng.randint(0, 4))
         run = run_to_infinity(page)
-        beyond = turn_page(run.last_page)
-        assert cells_isomorphic(run.last_page, beyond)
+        beyond = turn_page(run.pages[-1])
+        assert cells_isomorphic(run.pages[-1], beyond)
         assert run.stabilized_at <= page.cap + 2
 
 
