@@ -54,7 +54,6 @@ from .pages import (
     first_page,
     run_to_infinity,
     turn_page,
-    validate_page,
 )
 
 __version__ = "0.1.0"

@@ -421,14 +421,6 @@ class FgAbGroup:
     def free(cls, rank: int) -> "FgAbGroup":
         return cls(rank, ())
 
-    @classmethod
-    def cyclic(cls, d: int) -> "FgAbGroup":
-        if d == 0:
-            return cls(1, ())
-        if d == 1:
-            return cls(0, ())
-        return cls(0, (d,))
-
     @property
     def is_zero(self) -> bool:
         return self.free_rank == 0 and not self.torsion
@@ -559,10 +551,6 @@ class GroupHom:
     @classmethod
     def zero(cls, source: FgAbGroup, target: FgAbGroup) -> "GroupHom":
         return cls(source, target, IntMatrix.zeros(target.gen_count, source.gen_count))
-
-    @classmethod
-    def identity(cls, group: FgAbGroup) -> "GroupHom":
-        return cls(group, group, IntMatrix.identity(group.gen_count))
 
     def is_zero_map(self) -> bool:
         """Zero as a homomorphism (not merely as a matrix)."""

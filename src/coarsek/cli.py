@@ -41,7 +41,9 @@ class CliError(Exception):
     """Input-level failure; exits with code 1."""
 
 
-def _parse_builtin(name: str, cap: int | None):
+def _parse_builtin(name: str, cap: int | None, period: int):
+    if period != 2:
+        raise CliError("builtin examples are complex-K lookups; they require --period 2")
     parts = name.split(":")
     kind = parts[0]
     try:
@@ -49,6 +51,8 @@ def _parse_builtin(name: str, cap: int | None):
             return rn_mv_input(int(parts[1]))
         if kind == "zinf" and len(parts) == 2:
             m = int(parts[1])
+            if cap is not None and cap > m:
+                raise ValueError(f"cap {cap} lies above m = {m}")
             return zinf_mv_input(m, m if cap is None else cap)
         if kind == "wedge" and len(parts) == 2 and parts[1] != "countable":
             return wedge_mv_input(int(parts[1]))
@@ -76,9 +80,7 @@ def _cmd_run(args) -> int:
     if args.cap is not None and not (args.builtin or "").startswith("zinf:"):
         raise CliError("--cap applies only to --builtin zinf:<m>")
     if args.builtin:
-        if args.period != 2:
-            raise CliError("builtin examples are complex-K lookups; they require --period 2")
-        inp = _parse_builtin(args.builtin, args.cap)
+        inp = _parse_builtin(args.builtin, args.cap, args.period)
         page = build_mv_e1(inp)
         raw = None
     elif args.input:
@@ -150,18 +152,25 @@ def _pick_cover(args):
     raise CliError("excision needs --builtin rn:<n>, --custom disjoint-rays, or --cover PATH")
 
 
+def _fraction(flag: str, text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise CliError(f"{flag}: expected a rational number, got {text!r}") from None
+
+
 def _cmd_excision(args) -> int:
     cover = _pick_cover(args)
     dim = cover[0].dim
     if args.metric == "weighted":
         if not args.weights:
             raise CliError("weighted metric needs --weights")
-        metric = Metric.weighted([Fraction(w) for w in args.weights.split(",")])
+        metric = Metric.weighted([_fraction("--weights", w) for w in args.weights.split(",")])
     else:
         metric = Metric(args.metric)
-    radius = Fraction(args.radius)
+    radius = _fraction("--radius", args.radius)
     if args.s is not None:
-        s_radius = Fraction(args.s)
+        s_radius = _fraction("--s", args.s)
     elif args.metric == "d1":
         s_radius = radius * dim
     else:
@@ -202,6 +211,8 @@ def _cmd_excision(args) -> int:
 def _cmd_simplex(args) -> int:
     if args.action != "verify":
         raise CliError("the simplex command supports: verify")
+    if args.samples < 1:
+        raise CliError(f"--samples: expected at least 1, got {args.samples}")
     if args.verbose:
         print("input:")
         print(jsonio.dumps({"dim": args.dim, "samples": args.samples, "seed": args.seed}))
@@ -230,9 +241,9 @@ def _cmd_sweep(args) -> int:
     if not caps or min(caps) < 1:
         raise CliError("caps must be positive")
     if args.builtin == "wedge:countable":
-        family = lambda c: _parse_builtin(f"wedge:countable:{c}", None)  # noqa: E731
+        family = lambda c: _parse_builtin(f"wedge:countable:{c}", None, args.period)  # noqa: E731
     elif args.builtin.startswith("zinf:"):
-        family = lambda c: _parse_builtin(args.builtin, c)  # noqa: E731
+        family = lambda c: _parse_builtin(args.builtin, c, args.period)  # noqa: E731
     else:
         raise CliError(
             f"unknown sweep builtin {args.builtin!r}; expected wedge:countable or zinf:<m>"

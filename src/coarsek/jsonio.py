@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .abelian import CountablyInfinite, FgAbGroup, IntMatrix
+from .abelian import CountablyInfinite, FgAbGroup, IncompatibleShapes, IntMatrix
 from .assembly import DegreeReport, FiltrationReport, IdealChainInput, MvInput, SweepReport
 from .coarse import BlockySpace, Factor
 from .pages import Grading, Page, first_page
@@ -93,18 +93,14 @@ def group_to_json(g: FgAbGroup) -> dict:
 
 
 def group_from_json(obj: Any, where: str = "group") -> FgAbGroup:
-    if not isinstance(obj, dict) or "free_rank" not in obj:
-        raise SchemaError(f"group must be an object with free_rank, got {obj!r}")
-    rank = obj["free_rank"]
+    rank = _need(obj, "free_rank", where)
     torsion = tuple(_ints(obj.get("torsion", []), f"{where}.torsion"))
-    if rank == "countable":
-        return FgAbGroup(CountablyInfinite, torsion)
-    if not isinstance(rank, int) or isinstance(rank, bool):
-        raise SchemaError(f"free_rank must be an int or 'countable', got {rank!r}")
+    if rank != "countable" and (type(rank) is not int or rank < 0):
+        raise SchemaError(f"{where}.free_rank: expected a nonnegative integer or 'countable', got {rank!r}")
     try:
-        return FgAbGroup(rank, torsion)
+        return FgAbGroup(CountablyInfinite if rank == "countable" else rank, torsion)
     except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+        raise SchemaError(f"{where}.torsion: {exc}") from exc
 
 
 def matrix_to_json(m: IntMatrix) -> dict:
@@ -112,12 +108,15 @@ def matrix_to_json(m: IntMatrix) -> dict:
 
 
 def matrix_from_json(obj: Any, where: str = "matrix") -> IntMatrix:
-    if isinstance(obj, list):
-        return IntMatrix.from_rows([_ints(row, f"{where}[{i}]") for i, row in enumerate(obj)])
-    if isinstance(obj, dict) and {"rows", "cols", "entries"} <= obj.keys():
-        rows, cols = (_get(obj, key, int, where) for key in ("rows", "cols"))
-        return IntMatrix(rows, cols, tuple(_ints(obj["entries"], f"{where}.entries")))
-    raise SchemaError(f"matrix must be nested lists or rows/cols/entries, got {obj!r}")
+    try:
+        if isinstance(obj, list):
+            return IntMatrix.from_rows([_ints(row, f"{where}[{i}]") for i, row in enumerate(obj)])
+        if isinstance(obj, dict) and {"rows", "cols", "entries"} <= obj.keys():
+            rows, cols = (_get(obj, key, int, where) for key in ("rows", "cols"))
+            return IntMatrix(rows, cols, tuple(_ints(obj["entries"], f"{where}.entries")))
+    except IncompatibleShapes as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+    raise SchemaError(f"{where}: expected nested lists or rows/cols/entries, got {obj!r}")
 
 
 def _d1_from_json(obj: dict, period: int) -> dict[tuple[int, int], IntMatrix]:

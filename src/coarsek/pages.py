@@ -32,12 +32,6 @@ class PageError(Exception):
     pass
 
 
-class InvalidPage(PageError):
-    def __init__(self, diagnostics: list[str]):
-        super().__init__("; ".join(diagnostics))
-        self.diagnostics = diagnostics
-
-
 class InducedMapIllDefined(PageError):
     pass
 
@@ -121,10 +115,11 @@ def first_page(
 ) -> Page:
     """The first page: cell (p, q) is the direct sum of ``parts[(p, q)]``.
 
-    Zero groups are dropped.  A d1 matrix acts on the concatenated
-    generators of a cell's summands, in the listed order; a cell with one
-    summand keeps that group's own generators.  Each d1 is induced onto
-    the canonical cell groups and refused when it is not well defined.
+    Zero groups are dropped, and a nonzero cell with p outside 0..cap is
+    refused.  A d1 matrix acts on the concatenated generators of a cell's
+    summands, in the listed order; a cell with one summand keeps that
+    group's own generators.  Each d1 is induced onto the canonical cell
+    groups and refused when it is not well defined or d1 o d1 != 0.
     Countable-rank cells go to ``Page.countable``, and a d1 entry that
     touches one is refused.  ``d1_defaulted`` is set when no d1 is given.
     """
@@ -133,42 +128,13 @@ def first_page(
     by_key = {(p, q % grading.period): groups for (p, q), groups in parts.items()}
     for key, groups in by_key.items():
         nonzero = [g for g in groups if not g.is_zero]
+        if nonzero and not 0 <= key[0] <= cap:
+            raise PageError(f"cell {key} lies outside the support 0..{cap}")
         if any(g.is_countable for g in nonzero):
             page.countable[key] = FgAbGroup.zero().direct_sum(*nonzero)
         elif nonzero:
             page.cells[key] = _concatenated_cell(nonzero)
     return _install_diffs(page, d1)
-
-
-def validate_page(page: Page) -> tuple[bool, list[str]]:
-    """Check bidegrees, support, endpoint groups, and d o d == 0.
-
-    Returns (ok, diagnostics); the first diagnostic names the first
-    failing (p, q).
-    """
-    diags: list[str] = []
-    per = page.period
-    for p, q in sorted([*page.cells, *page.countable]):
-        if q < 0 or q >= per:
-            diags.append(f"({p},{q}): q outside 0..{per - 1}")
-        if p < 0 or p > page.cap:
-            diags.append(f"({p},{q}): nonzero cell outside support 0..{page.cap}")
-    for (p, q), hom in sorted(page.diffs.items()):
-        src = page.cell_group(p, q)
-        tp, tq = page.target_key(p, q)
-        tgt = page.cell_group(tp, tq)
-        if hom.source != src:
-            diags.append(f"({p},{q}): differential source group mismatch")
-            continue
-        if hom.target != tgt:
-            diags.append(
-                f"({p},{q}): differential target is not the cell at ({tp},{tq})"
-            )
-            continue
-        nxt = page.diffs.get((tp, tq))
-        if nxt is not None and not nxt.compose(hom).is_zero_map():
-            diags.append(f"({p},{q}): d o d != 0 through ({tp},{tq})")
-    return (not diags, diags)
 
 
 def _install_diffs(page: Page, matrices: Mapping[tuple[int, int], IntMatrix] | None) -> Page:
@@ -180,7 +146,8 @@ def _install_diffs(page: Page, matrices: Mapping[tuple[int, int], IntMatrix] | N
     target.  On page 1 an absent cell has none; on later pages a matrix
     with a dead end is the zero map and is skipped.  The induced map must
     carry cycles into cycles and boundaries into boundaries, and be well
-    defined on the cell groups.
+    defined on the cell groups.  Last, each composite d o d must vanish,
+    so that the page has homology.
     """
     for (p, q), matrix in (matrices or {}).items():
         key = (p, q % page.period)
@@ -201,6 +168,10 @@ def _install_diffs(page: Page, matrices: Mapping[tuple[int, int], IntMatrix] | N
             )
         if src and tgt:
             page.diffs[key] = _induce_hom(matrix, src, tgt, name)
+    for key in sorted(page.diffs):
+        tkey = page.target_key(*key)
+        if tkey in page.diffs and not page.diffs[tkey].compose(page.diffs[key]).is_zero_map():
+            raise InducedMapIllDefined(f"d{page.r} at {key}: d o d != 0 through {tkey}")
     return page
 
 
@@ -254,12 +225,7 @@ def turn_page(page: Page, injected: Mapping[tuple[int, int], IntMatrix] | None =
         if not new_cell.group.is_zero:
             new_cells[(p, q)] = new_cell
 
-    nxt = replace(page, r=page.r + 1, cells=new_cells, diffs={})
-    if injected:
-        ok, diags = validate_page(_install_diffs(nxt, injected))
-        if not ok:
-            raise InducedMapIllDefined(f"induced d{nxt.r}: {diags[0]}")
-    return nxt
+    return _install_diffs(replace(page, r=page.r + 1, cells=new_cells, diffs={}), injected)
 
 
 @dataclass
@@ -291,11 +257,6 @@ def run_to_infinity(
     last page with a nonzero differential, or 1 when there is none: a page
     whose maps are all zero passes every cell on unchanged.
     """
-    ok, diags = validate_page(page1)
-    if not ok:
-        raise InvalidPage(diags)
-    if page1.r != 1:
-        raise InvalidPage(["run must start from a first page"])
     pages = [page1]
     last = page1.cap + 2
     while pages[-1].r < last:

@@ -45,7 +45,7 @@ def test_chain_single_nonzero_column_layout():
         for s in range(2):
             groups[(p, s)] = ZERO
     groups[(n, 0)] = Z
-    groups[(n, 1)] = FgAbGroup.cyclic(2)
+    groups[(n, 1)] = FgAbGroup(0, (2,))
     page = build_ideal_chain_e1(IdealChainInput(length=n, groups=groups))
     for p in range(n + 1):
         for q in range(2):
@@ -89,7 +89,7 @@ def test_chain_d1_maps_are_used():
     assert not page.d1_defaulted
     run = run_to_infinity(page)
     for q in range(2):
-        assert run.e_infinity_at(0, q) == FgAbGroup.cyclic(2)
+        assert run.e_infinity_at(0, q) == FgAbGroup(0, (2,))
         assert run.e_infinity_at(1, q).is_zero
 
 
@@ -108,7 +108,7 @@ def _mv(labels, table, cap=None, **kw):
 
 
 def test_mv_single_ideal_unshifted():
-    data = {0: FgAbGroup(2, (4,)), 1: FgAbGroup.cyclic(3)}
+    data = {0: FgAbGroup(2, (4,)), 1: FgAbGroup(0, (3,))}
     inp = _mv(["a"], {("a",): data})
     page = build_mv_e1(inp)
     assert page.cell_group(0, 0) == data[0]
@@ -308,7 +308,7 @@ def test_extension_free_quotient_splits():
         _mv(
             [0, 1],
             {
-                (0,): {0: FgAbGroup.cyclic(2), 1: ZERO},
+                (0,): {0: FgAbGroup(0, (2,)), 1: ZERO},
                 (1,): {0: ZERO, 1: ZERO},
                 (0, 1): {0: ZERO, 1: Z},
             },
@@ -325,16 +325,16 @@ def test_extension_torsion_quotient_is_ambiguous():
         _mv(
             [0, 1],
             {
-                (0,): {0: FgAbGroup.cyclic(2), 1: ZERO},
+                (0,): {0: FgAbGroup(0, (2,)), 1: ZERO},
                 (1,): {0: ZERO, 1: ZERO},
-                (0, 1): {0: ZERO, 1: FgAbGroup.cyclic(2)},
+                (0, 1): {0: ZERO, 1: FgAbGroup(0, (2,))},
             },
         )
     )
     report = assemble_target(run_to_infinity(page))
     line = report.degree(0)
     assert line.ambiguous and line.assembled is None
-    assert [g for _, g in line.nonzero_pieces] == [FgAbGroup.cyclic(2), FgAbGroup.cyclic(2)]
+    assert [g for _, g in line.nonzero_pieces] == [FgAbGroup(0, (2,)), FgAbGroup(0, (2,))]
     assert report.any_ambiguous
 
 

@@ -443,7 +443,7 @@ def test_schema_errors():
         ({"kind": "page", "cap": 0, "cells": [{"p": 0, "q": 0}]}, "cells[0].group: missing"),
         (
             {"kind": "page", "cap": 0, "cells": [{"p": 0, "q": 0, "group": {"free_rank": True}}]},
-            "free_rank must be an int or 'countable', got True",
+            "cells[0].group.free_rank: expected a nonnegative integer or 'countable', got True",
         ),
         ({"kind": "page", "cap": None}, "cap: expected an integer, got NoneType"),
         ({"kind": "page", "cap": 0, "period": None}, "period: expected an integer, got NoneType"),
@@ -557,6 +557,56 @@ def test_schema_errors():
             {"kind": "mv", "labels": [0], "mode": "truncated", "truncated_at": -3},
             "truncated_at: expected a nonnegative integer, got -3",
         ),
+        ({"kind": "page", "cap": 0, "cells": [{"p": 0, "q": 0, "group": 5}]}, "cells[0].group: expected an object, got int"),
+        (
+            {"kind": "page", "cap": 0, "cells": [{"p": 0, "q": 0, "group": {"torsion": [2]}}]},
+            "cells[0].group.free_rank: missing",
+        ),
+        (
+            {"kind": "page", "cap": 0, "cells": [{"p": 0, "q": 0, "group": {"free_rank": "many"}}]},
+            "cells[0].group.free_rank: expected a nonnegative integer or 'countable', got 'many'",
+        ),
+        (
+            {"kind": "mv", "labels": [0], "intersections": [{"J": [0], "k": {"1": {"free_rank": -1}}}]},
+            "intersections[0].k.1.free_rank: expected a nonnegative integer or 'countable', got -1",
+        ),
+        (
+            {"kind": "page", "cap": 0, "cells": [{"p": 0, "q": 0, "group": {"free_rank": 0, "torsion": [1]}}]},
+            "cells[0].group.torsion: torsion coefficients must be >= 2",
+        ),
+        (
+            {"kind": "ideal_chain", "length": 0, "groups": [{"p": 0, "s": 0, "group": {"free_rank": 0, "torsion": [3, 4]}}]},
+            "groups[0].group.torsion: torsion must form a divisibility chain",
+        ),
+        (
+            {"kind": "page", "cap": 1, "d1": [{"from": [1, 0], "matrix": [[1], [1, 2]]}]},
+            "d1[0].matrix: ragged rows",
+        ),
+        (
+            {"kind": "page", "cap": 1, "d1": [{"from": [1, 0], "matrix": {"rows": 1, "cols": 1, "entries": [1, 2]}}]},
+            "d1[0].matrix: expected 1 entries, got 2",
+        ),
+        (
+            {"kind": "page", "cap": 1, "d1": [{"from": [1, 0], "matrix": {"rows": -1, "cols": 0, "entries": []}}]},
+            "d1[0].matrix: negative matrix dimension",
+        ),
+        (
+            {"kind": "page", "cap": 1, "d1": [{"from": [1, 0], "matrix": "x"}]},
+            "d1[0].matrix: expected nested lists or rows/cols/entries, got 'x'",
+        ),
+        (
+            {"kind": "page", "cap": 1, "cells": [{"p": p, "q": 0, "group": {"free_rank": 1}} for p in (0, 5)]},
+            "cell (5, 0) lies outside the support 0..1",
+        ),
+        (
+            {
+                "kind": "page",
+                "cap": 2,
+                "cells": [{"p": p, "q": 0, "group": {"free_rank": 1}} for p in (0, 1, 2)],
+                "d1": [{"from": [2, 0], "matrix": [[1]]}, {"from": [1, 0], "matrix": [[2]]}],
+            },
+            "d1 at (2, 0): d o d != 0 through (1, 0)",
+        ),
     ],
     ids=[
         "mv-no-labels", "page-no-cap", "top-level-list", "cell-no-group", "bool-free-rank",
@@ -566,7 +616,10 @@ def test_schema_errors():
         "duplicate-degree", "duplicate-cell", "duplicate-d1-from", "str-default-zero",
         "duplicate-label", "duplicate-label-in-J", "truncated-without-truncated-at",
         "exact-with-truncated-at", "unknown-mode", "negative-page-cap",
-        "negative-ideal-chain-length", "negative-truncated-at",
+        "negative-ideal-chain-length", "negative-truncated-at", "int-group", "group-no-free-rank",
+        "str-free-rank", "negative-free-rank", "torsion-one", "torsion-not-a-chain", "ragged-matrix",
+        "matrix-entry-count", "negative-matrix-dimension", "str-matrix", "cell-outside-support",
+        "d-o-d-nonzero",
     ],
 )
 def test_bad_input_is_one_error_line(capsys, tmp_path, payload, message):
@@ -658,8 +711,37 @@ def test_bad_cover_is_one_error_line(capsys, tmp_path, cover, message):
             ["sweep", "--builtin", "wedge:countable:junk", "--caps", "1..3"],
             "unknown sweep builtin 'wedge:countable:junk'; expected wedge:countable or zinf:<m>",
         ),
+        (["run", "--builtin", "zinf:3", "--cap", "7"], "bad builtin parameter in 'zinf:3': cap 7 lies above m = 3"),
+        (
+            ["sweep", "--builtin", "zinf:3", "--caps", "1..6"],
+            "bad builtin parameter in 'zinf:3': cap 4 lies above m = 3",
+        ),
+        (
+            ["--period", "8", "sweep", "--builtin", "zinf:3", "--caps", "1..2"],
+            "builtin examples are complex-K lookups; they require --period 2",
+        ),
+        (
+            ["--period", "8", "sweep", "--builtin", "wedge:countable", "--caps", "1..2"],
+            "builtin examples are complex-K lookups; they require --period 2",
+        ),
+        (["excision", "--builtin", "rn:2", "--radius", "1/0"], "--radius: expected a rational number, got '1/0'"),
+        (
+            ["excision", "--builtin", "rn:2", "--radius", "1", "--s", "3/0"],
+            "--s: expected a rational number, got '3/0'",
+        ),
+        (
+            ["excision", "--builtin", "rn:2", "--radius", "1", "--metric", "weighted", "--weights", "1,2/0"],
+            "--weights: expected a rational number, got '2/0'",
+        ),
+        (["simplex", "verify", "--dim", "2", "--samples", "0"], "--samples: expected at least 1, got 0"),
+        (["simplex", "verify", "--dim", "2", "--samples", "-3"], "--samples: expected at least 1, got -3"),
     ],
-    ids=["rn-cap", "wedge-cap", "wedge-countable-cap", "input-cap", "sweep-wedge-countable-suffix"],
+    ids=[
+        "rn-cap", "wedge-cap", "wedge-countable-cap", "input-cap", "sweep-wedge-countable-suffix",
+        "zinf-cap-above-m", "sweep-zinf-caps-above-m", "sweep-zinf-ko-period", "sweep-wedge-ko-period",
+        "excision-radius-1/0", "excision-s-3/0", "excision-weights-2/0", "simplex-samples-0",
+        "simplex-samples-negative",
+    ],
 )
 def test_bad_arguments_are_one_error_line(capsys, args, message):
     code, out, err = run_cli(capsys, *args)
