@@ -2,7 +2,9 @@
 
 Every finite intersection keeps a nonpositive half-ray factor and is
 flasque, so the whole first page vanishes regardless of the truncation
-prefix m or the index-set cap.
+prefix m <= 30 or the index-set cap.  The first-page walk proves every
+index set flasque without listing them, so m = 30 at cap 30 runs in
+milliseconds; the script exits nonzero if any first page is nonzero.
 """
 
 from coarsek.assembly import run_mv
@@ -10,9 +12,10 @@ from coarsek.coarse import zinf_mv_input
 
 if __name__ == "__main__":
     print(f"{'m':>2} {'cap':>4} {'K_0':>4} {'K_1':>4} {'nonzero E1 cells':>18}")
-    for m in range(2, 9):
-        for cap in range(1, 5):
+    for m in range(2, 31):
+        for cap in sorted({1, min(4, m), m}):
             run, report = run_mv(zinf_mv_input(m, cap))
             cells = sum(1 for _ in run.first_page.cells)
             print(f"{m:>2} {cap:>4} {str(report.degree(0).assembled):>4} "
                   f"{str(report.degree(1).assembled):>4} {cells:>18}")
+            assert cells == 0, (m, cap)

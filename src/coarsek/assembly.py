@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .abelian import FgAbGroup, IntMatrix
 from .pages import Grading, Page, SpectralRun, first_page, run_to_infinity
@@ -77,6 +77,10 @@ class MvInput:
     the column index p, so index sets up to size cap+1 are consulted; for
     a finite family the natural cap is len(labels) - 1.
 
+    ``walk(top)``, when given, lists sorted index sets of sizes 1..top in
+    lexicographic order, including every set with a nonzero K-group; only
+    those are consulted.  None consults every combination.
+
     ``truncated_at`` is None when every K-group beyond the caps is known
     to be zero; otherwise the run is truncated and every report says so.
     """
@@ -88,6 +92,7 @@ class MvInput:
     d1: Mapping[tuple[int, int], IntMatrix] | None = None
     grading: Grading = Grading(2)
     truncated_at: int | None = None
+    walk: Callable[[int], Iterable[tuple]] | None = None
 
     def __post_init__(self) -> None:
         if not (0 <= self.cap <= max(len(self.labels) - 1, 0)):
@@ -123,13 +128,17 @@ def build_mv_e1(inp: MvInput) -> Page:
     on the sorted index sets and the order is recorded on the page, so user
     d1 matrices (acting on the concatenated summand generators) are
     unambiguous.  Zero summands have no generators, so leaving them out
-    does not move any generator.
+    (including every set the input's walk skips) does not move any generator.
     """
     ordered_labels = sorted(inp.labels)
+    walk = inp.walk or (lambda top: (j for n in range(1, top + 1) for j in combinations(ordered_labels, n)))
+    by_size: dict[int, list[tuple]] = {}
+    for j in walk(inp.cap + 1):
+        by_size.setdefault(len(j), []).append(j)
     parts: dict[tuple[int, int], list[FgAbGroup]] = {}
     summands: dict[tuple[int, int], tuple] = {}
     for p in range(inp.cap + 1):
-        graded = [(j, inp.graded_for(j)) for j in combinations(ordered_labels, p + 1)]
+        graded = [(j, inp.graded_for(j)) for j in by_size.get(p + 1, ())]
         for q in range(inp.grading.period):
             nonzero = [(j, g[q]) for j, g in graded if q in g and not g[q].is_zero]
             if nonzero:

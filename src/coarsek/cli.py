@@ -53,6 +53,8 @@ def _parse_builtin(name: str, cap: int | None, period: int):
             m = int(parts[1])
             if cap is not None and cap > m:
                 raise ValueError(f"cap {cap} lies above m = {m}")
+            if cap is not None and cap < 0:
+                raise ValueError(f"cap {cap} lies below 0")
             return zinf_mv_input(m, m if cap is None else cap)
         if kind == "wedge" and len(parts) == 2 and parts[1] != "countable":
             return wedge_mv_input(int(parts[1]))
@@ -230,16 +232,23 @@ def _cmd_simplex(args) -> int:
 
 
 def _parse_caps(spec: str) -> list[int]:
-    if ".." in spec:
-        lo, hi = spec.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in spec.split(",")]
+    try:
+        if ".." in spec:
+            lo, hi = spec.split("..")
+            caps = list(range(int(lo), int(hi) + 1))
+        else:
+            caps = [int(x) for x in spec.split(",")]
+    except ValueError:
+        raise CliError(f"--caps: expected A..B or a comma list of integers, got {spec!r}") from None
+    if not caps:
+        raise CliError(f"--caps: empty range {spec!r}")
+    if min(caps) < 1:
+        raise CliError(f"--caps: caps must be positive, got {spec!r}")
+    return caps
 
 
 def _cmd_sweep(args) -> int:
     caps = _parse_caps(args.caps)
-    if not caps or min(caps) < 1:
-        raise CliError("caps must be positive")
     if args.builtin == "wedge:countable":
         family = lambda c: _parse_builtin(f"wedge:countable:{c}", None, args.period)  # noqa: E731
     elif args.builtin.startswith("zinf:"):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import floor, lcm
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .abelian import FgAbGroup
 from .assembly import MvInput
@@ -198,27 +198,51 @@ def zinf_block_family(m: int) -> list[BlockySpace]:
 
 
 def _blocky_rule(spaces: Sequence[BlockySpace]) -> Callable[[tuple], dict[int, FgAbGroup]]:
-    """K-data rule of a blocky cover: the meet of a sorted J is the memoised
-    meet of J[:-1] met with one more space, one factorwise meet per set."""
-    meets: dict[tuple, BlockySpace] = {}
+    """K-data rule of a blocky cover: the K-theory of the meet of J."""
+    return lambda j: roe_k_theory(intersect([spaces[i] for i in j]))
 
-    def meet_of(j: tuple) -> BlockySpace:
-        if j not in meets:
-            meets[j] = intersect([meet_of(j[:-1]), spaces[j[-1]]]) if len(j) > 1 else spaces[j[0]]
-        return meets[j]
 
-    return lambda j: roe_k_theory(meet_of(j))
+def _blocky_walk(spaces: Sequence[BlockySpace]) -> Callable[[int], Iterator[tuple]]:
+    """Depth-first walk yielding, in lexicographic order, the index sets of
+    size <= top whose meet is not flasque (has no ray factor).
+
+    A ray is fixed only by a later ``zero`` or opposite ray, so a level stops
+    once the running meet holds a ray that no label from there on can fix.
+    """
+    rays = (Factor.NONNEG, Factor.NONPOS)
+    # fixable[i]: the (coordinate, ray) pairs that some label >= i meets to zero
+    fixable = [frozenset()] * (len(spaces) + 1)
+    for i in range(len(spaces) - 1, -1, -1):
+        fix = {(c, r) for c, f in enumerate(spaces[i].factors) for r in rays if f not in (r, Factor.FULL)}
+        fixable[i] = fixable[i + 1] | fix
+
+    def below(j: tuple, factors: tuple, top: int) -> Iterator[tuple]:
+        held = {(c, f) for c, f in enumerate(factors) if f in rays}
+        if j and not held:
+            yield j
+        if len(j) == top:
+            return
+        for i in range(j[-1] + 1 if j else 0, len(spaces)):
+            if not held <= fixable[i]:
+                return
+            yield from below(j + (i,), tuple(map(meet, factors, spaces[i].factors)), top)
+
+    return lambda top: below((), (Factor.FULL,) * spaces[0].dim, top)
+
+
+def _blocky_mv_input(spaces: Sequence[BlockySpace], cap: int) -> MvInput:
+    return MvInput(tuple(range(len(spaces))), cap, rule=_blocky_rule(spaces), walk=_blocky_walk(spaces))
 
 
 def rn_mv_input(n: int) -> MvInput:
     """Mayer-Vietoris input for the block decomposition of Z^n."""
-    return MvInput(labels=tuple(range(n + 1)), cap=n, rule=_blocky_rule(block_decomposition(n)))
+    return _blocky_mv_input(block_decomposition(n), n)
 
 
 def zinf_mv_input(m: int, cap: int) -> MvInput:
     """Truncated input for the countable block family; exact because every
     finite intersection is provably flasque, at any cap."""
-    return MvInput(labels=tuple(range(m + 1)), cap=min(cap, m), rule=_blocky_rule(zinf_block_family(m)))
+    return _blocky_mv_input(zinf_block_family(m), min(cap, m))
 
 
 def wedge_mv_input(k: int, truncated: bool = False) -> MvInput:
@@ -235,11 +259,13 @@ def wedge_mv_input(k: int, truncated: bool = False) -> MvInput:
             return roe_k_theory(pieces[j[0]])
         return roe_k_theory(WedgeCoverPiece(0, "base_ray"))
 
+    # every |J| >= 2 meets in the flasque base ray, so only singletons count
     return MvInput(
         labels=tuple(range(k)),
         cap=k - 1,
         rule=rule,
         truncated_at=k if truncated else None,
+        walk=lambda top: ((i,) for i in range(k)),
     )
 
 

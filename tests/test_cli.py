@@ -712,6 +712,7 @@ def test_bad_cover_is_one_error_line(capsys, tmp_path, cover, message):
             "unknown sweep builtin 'wedge:countable:junk'; expected wedge:countable or zinf:<m>",
         ),
         (["run", "--builtin", "zinf:3", "--cap", "7"], "bad builtin parameter in 'zinf:3': cap 7 lies above m = 3"),
+        (["run", "--builtin", "zinf:3", "--cap=-1"], "bad builtin parameter in 'zinf:3': cap -1 lies below 0"),
         (
             ["sweep", "--builtin", "zinf:3", "--caps", "1..6"],
             "bad builtin parameter in 'zinf:3': cap 4 lies above m = 3",
@@ -735,12 +736,22 @@ def test_bad_cover_is_one_error_line(capsys, tmp_path, cover, message):
         ),
         (["simplex", "verify", "--dim", "2", "--samples", "0"], "--samples: expected at least 1, got 0"),
         (["simplex", "verify", "--dim", "2", "--samples", "-3"], "--samples: expected at least 1, got -3"),
+        (
+            ["sweep", "--builtin", "zinf:3", "--caps", "1/0"],
+            "--caps: expected A..B or a comma list of integers, got '1/0'",
+        ),
+        (
+            ["sweep", "--builtin", "zinf:3", "--caps", "1..2..3"],
+            "--caps: expected A..B or a comma list of integers, got '1..2..3'",
+        ),
+        (["sweep", "--builtin", "zinf:3", "--caps", "3..1"], "--caps: empty range '3..1'"),
+        (["sweep", "--builtin", "zinf:3", "--caps", "0..3"], "--caps: caps must be positive, got '0..3'"),
     ],
     ids=[
         "rn-cap", "wedge-cap", "wedge-countable-cap", "input-cap", "sweep-wedge-countable-suffix",
-        "zinf-cap-above-m", "sweep-zinf-caps-above-m", "sweep-zinf-ko-period", "sweep-wedge-ko-period",
+        "zinf-cap-above-m", "zinf-cap-negative", "sweep-zinf-caps-above-m", "sweep-zinf-ko-period", "sweep-wedge-ko-period",
         "excision-radius-1/0", "excision-s-3/0", "excision-weights-2/0", "simplex-samples-0",
-        "simplex-samples-negative",
+        "simplex-samples-negative", "caps-1/0", "caps-1..2..3", "caps-empty-range", "caps-0..3",
     ],
 )
 def test_bad_arguments_are_one_error_line(capsys, args, message):

@@ -1,5 +1,6 @@
 """Blocky grammar, K-theory lookup, covers, and the excision oracle."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -20,6 +21,7 @@ from coarsek.coarse import (
     UnknownSpace,
     WedgeCoverPiece,
     _blocky_rule,
+    _blocky_walk,
     block_decomposition,
     check_cover_excision,
     check_excision,
@@ -196,12 +198,42 @@ def test_builtin_rules_match_direct_intersections_in_any_query_order():
 
 def test_blocky_rule_matches_direct_intersections_on_random_covers():
     rng = random.Random(11)
-    for _ in range(30):
+    for _ in range(400):
         dim = rng.randint(1, 4)
-        spaces = [BlockySpace(tuple(rng.choice(ALL_FACTORS) for _ in range(dim))) for _ in range(rng.randint(1, 5))]
+        spaces = [BlockySpace(tuple(rng.choice(ALL_FACTORS) for _ in range(dim))) for _ in range(rng.randint(1, 8))]
         rule = _blocky_rule(spaces)
         for j in _all_index_sets_shuffled(range(len(spaces)), rng):
             assert rule(tuple(sorted(j))) == roe_k_theory(intersect([spaces[i] for i in j]))
+        # the walk lists exactly the non-flasque meets, lexicographically
+        top = rng.randint(1, len(spaces))
+        expected = sorted(
+            j
+            for size in range(1, top + 1)
+            for j in combinations(range(len(spaces)), size)
+            if not classify(intersect([spaces[i] for i in j])).flasque
+        )
+        assert list(_blocky_walk(spaces)(top)) == expected
+    for k in range(1, 9):
+        inp = wedge_mv_input(k)
+        walked = set(inp.walk(k))
+        for size in range(1, k + 1):
+            for j in combinations(inp.labels, size):
+                if any(not g.is_zero for g in inp.graded_for(j).values()):
+                    assert j in walked
+
+
+@pytest.mark.parametrize(
+    "inp", [rn_mv_input(12), wedge_mv_input(15), zinf_mv_input(11, 10)], ids=["rn12", "wedge15", "zinf11"]
+)
+def test_builtin_first_page_asks_the_rule_at_most_once_per_label(inp):
+    calls = []
+
+    def counted(j):
+        calls.append(j)
+        return inp.rule(j)
+
+    build_mv_e1(dataclasses.replace(inp, rule=counted))
+    assert len(calls) <= len(inp.labels)
 
 
 def test_wedge_cover_pieces():

@@ -29,6 +29,12 @@ CASES = {
     "wedge-countable4": ["run", "--builtin", "wedge:countable:4"],
     "sweep-wedge-countable": ["sweep", "--builtin", "wedge:countable", "--caps", "1..5"],
     "sweep-zinf4": ["sweep", "--builtin", "zinf:4", "--caps", "1..4"],
+    # the sizes the nerve benchmark runs
+    "rn12": ["run", "--builtin", "rn:12"],
+    "wedge15": ["run", "--builtin", "wedge:15"],
+    "zinf11": ["run", "--builtin", "zinf:11", "--cap", "10"],
+    "sweep-zinf10": ["sweep", "--builtin", "zinf:10", "--caps", "1..10"],
+    "sweep-wedge-countable13": ["sweep", "--builtin", "wedge:countable", "--caps", "1..13"],
     **{
         f"readme-{kind}": ["run", "--input", str(GOLDEN / "inputs" / f"readme_{kind}.json")]
         for kind in ("mv", "ideal_chain", "page")
