@@ -9,14 +9,15 @@ any answer differs.
 """
 
 from coarsek.abelian import FgAbGroup
-from coarsek.assembly import run_mv, truncation_sweep
+from coarsek.assembly import assemble_target, build_mv_e1, truncation_sweep
 from coarsek.coarse import wedge_mv_input
+from coarsek.pages import run_to_infinity
 
 if __name__ == "__main__":
     print("finite wedges")
     print(f"{'k':>3} {'K_0':>5} {'K_1':>6}")
     for k in range(2, 41):
-        _, report = run_mv(wedge_mv_input(k))
+        report = assemble_target(run_to_infinity(build_mv_e1(wedge_mv_input(k))))
         print(f"{k:>3} {str(report.degree(0).assembled):>5} "
               f"{str(report.degree(1).assembled):>6}")
         assert report.degree(0).assembled.is_zero, k

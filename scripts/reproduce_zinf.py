@@ -7,14 +7,16 @@ index set flasque without listing them, so m = 30 at cap 30 runs in
 milliseconds; the script exits nonzero if any first page is nonzero.
 """
 
-from coarsek.assembly import run_mv
+from coarsek.assembly import assemble_target, build_mv_e1
 from coarsek.coarse import zinf_mv_input
+from coarsek.pages import run_to_infinity
 
 if __name__ == "__main__":
     print(f"{'m':>2} {'cap':>4} {'K_0':>4} {'K_1':>4} {'nonzero E1 cells':>18}")
     for m in range(2, 31):
         for cap in sorted({1, min(4, m), m}):
-            run, report = run_mv(zinf_mv_input(m, cap))
+            run = run_to_infinity(build_mv_e1(zinf_mv_input(m, cap)))
+            report = assemble_target(run)
             cells = sum(1 for _ in run.first_page.cells)
             print(f"{m:>2} {cap:>4} {str(report.degree(0).assembled):>4} "
                   f"{str(report.degree(1).assembled):>4} {cells:>18}")

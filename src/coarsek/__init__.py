@@ -17,7 +17,6 @@ from .abelian import (
     SnfResult,
     SubquotientCell,
     cokernel,
-    homology_at,
     smith_normal_form,
     subquotient,
 )
@@ -28,7 +27,6 @@ from .assembly import (
     assemble_target,
     build_ideal_chain_e1,
     build_mv_e1,
-    run_mv,
     truncation_sweep,
 )
 from .coarse import (

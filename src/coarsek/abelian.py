@@ -27,10 +27,6 @@ class IncompatibleShapes(AbelianError):
     pass
 
 
-class CompositionNonzero(AbelianError):
-    pass
-
-
 class InfiniteRankArithmetic(AbelianError):
     """Nonzero arithmetic was requested through a countable-rank group."""
 
@@ -89,10 +85,9 @@ class IntMatrix:
         return cls(rows, cols, (0,) * (rows * cols))
 
     @classmethod
-    def diagonal(cls, diag: Sequence[int], rows: int | None = None, cols: int | None = None) -> "IntMatrix":
-        r = len(diag) if rows is None else rows
-        c = len(diag) if cols is None else cols
-        return cls(r, c, tuple(diag[i] if i == j and i < len(diag) else 0 for i in range(r) for j in range(c)))
+    def diagonal(cls, diag: Sequence[int]) -> "IntMatrix":
+        n = len(diag)
+        return cls(n, n, tuple(diag[i] if i == j else 0 for i in range(n) for j in range(n)))
 
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
@@ -138,9 +133,6 @@ class IntMatrix:
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.entries)
-
-    def neg(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(-x for x in self.entries))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"IntMatrix.from_rows({self.to_rows()!r})"
@@ -308,39 +300,23 @@ def _finish(w: _SnfWork, a: IntMatrix) -> SnfResult:
 # lattice helpers (column lattices in Z^m)
 
 
-def lattice_basis(gens: IntMatrix) -> IntMatrix:
-    """Basis of the column lattice spanned by ``gens`` (m x rank)."""
-    s = smith_normal_form(gens)
-    cols = [
-        tuple(s.U_inv[i, k] * d for i in range(gens.rows))
-        for k, d in enumerate(s.diagonal)
-        if d != 0
-    ]
-    return IntMatrix.from_columns(cols, gens.rows)
-
-
 def solve_columns(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
-    """Integer solution X of a @ X = b, or None if none exists."""
+    """Integer solution X of a @ X = b, or None if none exists.
+
+    With U @ a @ V == D, X = V @ Y for an integer Y with D @ Y == U @ b.
+    Such a Y exists exactly when the rows of U @ b past the rank vanish
+    and each row before it is divisible by its invariant factor.
+    """
     if a.rows != b.rows:
         raise IncompatibleShapes("solve_columns row mismatch")
     s = smith_normal_form(a)
-    diag = s.diagonal
     rank = s.rank
+    diag = s.diagonal[:rank]
     ub = s.U @ b
-    sol_cols: list[list[int]] = []
-    for j in range(b.cols):
-        y = [0] * a.cols
-        for i in range(a.rows):
-            rhs = ub[i, j]
-            if i < rank:
-                if rhs % diag[i] != 0:
-                    return None
-                if i < a.cols:
-                    y[i] = rhs // diag[i]
-            elif rhs != 0:
-                return None
-        sol_cols.append(list(s.V.apply(y)))
-    return IntMatrix.from_columns(sol_cols, a.cols)
+    if any(x % diag[i] if i < rank else x for i in range(ub.rows) for x in ub.row(i)):
+        return None
+    y = tuple(x // d for i, d in enumerate(diag) for x in ub.row(i))
+    return s.V @ IntMatrix(a.cols, b.cols, y + (0,) * ((a.cols - rank) * b.cols))
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
@@ -350,14 +326,14 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     return s.V.select_columns(range(rank, a.cols))
 
 
-def preimage_basis(a: IntMatrix, target_lattice: IntMatrix) -> IntMatrix:
-    """Basis of {x : a @ x lies in the column lattice of ``target_lattice``}."""
-    if target_lattice.cols == 0:
-        return kernel_basis(a)
-    stacked = a.hstack(target_lattice.neg())
-    ker = kernel_basis(stacked)
-    projected = ker.select_rows(range(a.cols))
-    return lattice_basis(projected)
+def preimage_basis(a: IntMatrix, t: IntMatrix) -> IntMatrix:
+    """Basis of {x : a @ x lies in the column lattice of ``t``}.
+
+    The columns of ``t`` must be independent, as those of a relation
+    matrix are.  Then a @ x + t @ y == 0 fixes y by x, so dropping y from
+    a kernel basis of [a | t] leaves a basis; the sign of t is immaterial.
+    """
+    return kernel_basis(a.hstack(t)).select_rows(range(a.cols))
 
 
 # ---------------------------------------------------------------------------
@@ -607,18 +583,3 @@ def subquotient(cycles: IntMatrix, boundary_gens: IntMatrix) -> SubquotientCell:
         s.U.select_rows(sel),
     )
 
-
-def homology_at(f: GroupHom, g: GroupHom) -> SubquotientCell:
-    """Homology ker(g)/im(f) at the middle group f.target == g.source.
-
-    The cell's ``gens`` express the generators of its ``group`` in the
-    middle group's generators (needed to induce maps on it later).
-
-    >>> two = GroupHom(FgAbGroup.free(1), FgAbGroup.free(1), IntMatrix.from_rows([[2]]))
-    >>> print(homology_at(two, GroupHom.zero(FgAbGroup.free(1), FgAbGroup.zero())).group)
-    Z/2
-    """
-    if not g.compose(f).is_zero_map():
-        raise CompositionNonzero("g o f is not the zero map")
-    cycles = preimage_basis(g.matrix, g.target.relation_matrix())
-    return subquotient(cycles, f.matrix.hstack(f.target.relation_matrix()))

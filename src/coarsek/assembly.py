@@ -230,11 +230,6 @@ def assemble_target(run: SpectralRun) -> FiltrationReport:
     )
 
 
-def run_mv(inp: MvInput) -> tuple[SpectralRun, FiltrationReport]:
-    run = run_to_infinity(build_mv_e1(inp))
-    return run, assemble_target(run)
-
-
 # ---------------------------------------------------------------------------
 # truncation sweeps: direct-limit semantics at desk scale
 
@@ -273,8 +268,8 @@ def _stable_from(values: Sequence, caps: Sequence[int]) -> int | None:
 
 
 def truncation_sweep(family: Callable[[int], MvInput], caps: Sequence[int]) -> SweepReport:
-    """Run the pipeline at each cap and report where answers settle."""
-    caps = tuple(sorted(caps))
+    """Run the pipeline once at each distinct cap and report where answers settle."""
+    caps = tuple(sorted(set(caps)))
     e1_cells: dict[int, dict[tuple[int, int], FgAbGroup]] = {}
     reports: dict[int, FiltrationReport] = {}
     period = None

@@ -178,16 +178,17 @@ def _install_diffs(page: Page, matrices: Mapping[tuple[int, int], IntMatrix] | N
 def _induce_hom(matrix: IntMatrix, src: SubquotientCell, tgt: SubquotientCell, name: str) -> GroupHom:
     """Induce a map of subquotients from an ambient-coordinate matrix.
 
-    One solve expresses the images of the source cycles and of the source
-    generators in the target's cycle basis; ``tgt.proj`` then gives the
-    generator coordinates of the latter.
+    The source cycles are spanned by the source boundaries and generators,
+    so once boundaries go into boundaries, solving for the generators'
+    images in the target's cycle basis checks every cycle; ``tgt.proj``
+    then gives their generator coordinates.
     """
-    images = solve_columns(tgt.cycles, matrix @ src.cycles.hstack(src.gens))
-    if images is None:
-        raise InducedMapIllDefined(f"{name}: cycles are not carried into cycles")
     if solve_columns(tgt.boundaries, matrix @ src.boundaries) is None:
         raise InducedMapIllDefined(f"{name}: boundaries are not carried into boundaries")
-    coords = tgt.proj @ images.select_columns(range(src.cycles.cols, images.cols))
+    images = solve_columns(tgt.cycles, matrix @ src.gens)
+    if images is None:
+        raise InducedMapIllDefined(f"{name}: cycles are not carried into cycles")
+    coords = tgt.proj @ images
     cols = [tgt.group.reduce_element(coords.column(j)) for j in range(coords.cols)]
     return GroupHom(src.group, tgt.group, IntMatrix.from_columns(cols, tgt.group.gen_count))
 

@@ -1,14 +1,15 @@
-"""Exact-arithmetic layer: Smith form, cokernels, homology, exactness."""
+"""Exact-arithmetic layer: Smith form, cokernels, groups, maps, preimage lattices,
+and the homology that page turning computes from them."""
 
 import random
 from dataclasses import replace
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsek.abelian import (
-    CompositionNonzero,
     CountablyInfinite,
     FgAbGroup,
     GroupHom,
@@ -17,11 +18,13 @@ from coarsek.abelian import (
     IntMatrix,
     SnfResult,
     cokernel,
-    homology_at,
+    preimage_basis,
     smith_normal_form,
 )
+from coarsek.pages import Grading, first_page, turn_page
 
 from _oracles import (
+    _solve_in_basis,
     determinantal_invariants,
     enumerate_quotient_order,
     laplace_det,
@@ -262,34 +265,35 @@ def test_hom_zero_map_detection():
 
 
 # ---------------------------------------------------------------------------
-# homology and exactness
+# preimage lattices
 
 
-def test_homology_spec_examples():
-    assert homology_at(GroupHom.zero(Z, Z), GroupHom.zero(Z, Z)).group == Z
-    two = GroupHom(Z, Z, IntMatrix.from_rows([[2]]))
-    assert homology_at(two, GroupHom.zero(Z, ZERO)).group == FgAbGroup(0, (2,))
-    z2 = FgAbGroup.free(2)
-    inj = GroupHom(z2, z2, IntMatrix.diagonal([2, 3]))
-    assert homology_at(GroupHom.zero(ZERO, z2), inj).group == ZERO
+def test_preimage_basis_against_brute_force():
+    rng = random.Random(5)
+    for _ in range(40):
+        group = random_group(rng)
+        a = random_matrix(rng, group.gen_count, rng.randint(1, 3), -4, 4)
+        basis = preimage_basis(a, group.relation_matrix())
+        columns = [list(basis.column(j)) for j in range(basis.cols)]
+        assert q_rank(basis.to_rows()) == basis.cols
+        for x in columns:
+            assert group.element_in_relations(a.apply(x))
+        # _solve_in_basis raises unless x has integer coordinates
+        for x in product(range(-3, 4), repeat=a.cols):
+            if group.element_in_relations(a.apply(x)):
+                _solve_in_basis(columns, list(x))
 
 
-def test_homology_checks_composition():
-    one = GroupHom(Z, Z, IntMatrix.identity(1))
-    with pytest.raises(CompositionNonzero):
-        homology_at(one, one)
-    with pytest.raises(IncompatibleShapes):
-        homology_at(GroupHom.zero(Z, Z), GroupHom.zero(FgAbGroup.free(2), Z))
+# ---------------------------------------------------------------------------
+# homology, as page turning computes it
 
 
-def test_homology_lift_consists_of_cycles():
-    rng = random.Random(3)
-    for _ in range(50):
-        f, g = _random_composable_pair(rng)
-        h = homology_at(f, g)
-        for j in range(h.gens.cols):
-            image = g.matrix.apply(h.gens.column(j))
-            assert g.target.element_in_relations(image)
+def _middle_homology(f, g):
+    """The (1, 0) cell after turning the page A -f-> B -g-> C, laid out as
+    the column chain (2, 0) -> (1, 0) -> (0, 0), or None when it dies."""
+    groups = {(2, 0): [f.source], (1, 0): [f.target], (0, 0): [g.target]}
+    page = first_page(2, Grading(2), groups, {(2, 0): f.matrix, (1, 0): g.matrix})
+    return turn_page(page).cells.get((1, 0))
 
 
 def _random_composable_pair(rng):
@@ -304,25 +308,22 @@ def _random_composable_pair(rng):
             return f, g
 
 
+def test_homology_lift_consists_of_cycles():
+    rng = random.Random(3)
+    for _ in range(50):
+        f, g = _random_composable_pair(rng)
+        cell = _middle_homology(f, g)
+        for j in range(cell.gens.cols if cell else 0):
+            image = g.matrix.apply(cell.gens.column(j))
+            assert g.target.element_in_relations(image)
+
+
 def test_homology_matches_independent_oracle_on_200_pairs():
     rng = random.Random(99)
     for _ in range(200):
         f, g = _random_composable_pair(rng)
-        assert homology_at(f, g).group == oracle_homology(f, g)
-
-
-def test_exactness_examples():
-    # exact means zero homology; otherwise the homology generators witness it
-    h = homology_at(GroupHom.zero(ZERO, Z), GroupHom(Z, Z, IntMatrix.identity(1)))
-    assert h.group.is_zero and h.gens.cols == 0
-    two = GroupHom(Z, Z, IntMatrix.from_rows([[2]]))
-    h = homology_at(two, GroupHom.zero(Z, ZERO))
-    assert not h.group.is_zero
-    # the witness generates the Z/2 homology: odd multiple of the generator
-    assert h.gens.cols == 1 and h.gens.column(0)[0] % 2 == 1
-    proj = GroupHom(Z, FgAbGroup(0, (2,)), IntMatrix.from_rows([[1]]))
-    h = homology_at(two, proj)
-    assert h.group.is_zero and h.gens.cols == 0
+        cell = _middle_homology(f, g)
+        assert (cell.group if cell else ZERO) == oracle_homology(f, g)
 
 
 def test_free_rank_agrees_with_rational_rank():

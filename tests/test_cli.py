@@ -388,6 +388,18 @@ def test_sweep_zinf(capsys):
     assert "K_0: stable from cap 1" in out
 
 
+@pytest.mark.parametrize(
+    ("builtin", "caps"),
+    [("zinf:3", "1,1,2"), ("wedge:countable", "2,1,2")],
+    ids=["zinf", "wedge-countable"],
+)
+def test_sweep_runs_a_repeated_cap_once(capsys, builtin, caps):
+    code, out, _ = run_cli(capsys, "sweep", "--builtin", builtin, "--caps", caps)
+    assert code == 0
+    assert out.count("cap 2:") == 1
+    assert out == run_cli(capsys, "sweep", "--builtin", builtin, "--caps", "1,2")[1]
+
+
 # ---------------------------------------------------------------------------
 # serialization round trips
 

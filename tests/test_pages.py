@@ -10,7 +10,6 @@ from coarsek.abelian import (
     GroupHom,
     IncompatibleShapes,
     IntMatrix,
-    homology_at,
 )
 from coarsek.pages import (
     Grading,
@@ -21,9 +20,10 @@ from coarsek.pages import (
     turn_page,
 )
 
-from _oracles import cells_isomorphic, random_group, random_hom
+from _oracles import cells_isomorphic, oracle_homology, random_group, random_hom
 
 Z = FgAbGroup.free(1)
+ZERO = FgAbGroup.zero()
 
 
 def _page(cap, groups, d1=None, period=2):
@@ -95,23 +95,49 @@ def test_turn_page_times_two():
     assert nxt.cell_group(0, 0) == FgAbGroup(0, (2,))
 
 
+def _chain_page(f, g):
+    """A -f-> B -g-> C as the column chain (2,0) -> (1,0) -> (0,0); a
+    one-summand cell keeps its group's generators, so d1 is f and g."""
+    groups = {(2, 0): f.source, (1, 0): f.target, (0, 0): g.target}
+    return _page(2, groups, d1={(2, 0): f.matrix, (1, 0): g.matrix})
+
+
 def test_turn_page_matches_homology_oracle_on_random_complexes():
     rng = random.Random(21)
-    for _ in range(60):
-        a, b, c = (random_group(rng, max_rank=2, max_torsion=1) for _ in range(3))
-        if a.is_zero or b.is_zero or c.is_zero:
-            continue
+    pairs = 0
+    while pairs < 200:
+        a, b, c = (random_group(rng) for _ in range(3))
         f = random_hom(rng, a, b)
         g = random_hom(rng, b, c)
         if not g.compose(f).is_zero_map():
             continue
-        # embed A -> B -> C as the column chain (2,0) -> (1,0) -> (0,0); a
-        # one-summand cell keeps its group's generators, so d1 is f and g
-        page = _page(2, {(2, 0): a, (1, 0): b, (0, 0): c}, d1={(2, 0): f.matrix, (1, 0): g.matrix})
-        nxt = turn_page(page)
-        assert nxt.cell_group(1, 0) == homology_at(f, g).group
-        assert nxt.cell_group(2, 0) == homology_at(GroupHom.zero(FgAbGroup.zero(), a), f).group
-        assert nxt.cell_group(0, 0) == homology_at(g, GroupHom.zero(c, FgAbGroup.zero())).group
+        pairs += 1
+        nxt = turn_page(_chain_page(f, g))
+        assert nxt.cell_group(1, 0) == oracle_homology(f, g)
+        assert nxt.cell_group(2, 0) == oracle_homology(GroupHom.zero(ZERO, a), f)
+        assert nxt.cell_group(0, 0) == oracle_homology(g, GroupHom.zero(c, ZERO))
+
+
+def test_turn_page_homology_spec_examples():
+    zero = GroupHom.zero(Z, Z)
+    assert turn_page(_chain_page(zero, zero)).cell_group(1, 0) == Z
+    two = GroupHom(Z, Z, IntMatrix.from_rows([[2]]))
+    assert turn_page(_chain_page(two, GroupHom.zero(Z, ZERO))).cell_group(1, 0) == FgAbGroup(0, (2,))
+    z2 = FgAbGroup.free(2)
+    inj = GroupHom(z2, z2, IntMatrix.diagonal([2, 3]))
+    assert turn_page(_chain_page(GroupHom.zero(ZERO, z2), inj)).cell_group(1, 0) == ZERO
+
+
+def test_turn_page_exactness_witnesses():
+    # exact means the middle cell dies; otherwise its generators witness it
+    one = GroupHom(Z, Z, IntMatrix.identity(1))
+    assert (1, 0) not in turn_page(_chain_page(GroupHom.zero(ZERO, Z), one)).cells
+    two = GroupHom(Z, Z, IntMatrix.from_rows([[2]]))
+    cell = turn_page(_chain_page(two, GroupHom.zero(Z, ZERO))).cells[(1, 0)]
+    # the witness generates the Z/2 homology: odd multiple of the generator
+    assert cell.gens.cols == 1 and cell.gens.column(0)[0] % 2 == 1
+    proj = GroupHom(Z, FgAbGroup(0, (2,)), IntMatrix.from_rows([[1]]))
+    assert (1, 0) not in turn_page(_chain_page(two, proj)).cells
 
 
 # ---------------------------------------------------------------------------
