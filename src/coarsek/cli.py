@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import floor
 
 from . import jsonio
 from .abelian import AbelianError, smith_normal_form
@@ -145,7 +146,10 @@ def _pick_cover(args):
     if args.builtin:
         parts = args.builtin.split(":")
         if parts[0] == "rn" and len(parts) == 2:
-            return block_decomposition(int(parts[1]))
+            try:
+                return block_decomposition(int(parts[1]))
+            except ValueError as exc:
+                raise CliError(f"bad builtin parameter in {args.builtin!r}: {exc}") from exc
         raise CliError(f"unknown excision builtin {args.builtin!r}; expected rn:<n>")
     if args.custom == "disjoint-rays":
         return disjoint_rays()
@@ -162,6 +166,8 @@ def _fraction(flag: str, text: str) -> Fraction:
 
 
 def _cmd_excision(args) -> int:
+    if args.weights is not None and args.metric != "weighted":
+        raise CliError("--weights applies only to --metric weighted")
     cover = _pick_cover(args)
     dim = cover[0].dim
     if args.metric == "weighted":
@@ -177,7 +183,9 @@ def _cmd_excision(args) -> int:
         s_radius = radius * dim
     else:
         s_radius = radius
-    box = args.box if args.box is not None else int(2 * (s_radius + radius))
+    box = args.box
+    if box is None:  # 2(S + R), raised where that rounds down to S + R or below
+        box = max(int(2 * (s_radius + radius)), floor(s_radius + radius) + 1)
     if args.verbose:
         echo = {
             "cover_size": len(cover),

@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import floor, lcm
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
@@ -340,15 +341,6 @@ class LatticeBox:
             out.append((lo, hi))
         return LatticeBox(tuple(out))
 
-    def coordinate_gap(self, i: int, x: int) -> int:
-        """Distance from x to the i-th interval (0 inside)."""
-        lo, hi = self.intervals[i]
-        if lo is not None and x < lo:
-            return lo - x
-        if hi is not None and x > hi:
-            return x - hi
-        return 0
-
 
 def as_box(space) -> LatticeBox:
     if isinstance(space, LatticeBox):
@@ -369,48 +361,83 @@ class ExcisionResult:
     points_checked: int
 
 
-def _scaled_tables(
-    boxes: Sequence[LatticeBox], values: Sequence[int], metric: Metric, dim: int, scale: int
-) -> list[list[np.ndarray]]:
-    """Per-set, per-coordinate integer contribution tables over the range.
+def _near(box: LatticeBox, values: np.ndarray, factors: Sequence[int], cut: int, kind: str) -> np.ndarray:
+    """Mask of the grid values^dim within scaled distance ``cut`` of the box.
 
-    Contributions come pre-multiplied by ``scale`` (and the weights), so
-    radius comparisons happen in plain integers at numpy speed.
+    The distance is the max (dinf) or the sum of the per-coordinate gaps,
+    each times its factor; an empty box is near nothing.
     """
     import numpy as np
 
-    if metric.kind == "weighted":
-        factors = [int(w * scale) for w in metric.weights]
-    else:
-        factors = [scale] * dim
-    # int64 is plenty for sane inputs; huge weight denominators fall back
-    # to exact object arrays rather than risking silent wraparound
-    worst = max(abs(v) for v in values) + max(
-        abs(x) for b in boxes for lo, hi in b.intervals for x in (lo or 0, hi or 0)
-    )
-    dtype = np.int64 if worst * max(factors) * dim < 2**62 else object
+    dim = box.dim
+    if box.is_empty:
+        return np.zeros((len(values),) * dim, dtype=bool)
     tables = []
-    for box in boxes:
-        per_dim = []
-        for i in range(dim):
-            gaps = np.array([box.coordinate_gap(i, v) for v in values], dtype=dtype)
-            per_dim.append(gaps * factors[i])
-        tables.append(per_dim)
-    return tables
+    for i, ((lo, hi), f) in enumerate(zip(box.intervals, factors)):
+        gaps = values * 0 if lo is None and hi is None else abs(values - np.clip(values, lo, hi))
+        tables.append((gaps * f).reshape((1,) * i + (-1,) + (1,) * (dim - i - 1)))
+    # every axis has the full value range, so the broadcasting chain always
+    # ends at the full dim-dimensional grid
+    if kind == "dinf":  # the max is at most cut iff every coordinate is
+        return reduce(np.logical_and, [t <= cut for t in tables])
+    # entries clipped at cut + 1 leave the verdict as it is and let the sum
+    # run in the narrowest dtype that holds it
+    narrow = np.min_scalar_type(dim * (cut + 1))
+    return reduce(np.add, [np.minimum(t, cut + 1).astype(narrow) for t in tables]) <= cut
 
 
-def _distance_grid(per_dim: list[np.ndarray], metric: Metric, dim: int) -> np.ndarray:
+def _check_subsets(
+    cover: Sequence,
+    subsets: Sequence[tuple[int, ...]],
+    radius,
+    s_radius,
+    metric: Metric,
+    box: int,
+) -> dict[tuple[int, ...], ExcisionResult]:
+    """Excision verdict of each subset of the cover on one lattice box.
+
+    Each member's mask {d(x, B_j) <= R} is built once; a subset ANDs its
+    members' masks and builds only its intersection's S-mask.  Distances
+    are integers scaled by the lcm of every denominator in play.
+    """
     import numpy as np
 
-    # every axis has the full value range, so the chain of broadcasting
-    # ops below always ends at the full dim-dimensional grid
-    shaped = [
-        arr.reshape((1,) * i + (-1,) + (1,) * (dim - i - 1)) for i, arr in enumerate(per_dim)
-    ]
-    grid = shaped[0]
-    for arr in shaped[1:]:
-        grid = np.maximum(grid, arr) if metric.kind == "dinf" else grid + arr
-    return grid
+    boxes = [as_box(space) for space in cover]
+    dim = boxes[0].dim
+    if any(b.dim != dim for b in boxes):
+        raise DimensionMismatch("cover sets of different dimensions")
+    radius = Fraction(radius)
+    s_radius = Fraction(s_radius)
+    if radius <= 0 or s_radius <= 0:
+        raise ValueError("radii must be positive")
+    if Fraction(box) <= s_radius + radius:
+        raise BoxTooSmall("need box > S + R to keep the enumeration honest")
+    if metric.kind == "weighted" and len(metric.weights) != dim:
+        raise DimensionMismatch("weight count does not match dimension")
+    inner = floor(Fraction(box) - s_radius)
+
+    weights = metric.weights if metric.kind == "weighted" else (1,) * dim
+    scale = lcm(radius.denominator, s_radius.denominator, *(w.denominator for w in weights))
+    factors = [int(w * scale) for w in weights]
+    # int64 is plenty for sane inputs; huge weight denominators fall back
+    # to exact object arrays rather than risking silent wraparound
+    worst = inner + max(abs(x) for b in boxes for lo, hi in b.intervals for x in (lo or 0, hi or 0))
+    dtype = np.int64 if worst * max(factors) * dim < 2**62 else object
+    values = np.arange(-inner, inner + 1).astype(dtype)
+
+    near = [_near(b, values, factors, int(radius * scale), metric.kind) for b in boxes]
+    s_cut = int(s_radius * scale)
+    results = {}
+    for subset in subsets:
+        inter = reduce(LatticeBox.intersect, [boxes[j] for j in subset])
+        in_s = _near(inter, values, factors, s_cut, metric.kind)
+        violations = reduce(np.logical_and, [near[j] for j in subset]) & ~in_s
+        first = int(violations.argmax())  # the first violation in C order, if any
+        witness = None
+        if violations.flat[first]:
+            witness = tuple(int(k) - inner for k in np.unravel_index(first, violations.shape))
+        results[subset] = ExcisionResult(witness is None, witness, violations.size)
+    return results
 
 
 def check_excision(
@@ -431,50 +458,11 @@ def check_excision(
     bounds the enumeration, never the geometry.  The first violating
     point (lexicographically) is returned as witness.
     """
-    import numpy as np
-
     if not subset:
         raise ValueError("subset of cover indices must be nonempty")
-    boxes = [as_box(cover[j]) for j in subset]
-    dim = boxes[0].dim
-    for b in boxes:
-        if b.dim != dim:
-            raise DimensionMismatch("cover sets of different dimensions")
-    radius = Fraction(radius)
-    s_radius = Fraction(s_radius)
-    if radius <= 0 or s_radius <= 0:
-        raise ValueError("radii must be positive")
-    if Fraction(box) <= s_radius + radius:
-        raise BoxTooSmall("need box > S + R to keep the enumeration honest")
-    inner = floor(Fraction(box) - s_radius)
-    values = list(range(-inner, inner + 1))
-
-    inter = boxes[0]
-    for b in boxes[1:]:
-        inter = inter.intersect(b)
-    if metric.kind == "weighted" and len(metric.weights) != dim:
-        raise DimensionMismatch("weight count does not match dimension")
-    denoms = [w.denominator for w in metric.weights] if metric.kind == "weighted" else [1]
-    scale = lcm(*denoms, radius.denominator, s_radius.denominator)
-    tables = _scaled_tables(list(boxes) + [inter], values, metric, dim, scale)
-    r_cut = int(radius * scale)
-    s_cut = int(s_radius * scale)
-
-    in_all_r = None
-    for per_dim in tables[:-1]:
-        mask = _distance_grid(per_dim, metric, dim) <= r_cut
-        in_all_r = mask if in_all_r is None else (in_all_r & mask)
-    if inter.is_empty:
-        in_s = np.zeros_like(in_all_r)
-    else:
-        in_s = _distance_grid(tables[-1], metric, dim) <= s_cut
-    violations = in_all_r & ~in_s
-    points = len(values) ** dim
-    if not violations.any():
-        return ExcisionResult(True, None, points)
-    idx = np.argwhere(violations)[0]
-    witness = tuple(values[int(k)] for k in idx)
-    return ExcisionResult(False, witness, points)
+    members = [cover[j] for j in subset]
+    key = tuple(range(len(members)))
+    return _check_subsets(members, [key], radius, s_radius, metric, box)[key]
 
 
 def check_cover_excision(
@@ -484,17 +472,14 @@ def check_cover_excision(
     box: int,
     s_radius=None,
 ) -> dict[tuple[int, ...], ExcisionResult]:
-    """Run check_excision for every nonempty subset of the cover.
+    """check_excision for every nonempty subset of the cover.
 
     ``s_radius`` is used for all subsets (defaulting to the radius itself).
     """
-    results: dict[tuple[int, ...], ExcisionResult] = {}
     n = len(cover)
+    subsets = [j for size in range(1, n + 1) for j in combinations(range(n), size)]
     s_val = s_radius if s_radius is not None else radius
-    for size in range(1, n + 1):
-        for subset in combinations(range(n), size):
-            results[subset] = check_excision(cover, subset, radius, s_val, metric, box)
-    return results
+    return _check_subsets(cover, subsets, radius, s_val, metric, box) if subsets else {}
 
 
 def disjoint_rays() -> list[LatticeBox]:

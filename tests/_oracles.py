@@ -13,10 +13,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, prod
+from math import floor, gcd, prod
 
 from coarsek.abelian import FgAbGroup, GroupHom, IntMatrix
-from coarsek.coarse import DimensionMismatch
+from coarsek.coarse import DimensionMismatch, LatticeBox
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +363,15 @@ def enumerate_quotient_order(matrix: IntMatrix) -> int:
 # lattice distances: closed form and brute force
 
 
+def _gap(x: int, lo: int | None, hi: int | None) -> int:
+    """Distance from x to the interval [lo, hi], None being unbounded."""
+    if lo is not None and x < lo:
+        return lo - x
+    if hi is not None and x > hi:
+        return x - hi
+    return 0
+
+
 def set_distance(point, box, metric) -> Fraction | None:
     """Exact distance from a lattice point to a box; None when empty.
 
@@ -371,7 +380,7 @@ def set_distance(point, box, metric) -> Fraction | None:
     """
     if box.is_empty:
         return None
-    gaps = [box.coordinate_gap(i, int(point[i])) for i in range(box.dim)]
+    gaps = [_gap(int(x), lo, hi) for x, (lo, hi) in zip(point, box.intervals)]
     if metric.kind == "dinf":
         return Fraction(max(gaps, default=0))
     if metric.kind == "d1":
@@ -402,6 +411,30 @@ def brute_force_distance(point, box, metric, search: int) -> Fraction | None:
         if best is None or d < best:
             best = d
     return best
+
+
+def oracle_excision(boxes, radius, s_radius, metric, box: int) -> tuple[int, ...] | None:
+    """First lattice point, in lexicographic order, of [-inner, inner]^dim
+    (inner = floor(box - s_radius)) lying within ``radius`` of every box but
+    not within ``s_radius`` of their intersection; None when there is none.
+
+    Point by point through ``set_distance``; an empty set is near nothing.
+    """
+    radius, s_radius = Fraction(radius), Fraction(s_radius)
+    inner = floor(Fraction(box) - s_radius)
+    columns = []
+    for column in zip(*(b.intervals for b in boxes)):
+        los = [lo for lo, _ in column if lo is not None]
+        his = [hi for _, hi in column if hi is not None]
+        columns.append((max(los, default=None), min(his, default=None)))
+    meet = LatticeBox(tuple(columns))
+    for point in product(range(-inner, inner + 1), repeat=boxes[0].dim):
+        near = [set_distance(point, b, metric) for b in boxes]
+        if all(d is not None and d <= radius for d in near):
+            d = set_distance(point, meet, metric)
+            if d is None or d > s_radius:
+                return point
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -321,6 +321,16 @@ def test_excision_json(capsys):
     assert payload["all_ok"] is True
 
 
+@pytest.mark.parametrize("radius, box", [("1/8", 1), ("1/5", 1), ("1/4", 1), ("3/8", 1), ("1", 4), ("5/4", 5)])
+def test_excision_default_box_exceeds_s_plus_r(capsys, radius, box):
+    # dinf takes S = R; the default box is 2(S + R), or floor(S + R) + 1
+    # where 2(S + R) rounds down to S + R or below
+    code, out, err = run_cli(capsys, "--verbose", "excision", "--builtin", "rn:1", "--metric", "dinf", "--radius", radius)
+    assert (code, err) == (0, "")
+    assert f'"box": {box},' in out
+    assert "overall: PASS" in out
+
+
 def test_excision_cover_file(capsys, tmp_path):
     cover = [{"factors": ["nonpos"]}, {"factors": ["nonneg"]}]
     path = tmp_path / "cover.json"
@@ -746,6 +756,18 @@ def test_bad_cover_is_one_error_line(capsys, tmp_path, cover, message):
             ["excision", "--builtin", "rn:2", "--radius", "1", "--metric", "weighted", "--weights", "1,2/0"],
             "--weights: expected a rational number, got '2/0'",
         ),
+        (
+            ["excision", "--builtin", "rn:1", "--radius", "1", "--metric", "dinf", "--weights", "1,1"],
+            "--weights applies only to --metric weighted",
+        ),
+        (
+            ["excision", "--builtin", "rn:1", "--radius", "1", "--metric", "d1", "--weights", "1"],
+            "--weights applies only to --metric weighted",
+        ),
+        (
+            ["excision", "--builtin", "rn:x", "--radius", "1"],
+            "bad builtin parameter in 'rn:x': invalid literal for int() with base 10: 'x'",
+        ),
         (["simplex", "verify", "--dim", "2", "--samples", "0"], "--samples: expected at least 1, got 0"),
         (["simplex", "verify", "--dim", "2", "--samples", "-3"], "--samples: expected at least 1, got -3"),
         (
@@ -762,7 +784,8 @@ def test_bad_cover_is_one_error_line(capsys, tmp_path, cover, message):
     ids=[
         "rn-cap", "wedge-cap", "wedge-countable-cap", "input-cap", "sweep-wedge-countable-suffix",
         "zinf-cap-above-m", "zinf-cap-negative", "sweep-zinf-caps-above-m", "sweep-zinf-ko-period", "sweep-wedge-ko-period",
-        "excision-radius-1/0", "excision-s-3/0", "excision-weights-2/0", "simplex-samples-0",
+        "excision-radius-1/0", "excision-s-3/0", "excision-weights-2/0", "excision-dinf-weights",
+        "excision-d1-weights", "excision-rn-x", "simplex-samples-0",
         "simplex-samples-negative", "caps-1/0", "caps-1..2..3", "caps-empty-range", "caps-0..3",
     ],
 )

@@ -4,6 +4,7 @@ import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import floor
 
 import pytest
 from hypothesis import given
@@ -20,6 +21,7 @@ from coarsek.coarse import (
     SpaceClass,
     UnknownSpace,
     WedgeCoverPiece,
+    as_box,
     _blocky_rule,
     _blocky_walk,
     block_decomposition,
@@ -38,7 +40,7 @@ from coarsek.coarse import (
 )
 from coarsek.assembly import build_mv_e1
 
-from _oracles import brute_force_distance, set_distance
+from _oracles import brute_force_distance, oracle_excision, set_distance
 
 Z = FgAbGroup.free(1)
 ZERO = FgAbGroup.zero()
@@ -348,4 +350,76 @@ def test_excision_dinf_s_equals_r_many_covers():
 def test_check_cover_excision_all_subsets():
     results = check_cover_excision(block_decomposition(2), 2, Metric("dinf"), 8)
     assert len(results) == 7
+    assert all(r.ok for r in results.values())
+
+
+def _agrees_with_oracle(cover, radius, s_radius, metric, box):
+    """check_cover_excision against the point-by-point oracle on every subset."""
+    results = check_cover_excision(cover, radius, metric, box, s_radius=s_radius)
+    n = len(cover)
+    assert list(results) == [j for size in range(1, n + 1) for j in combinations(range(n), size)]
+    boxes = [as_box(space) for space in cover]
+    points = (2 * floor(Fraction(box) - Fraction(s_radius)) + 1) ** boxes[0].dim
+    for j, res in results.items():
+        want = oracle_excision([boxes[i] for i in j], radius, s_radius, metric, box)
+        assert (res.ok, res.witness, res.points_checked) == (want is None, want, points), (cover, j)
+    assert check_excision(cover, range(n), radius, s_radius, metric, box) == results[tuple(range(n))]
+    return results
+
+
+def _random_member(rng, dim):
+    if rng.random() < 0.5:
+        return BlockySpace(tuple(rng.choice(ALL_FACTORS) for _ in range(dim)))
+    intervals = []
+    for _ in range(dim):
+        lo = rng.choice((None, rng.randint(-4, 3)))
+        hi = rng.choice((None, rng.randint(-3 if lo is None else lo, 4)))
+        intervals.append((lo, hi))
+    return LatticeBox(tuple(intervals))
+
+
+def test_cover_excision_matches_brute_force_oracle():
+    rng = random.Random(2024)
+    weights = (1, Fraction(1, 2), Fraction(2, 3), Fraction(3, 2), Fraction(5, 4))
+    empty = failed = 0
+    for _ in range(100):
+        dim = rng.randint(1, 3)
+        cover = [_random_member(rng, dim) for _ in range(rng.randint(1, 3))]
+        kind = rng.choice(("d1", "dinf", "weighted"))
+        metric = Metric.weighted([rng.choice(weights) for _ in range(dim)]) if kind == "weighted" else Metric(kind)
+        radius = Fraction(rng.randint(1, 8), rng.randint(1, 4))
+        s_radius = Fraction(rng.randint(1, 10), rng.randint(1, 4))
+        box = floor(radius + s_radius) + 1 + rng.randint(0, 2)
+        results = _agrees_with_oracle(cover, radius, s_radius, metric, box)
+        failed += sum(not r.ok for r in results.values())
+        empty += any(as_box(cover[0]).intersect(as_box(c)).is_empty for c in cover)
+    # the draw reaches both verdicts and disjoint members
+    assert failed and empty
+
+
+def test_cover_excision_exact_past_int64():
+    # a weight of 2**-62 scales the other coordinate by 2**62 * 3/2, so the
+    # distances leave int64 and the check runs on exact object arrays
+    cover = [
+        LatticeBox(((None, -1), (0, None))),
+        BlockySpace.of(Factor.FULL, Factor.NONPOS),
+        LatticeBox(((-2, 3), (-3, 2))),
+    ]
+    metric = Metric.weighted([Fraction(1, 2**62), Fraction(3, 2)])
+    results = _agrees_with_oracle(cover, Fraction(5, 2), Fraction(3, 2), metric, 6)
+    assert sorted({r.ok for r in results.values()}) == [False, True]
+
+
+def test_cover_excision_empty_member_is_near_nothing():
+    cover = [LatticeBox(((2, 1),)), LatticeBox(((None, 0),))]
+    results = _agrees_with_oracle(cover, 2, 1, Metric("dinf"), 5)
+    assert results[(0,)].ok and results[(0, 1)].ok
+    assert results[(1,)].witness == (2,)
+
+
+def test_cover_excision_sums_exact_at_dtype_boundary():
+    # scale 255 puts the cut at 254: one clipped coordinate fits uint8, and
+    # the sum of two must not wrap back below the cut
+    cover = [BlockySpace.of(Factor.ZERO, Factor.ZERO), BlockySpace.of(Factor.NONNEG, Factor.ZERO)]
+    results = _agrees_with_oracle(cover, Fraction(254, 255), Fraction(1, 255), Metric("d1"), 2)
     assert all(r.ok for r in results.values())

@@ -1,5 +1,6 @@
-"""CLI outputs pinned byte for byte on small builtins, the README inputs and
-first pages with torsion, nonzero d1 and a countable-rank cell.
+"""CLI outputs pinned byte for byte on small builtins, the README inputs,
+first pages with torsion, nonzero d1 and a countable-rank cell, and
+excision verdicts with their witnesses.
 
 Each case runs in the table, ``--verbose`` and JSON formats and must print
 exactly ``tests/golden/<case>.<format>``.  Regenerate after a deliberate
@@ -35,6 +36,14 @@ CASES = {
     "zinf11": ["run", "--builtin", "zinf:11", "--cap", "10"],
     "sweep-zinf10": ["sweep", "--builtin", "zinf:10", "--caps", "1..10"],
     "sweep-wedge-countable13": ["sweep", "--builtin", "wedge:countable", "--caps", "1..13"],
+    # excision verdicts and witnesses, including the sizes the excision benchmark runs
+    "excision-rn3-d1": ["excision", "--builtin", "rn:3", "--metric", "d1", "--radius", "5/2", "--box", "11"],
+    "excision-rn6-dinf": ["excision", "--builtin", "rn:6", "--metric", "dinf", "--radius", "3", "--box", "7"],
+    "excision-rn3-weighted": [
+        "excision", "--builtin", "rn:3", "--metric", "weighted", "--weights", "1/2,1/3,1",
+        "--radius", "5/3", "--s", "7/3", "--box", "8",
+    ],
+    "excision-disjoint-rays": ["excision", "--custom", "disjoint-rays", "--radius", "6", "--s", "4"],
     **{
         f"readme-{kind}": ["run", "--input", str(GOLDEN / "inputs" / f"readme_{kind}.json")]
         for kind in ("mv", "ideal_chain", "page")
