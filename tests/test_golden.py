@@ -44,6 +44,19 @@ CASES = {
         "--radius", "5/3", "--s", "7/3", "--box", "8",
     ],
     "excision-disjoint-rays": ["excision", "--custom", "disjoint-rays", "--radius", "6", "--s", "4"],
+    # Smith forms with their transforms: an offender step, a full divisibility
+    # chain, a rank drop and the empty shapes
+    **{
+        f"snf-{name}": ["snf", "--matrix", matrix]
+        for name, matrix in (
+            ("2x2", "[[2,4],[6,8]]"),
+            ("offender", "[[2,0],[0,3]]"),
+            ("chain", "[[2,4,4],[-6,6,12],[10,-4,-16]]"),
+            ("rank2", "[[1,2,3,4,5],[2,4,6,8,10],[0,3,1,-2,7]]"),
+            ("empty", "[]"),
+            ("empty-row", "[[]]"),
+        )
+    },
     **{
         f"readme-{kind}": ["run", "--input", str(GOLDEN / "inputs" / f"readme_{kind}.json")]
         for kind in ("mv", "ideal_chain", "page")
