@@ -14,6 +14,8 @@ that convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, product
 from math import prod
 from operator import mul
 from typing import Sequence
@@ -78,7 +80,9 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        flat = [0] * (n * n)
+        flat[:: n + 1] = [1] * n
+        return cls(n, n, tuple(flat))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -105,9 +109,21 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise IncompatibleShapes(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        cols = [other.entries[j :: other.cols] for j in range(other.cols)]
-        flat = tuple(sum(map(mul, self.row(i), col)) for i in range(self.rows) for col in cols)
-        return IntMatrix(self.rows, other.cols, flat)
+        n = other.cols
+        rows = [other.row(k) for k in range(other.rows)]
+        cols = [other.entries[j::n] for j in range(n)]
+        flat: list[int] = []
+        for i in range(self.rows):
+            left = self.row(i)
+            nonzero = [(x, row) for x, row in zip(left, rows) if x]
+            if 2 * len(nonzero) > len(left):  # dense row: dot products
+                flat.extend(sum(map(mul, left, col)) for col in cols)
+                continue
+            acc = [0] * n
+            for x, row in nonzero:
+                acc = [s + x * y for s, y in zip(acc, row)]
+            flat.extend(acc)
+        return IntMatrix(self.rows, n, tuple(flat))
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:
@@ -134,26 +150,70 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.entries)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"IntMatrix.from_rows({self.to_rows()!r})"
+    def __repr__(self) -> str:
+        cols = "" if self.rows else f", cols={self.cols}"
+        return f"IntMatrix.from_rows({self.to_rows()!r}{cols})"
 
 
 # ---------------------------------------------------------------------------
 # Smith normal form
 
 
+def snf_certificate_holds(matrix: IntMatrix, U: IntMatrix, D: IntMatrix, V: IntMatrix,
+                          U_inv: IntMatrix, V_inv: IntMatrix) -> bool:
+    """Whether U @ matrix @ V == D, a diagonal divisibility chain, with U and
+    V unimodular, as their integer inverses prove."""
+    if (U @ matrix @ V).entries != D.entries:
+        return False
+    if (U @ U_inv).entries != IntMatrix.identity(U.rows).entries:
+        return False
+    if (V @ V_inv).entries != IntMatrix.identity(V.rows).entries:
+        return False
+    if any(D[i, j] for i in range(D.rows) for j in range(D.cols) if i != j):
+        return False
+    diag = tuple(D[i, i] for i in range(min(D.rows, D.cols)))
+    for i in range(len(diag) - 1):
+        if diag[i] < 0 or (diag[i] == 0 and diag[i + 1] != 0):
+            return False
+        if diag[i] != 0 and diag[i + 1] % diag[i] != 0:
+            return False
+    return True
+
+
+def _step(rows: list[list[int]], i: int, j: int, c: int) -> None:
+    """Row step (i, j, c): negate row i if i == j, else swap rows i and j
+    if c == 0, else add c times row j to row i.  (i, j, -c) undoes it."""
+    if i == j:
+        rows[i] = [-x for x in rows[i]]
+    elif c == 0:
+        rows[i], rows[j] = rows[j], rows[i]
+    else:
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+
+
+def _replay(a: IntMatrix, steps: Sequence[tuple[int, int, int]]) -> IntMatrix:
+    rows = a.to_rows()
+    for i, j, c in steps:
+        _step(rows, i, j, c)
+    return IntMatrix(a.rows, a.cols, tuple(chain.from_iterable(rows)))
+
+
 @dataclass(frozen=True)
 class SnfResult:
-    """Certificate U @ matrix @ V == D with U, V unimodular, D diagonal."""
+    """Certificate U @ matrix @ V == D with U, V unimodular, D diagonal.
+
+    The reduction logs its row steps and its column steps, both in the
+    (i, j, c) form of ``_step`` (columns are never negated).  U, V and their
+    inverses are replayed from the logs when first read; ``apply_U`` and
+    ``apply_V`` replay the logs onto a right-hand side instead.
+    """
 
     matrix: IntMatrix
-    U: IntMatrix
     D: IntMatrix
-    V: IntMatrix
-    U_inv: IntMatrix
-    V_inv: IntMatrix
+    row_steps: tuple[tuple[int, int, int], ...]
+    col_steps: tuple[tuple[int, int, int], ...]
 
-    @property
+    @cached_property
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.D[i, i] for i in range(min(self.D.rows, self.D.cols)))
 
@@ -161,139 +221,107 @@ class SnfResult:
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d != 0)
 
+    def apply_U(self, b: IntMatrix) -> IntMatrix:
+        """U @ b."""
+        if b.rows != self.matrix.rows:
+            raise IncompatibleShapes("apply_U row mismatch")
+        return _replay(b, self.row_steps)
+
+    def apply_V(self, y: IntMatrix) -> IntMatrix:
+        """V @ y: as a row step, column step (i, j, c) is (j, i, c), last first."""
+        if y.rows != self.matrix.cols:
+            raise IncompatibleShapes("apply_V row mismatch")
+        return _replay(y, [(j, i, c) for i, j, c in reversed(self.col_steps)])
+
+    @cached_property
+    def U(self) -> IntMatrix:
+        return self.apply_U(IntMatrix.identity(self.matrix.rows))
+
+    @cached_property
+    def V(self) -> IntMatrix:
+        return self.apply_V(IntMatrix.identity(self.matrix.cols))
+
+    @cached_property
+    def U_inv(self) -> IntMatrix:
+        steps = [(i, j, -c) for i, j, c in reversed(self.row_steps)]
+        return _replay(IntMatrix.identity(self.matrix.rows), steps)
+
+    @cached_property
+    def V_inv(self) -> IntMatrix:
+        steps = [(j, i, -c) for i, j, c in self.col_steps]
+        return _replay(IntMatrix.identity(self.matrix.cols), steps)
+
     def check(self) -> bool:
-        """Re-verify the certificate from scratch; integer inverses make U, V unimodular."""
-        if (self.U @ self.matrix @ self.V).entries != self.D.entries:
-            return False
-        if not (self.U @ self.U_inv).entries == IntMatrix.identity(self.U.rows).entries:
-            return False
-        if not (self.V @ self.V_inv).entries == IntMatrix.identity(self.V.rows).entries:
-            return False
-        for i in range(self.D.rows):
-            for j in range(self.D.cols):
-                if i != j and self.D[i, j] != 0:
-                    return False
-        diag = self.diagonal
-        for i in range(len(diag) - 1):
-            if diag[i] < 0 or (diag[i] == 0 and diag[i + 1] != 0):
-                return False
-            if diag[i] != 0 and diag[i + 1] % diag[i] != 0:
-                return False
-        return True
-
-
-class _SnfWork:
-    """Mutable state for the reduction; tracks U, V and their inverses."""
-
-    def __init__(self, a: IntMatrix) -> None:
-        self.m = a.rows
-        self.n = a.cols
-        self.d = a.to_rows()
-        self.u = IntMatrix.identity(a.rows).to_rows()
-        self.ui = IntMatrix.identity(a.rows).to_rows()
-        self.v = IntMatrix.identity(a.cols).to_rows()
-        self.vi = IntMatrix.identity(a.cols).to_rows()
-
-    # row ops: D <- L @ D, U <- L @ U, Ui <- Ui @ L^{-1}
-    def row_swap(self, i: int, j: int) -> None:
-        self.d[i], self.d[j] = self.d[j], self.d[i]
-        self.u[i], self.u[j] = self.u[j], self.u[i]
-        for r in self.ui:
-            r[i], r[j] = r[j], r[i]
-
-    def row_negate(self, i: int) -> None:
-        self.d[i] = [-x for x in self.d[i]]
-        self.u[i] = [-x for x in self.u[i]]
-        for r in self.ui:
-            r[i] = -r[i]
-
-    def row_addmul(self, i: int, j: int, c: int) -> None:
-        """row i += c * row j (inverse: column j of Ui -= c * column i)."""
-        self.d[i] = [x + c * y for x, y in zip(self.d[i], self.d[j])]
-        self.u[i] = [x + c * y for x, y in zip(self.u[i], self.u[j])]
-        for r in self.ui:
-            r[j] -= c * r[i]
-
-    # column ops: D <- D @ R, V <- V @ R, Vi <- R^{-1} @ Vi
-    def col_swap(self, i: int, j: int) -> None:
-        for r in self.d:
-            r[i], r[j] = r[j], r[i]
-        for r in self.v:
-            r[i], r[j] = r[j], r[i]
-        self.vi[i], self.vi[j] = self.vi[j], self.vi[i]
-
-    def col_addmul(self, i: int, j: int, c: int) -> None:
-        """col i += c * col j (inverse: row j of Vi -= c * row i)."""
-        for r in self.d:
-            r[i] += c * r[j]
-        for r in self.v:
-            r[i] += c * r[j]
-        self.vi[j] = [x - c * y for x, y in zip(self.vi[j], self.vi[i])]
+        """Re-verify the certificate from scratch."""
+        return snf_certificate_holds(self.matrix, self.U, self.D, self.V, self.U_inv, self.V_inv)
 
 
 def smith_normal_form(a: IntMatrix) -> SnfResult:
     """Smith normal form with unimodular transforms.
 
-    Returns U, D, V (and the inverses of U, V) with U @ a @ V == D, D
-    diagonal with nonnegative entries in a divisibility chain.
+    Returns D and the logged steps for U, V (and their inverses) with
+    U @ a @ V == D, D diagonal with nonnegative entries in a divisibility
+    chain.
 
     >>> smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]])).diagonal
     (2, 4)
     """
-    w = _SnfWork(a)
-    m, n = w.m, w.n
+    m, n = a.rows, a.cols
+    d = a.to_rows()
+    row_steps: list[tuple[int, int, int]] = []
+    col_steps: list[tuple[int, int, int]] = []
+
+    def row_step(i: int, j: int, c: int) -> None:
+        _step(d, i, j, c)
+        row_steps.append((i, j, c))
+
+    def col_step(i: int, j: int, c: int) -> None:
+        for r in d:
+            if c:
+                r[i] += c * r[j]
+            else:
+                r[i], r[j] = r[j], r[i]
+        col_steps.append((i, j, c))
+
     for k in range(min(m, n)):
         while True:
-            # smallest nonzero entry of the trailing block becomes the pivot
-            pivot = None
-            for i in range(k, m):
-                for j in range(k, n):
-                    x = w.d[i][j]
-                    if x != 0 and (pivot is None or abs(x) < abs(w.d[pivot[0]][pivot[1]])):
-                        pivot = (i, j)
+            # first smallest nonzero entry (row-major) of the trailing block
+            pivot, best = None, 0
+            for i, j in product(range(k, m), range(k, n)):
+                x = abs(d[i][j])
+                if x and (not best or x < best):
+                    pivot, best = (i, j), x
+                    if x == 1:
+                        break
             if pivot is None:
-                return _finish(w, a)
+                break
             if pivot[0] != k:
-                w.row_swap(k, pivot[0])
+                row_step(k, pivot[0], 0)
             if pivot[1] != k:
-                w.col_swap(k, pivot[1])
-            if w.d[k][k] < 0:
-                w.row_negate(k)
+                col_step(k, pivot[1], 0)
+            if d[k][k] < 0:
+                row_step(k, k, -1)
+            p = d[k][k]
             # Euclidean clearing; leftover remainders shrink the pivot
             dirty = False
             for i in range(k + 1, m):
-                if w.d[i][k] != 0:
-                    w.row_addmul(i, k, -(w.d[i][k] // w.d[k][k]))
-                    dirty = dirty or w.d[i][k] != 0
+                if d[i][k] != 0:
+                    row_step(i, k, -(d[i][k] // p))
+                    dirty = dirty or d[i][k] != 0
             for j in range(k + 1, n):
-                if w.d[k][j] != 0:
-                    w.col_addmul(j, k, -(w.d[k][j] // w.d[k][k]))
-                    dirty = dirty or w.d[k][j] != 0
+                if d[k][j] != 0:
+                    col_step(j, k, -(d[k][j] // p))
+                    dirty = dirty or d[k][j] != 0
             if dirty:
                 continue
-            offender = None
-            for i in range(k + 1, m):
-                for j in range(k + 1, n):
-                    if w.d[i][j] % w.d[k][k] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
+            offenders = (i for i in range(k + 1, m) if any(x % p for x in d[i][k + 1 :]))
+            offender = p != 1 and next(offenders, None)
+            if not offender:
                 break
-            w.row_addmul(k, offender, 1)
-    return _finish(w, a)
-
-
-def _finish(w: _SnfWork, a: IntMatrix) -> SnfResult:
-    return SnfResult(
-        matrix=a,
-        U=IntMatrix.from_rows(w.u, cols=w.m),
-        D=IntMatrix.from_rows(w.d, cols=w.n),
-        V=IntMatrix.from_rows(w.v, cols=w.n),
-        U_inv=IntMatrix.from_rows(w.ui, cols=w.m),
-        V_inv=IntMatrix.from_rows(w.vi, cols=w.n),
-    )
+            row_step(k, offender, 1)
+        if pivot is None:
+            break
+    return SnfResult(a, IntMatrix(m, n, tuple(chain.from_iterable(d))), tuple(row_steps), tuple(col_steps))
 
 
 # ---------------------------------------------------------------------------
@@ -312,18 +340,18 @@ def solve_columns(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     s = smith_normal_form(a)
     rank = s.rank
     diag = s.diagonal[:rank]
-    ub = s.U @ b
+    ub = s.apply_U(b)
     if any(x % diag[i] if i < rank else x for i in range(ub.rows) for x in ub.row(i)):
         return None
     y = tuple(x // d for i, d in enumerate(diag) for x in ub.row(i))
-    return s.V @ IntMatrix(a.cols, b.cols, y + (0,) * ((a.cols - rank) * b.cols))
+    return s.apply_V(IntMatrix(a.cols, b.cols, y + (0,) * ((a.cols - rank) * b.cols)))
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
     """Basis of the integer kernel {x : a @ x = 0} (cols x k)."""
     s = smith_normal_form(a)
-    rank = s.rank
-    return s.V.select_columns(range(rank, a.cols))
+    k = a.cols - s.rank
+    return s.apply_V(IntMatrix(a.cols, k, (0,) * (s.rank * k) + IntMatrix.identity(k).entries))
 
 
 def preimage_basis(a: IntMatrix, t: IntMatrix) -> IntMatrix:

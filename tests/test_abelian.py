@@ -16,10 +16,12 @@ from coarsek.abelian import (
     IncompatibleShapes,
     InfiniteRankArithmetic,
     IntMatrix,
-    SnfResult,
     cokernel,
+    kernel_basis,
     preimage_basis,
     smith_normal_form,
+    snf_certificate_holds,
+    solve_columns,
 )
 from coarsek.pages import Grading, first_page, turn_page
 
@@ -105,11 +107,79 @@ def test_snf_certificate_rejects_forgeries():
     # integer U_inv exists, so the inverse check must catch it
     eye = IntMatrix.identity(2)
     a = IntMatrix.diagonal([1, 2])
-    assert SnfResult(a, eye, a, eye, eye, eye).check()
+    assert snf_certificate_holds(a, eye, a, eye, eye, eye)
     u = IntMatrix.diagonal([2, 1])
-    assert not SnfResult(a, u, IntMatrix.diagonal([2, 2]), eye, eye, eye).check()
+    assert not snf_certificate_holds(a, u, IntMatrix.diagonal([2, 2]), eye, eye, eye)
     # a V_inv that is not V's inverse
-    assert not replace(s, V_inv=bump(s.V_inv)).check()
+    assert snf_certificate_holds(s.matrix, s.U, s.D, s.V, s.U_inv, s.V_inv)
+    assert not snf_certificate_holds(s.matrix, s.U, s.D, s.V, s.U_inv, bump(s.V_inv))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 3), st.data())
+def test_snf_replayed_transforms(m, n, k, data):
+    def draw(rows, cols):
+        entries = data.draw(st.lists(st.integers(-50, 50), min_size=rows * cols, max_size=rows * cols))
+        return IntMatrix(rows, cols, tuple(entries))
+
+    a = draw(m, n)
+    s = smith_normal_form(a)
+    b, y = draw(m, k), draw(n, k)
+    # applying the logged steps directly agrees with the built transforms
+    assert s.apply_U(b) == s.U @ b
+    assert s.apply_V(y) == s.V @ y
+    assert s.U @ s.U_inv == IntMatrix.identity(m)
+    assert s.V @ s.V_inv == IntMatrix.identity(n)
+    basis = kernel_basis(a)
+    assert (basis.rows, basis.cols) == (n, n - s.rank)
+    assert (a @ basis).is_zero()
+    x = solve_columns(a, b)
+    assert x is None or a @ x == b
+    # a right-hand side in the column lattice is always solved
+    x = solve_columns(a, a @ y)
+    assert x is not None and a @ x == a @ y
+
+
+def test_apply_transforms_reject_wrong_heights():
+    s = smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
+    with pytest.raises(IncompatibleShapes):
+        s.apply_U(IntMatrix.zeros(3, 1))
+    with pytest.raises(IncompatibleShapes):
+        s.apply_V(IntMatrix.zeros(1, 1))
+
+
+# ---------------------------------------------------------------------------
+# integer matrices
+
+
+def _naive_product(a, b):
+    return [[sum(a[i, t] * b[t, j] for t in range(a.cols)) for j in range(b.cols)] for i in range(a.rows)]
+
+
+def test_sparse_product_matches_triple_loop():
+    rng = random.Random(70)
+
+    def sparse(rows, cols):
+        entries = (rng.randint(-9, 9) if rng.random() < 0.3 else 0 for _ in range(rows * cols))
+        return IntMatrix(rows, cols, tuple(entries))
+
+    for _ in range(200):
+        m, n, k = rng.randint(0, 7), rng.randint(0, 7), rng.randint(0, 7)
+        a, b = sparse(m, n), sparse(n, k)
+        product_ = a @ b
+        assert (product_.rows, product_.cols) == (m, k)
+        assert product_.to_rows() == _naive_product(a, b)
+    # an empty inner dimension gives zeros; an empty left operand no rows
+    assert IntMatrix.zeros(3, 0) @ IntMatrix.zeros(0, 4) == IntMatrix.zeros(3, 4)
+    assert IntMatrix.zeros(0, 5) @ sparse(5, 2) == IntMatrix.zeros(0, 2)
+    with pytest.raises(IncompatibleShapes):
+        IntMatrix.zeros(2, 3) @ IntMatrix.zeros(2, 3)
+
+
+def test_repr_round_trips_with_shape():
+    for m in (IntMatrix.zeros(0, 3), IntMatrix.from_rows([[1, -2], [0, 3]])):
+        assert eval(repr(m)) == m
+    assert repr(IntMatrix.zeros(0, 3)) == "IntMatrix.from_rows([], cols=3)"
 
 
 # ---------------------------------------------------------------------------
