@@ -109,6 +109,10 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise IncompatibleShapes(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        if self.is_identity():
+            return other
+        if other.is_identity():
+            return self
         n = other.cols
         rows = [other.row(k) for k in range(other.rows)]
         cols = [other.entries[j::n] for j in range(n)]
@@ -124,11 +128,6 @@ class IntMatrix:
                 acc = [s + x * y for s, y in zip(acc, row)]
             flat.extend(acc)
         return IntMatrix(self.rows, n, tuple(flat))
-
-    def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        if len(vec) != self.cols:
-            raise IncompatibleShapes("vector length mismatch")
-        return tuple(sum(map(mul, self.row(i), vec)) for i in range(self.rows))
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
@@ -150,6 +149,9 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.entries)
 
+    def is_identity(self) -> bool:
+        return self.rows == self.cols and self.entries == IntMatrix.identity(self.rows).entries
+
     def __repr__(self) -> str:
         cols = "" if self.rows else f", cols={self.cols}"
         return f"IntMatrix.from_rows({self.to_rows()!r}{cols})"
@@ -162,8 +164,9 @@ class IntMatrix:
 def snf_certificate_holds(matrix: IntMatrix, U: IntMatrix, D: IntMatrix, V: IntMatrix,
                           U_inv: IntMatrix, V_inv: IntMatrix) -> bool:
     """Whether U @ matrix @ V == D, a diagonal divisibility chain, with U and
-    V unimodular, as their integer inverses prove."""
-    if (U @ matrix @ V).entries != D.entries:
+    V unimodular, as their integer inverses prove.  V is square with
+    V @ V_inv == I, so U @ matrix == D @ V_inv is the same test."""
+    if (U @ matrix).entries != (D @ V_inv).entries:
         return False
     if (U @ U_inv).entries != IntMatrix.identity(U.rows).entries:
         return False
@@ -331,12 +334,23 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
 def solve_columns(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     """Integer solution X of a @ X = b, or None if none exists.
 
-    With U @ a @ V == D, X = V @ Y for an integer Y with D @ Y == U @ b.
-    Such a Y exists exactly when the rows of U @ b past the rank vanish
-    and each row before it is divisible by its invariant factor.
+    When each column of a has one nonzero entry c, in a row i of its own,
+    X is read off row by row: its row for that column is b's row i over c,
+    and the rows of b no column reaches must vanish.  Otherwise, with
+    U @ a @ V == D, X = V @ Y for an integer Y with D @ Y == U @ b.  Such a
+    Y exists exactly when the rows of U @ b past the rank vanish and each
+    row before it is divisible by its invariant factor.
     """
     if a.rows != b.rows:
         raise IncompatibleShapes("solve_columns row mismatch")
+    columns = [[(i, x) for i, x in enumerate(a.entries[j :: a.cols]) if x] for j in range(a.cols)]
+    pivots = [col[0] for col in columns if len(col) == 1]
+    if len(pivots) == a.cols == len({i for i, _ in pivots}):
+        rows = [(b.row(i), c) for i, c in pivots]
+        unreached = set(range(b.rows)).difference(i for i, _ in pivots)
+        if any(x for i in unreached for x in b.row(i)) or any(x % c for row, c in rows for x in row):
+            return None
+        return IntMatrix(a.cols, b.cols, tuple(x // c for row, c in rows for x in row))
     s = smith_normal_form(a)
     rank = s.rank
     diag = s.diagonal[:rank]

@@ -57,7 +57,10 @@ def _size(value: Any, where: str) -> int:
 
 
 def _ints(value: Any, where: str) -> list[int]:
-    return [_typed(x, int, f"{where}[{i}]") for i, x in enumerate(_typed(value, list, where))]
+    items = _typed(value, list, where)
+    if all(type(x) is int for x in items):  # the common case: no path strings to build
+        return items
+    return [_typed(x, int, f"{where}[{i}]") for i, x in enumerate(items)]
 
 
 def _degree(key: str, where: str) -> int:

@@ -20,6 +20,16 @@ from coarsek.coarse import DimensionMismatch, LatticeBox
 
 
 # ---------------------------------------------------------------------------
+# matrix-vector products
+
+
+def apply(matrix: IntMatrix, vec) -> tuple[int, ...]:
+    """matrix @ vec for a plain integer vector."""
+    assert len(vec) == matrix.cols, "vector length mismatch"
+    return tuple(sum(x * y for x, y in zip(matrix.row(i), vec)) for i in range(matrix.rows))
+
+
+# ---------------------------------------------------------------------------
 # determinants and determinantal divisors
 
 
@@ -216,7 +226,7 @@ def torsion_subgroup_killed_by(hom: GroupHom) -> tuple[int, ...]:
     members = []
     for combo in product(*(range(d) for d in tors)):
         vec = (0,) * src.free_rank + combo
-        if tgt.element_in_relations(matrix.apply(vec)):
+        if tgt.element_in_relations(apply(matrix, vec)):
             members.append(combo)
 
     def mul(n, x):
@@ -533,7 +543,7 @@ def oracle_presented_kernel(
         vec = [0] * len(src_orders)
         for j, c in zip(tors_idx, combo):
             vec[j] = c
-        if _in_presented_relations(matrix.apply(vec), tgt_orders):
+        if _in_presented_relations(apply(matrix, vec), tgt_orders):
             members.append(combo)
 
     def mul(n, x):

@@ -2,6 +2,7 @@
 and the homology that page turning computes from them."""
 
 import random
+from contextlib import contextmanager
 from dataclasses import replace
 from itertools import product
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coarsek import abelian
 from coarsek.abelian import (
     CountablyInfinite,
     FgAbGroup,
@@ -27,6 +29,7 @@ from coarsek.pages import Grading, first_page, turn_page
 
 from _oracles import (
     _solve_in_basis,
+    apply,
     determinantal_invariants,
     enumerate_quotient_order,
     laplace_det,
@@ -115,6 +118,15 @@ def test_snf_certificate_rejects_forgeries():
     assert not snf_certificate_holds(s.matrix, s.U, s.D, s.V, s.U_inv, bump(s.V_inv))
 
 
+def test_snf_certificate_rejects_a_tampered_v():
+    # U @ A == D @ V_inv still holds, so only V @ V_inv == I can catch a
+    # V that is not V_inv's inverse
+    s = smith_normal_form(IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]))
+    v = IntMatrix(3, 3, (s.V.entries[0] + 1,) + s.V.entries[1:])
+    assert (s.U @ s.matrix).entries == (s.D @ s.V_inv).entries
+    assert not snf_certificate_holds(s.matrix, s.U, s.D, v, s.U_inv, s.V_inv)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 3), st.data())
 def test_snf_replayed_transforms(m, n, k, data):
@@ -138,6 +150,81 @@ def test_snf_replayed_transforms(m, n, k, data):
     # a right-hand side in the column lattice is always solved
     x = solve_columns(a, a @ y)
     assert x is not None and a @ x == a @ y
+
+
+@contextmanager
+def _counting_snf():
+    """Count the Smith forms taken inside the block."""
+    calls = []
+    real = abelian.smith_normal_form
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(abelian, "smith_normal_form", lambda a: calls.append(a) or real(a))
+        yield calls
+
+
+def _draw_unimodular(data, n):
+    """Identity with a drawn list of column additions and swaps applied."""
+    w = IntMatrix.identity(n).to_rows()
+    for _ in range(data.draw(st.integers(0, 8)) if n >= 2 else 0):
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        c = data.draw(st.integers(-2, 2))
+        for row in w:
+            row[i], row[j] = (row[i] + c * row[j], row[j]) if c else (row[j], row[i])
+    return IntMatrix.from_rows(w, cols=n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 3), st.data())
+def test_solve_columns_single_pivot_columns(m, k, data):
+    # columns with one nonzero entry each, in distinct rows, scales ±1..±6
+    rows = data.draw(st.permutations(range(m)))[: data.draw(st.integers(0, m))]
+    n = len(rows)
+    scales = data.draw(st.lists(st.sampled_from([c for c in range(-6, 7) if c]), min_size=n, max_size=n))
+    a = IntMatrix.from_columns([[c if i == r else 0 for i in range(m)] for r, c in zip(rows, scales)], m)
+    entries = data.draw(st.lists(st.integers(-30, 30), min_size=m * k, max_size=m * k))
+    b = IntMatrix(m, k, tuple(entries))
+    solvable = data.draw(st.booleans())
+    if solvable:
+        b = a @ IntMatrix(n, k, tuple(data.draw(st.lists(st.integers(-5, 5), min_size=n * k, max_size=n * k))))
+    with _counting_snf() as calls:
+        x = solve_columns(a, b)
+    assert calls == []
+    assert a @ x == b if x is not None else not solvable
+    # the same lattice behind a unimodular W and beside a zero column takes the Smith path
+    w = _draw_unimodular(data, n)
+    with _counting_snf() as calls:
+        forced = solve_columns((a @ w).hstack(IntMatrix.zeros(m, 1)), b)
+    assert calls
+    assert (x is None) == (forced is None)
+    if x is not None:
+        # a's columns are independent, so the solution is unique
+        assert w @ forced.select_rows(range(n)) == x
+
+
+def test_solve_columns_falls_back_to_smith_form():
+    b = IntMatrix.from_rows([[4], [0]])
+    # a zero column, and two pivots in one row, keep the Smith path
+    for a in (IntMatrix.from_rows([[2, 0], [0, 0]]), IntMatrix.from_rows([[2, 4], [0, 0]])):
+        with _counting_snf() as calls:
+            x = solve_columns(a, b)
+        assert len(calls) == 1 and a @ x == b
+    with _counting_snf() as calls:
+        assert solve_columns(IntMatrix.from_rows([[2, 4], [0, 0]]), IntMatrix.from_rows([[3], [0]])) is None
+    assert len(calls) == 1
+    # identities, diagonal relation matrices, scaled permutations and no
+    # columns at all do not
+    b = IntMatrix.from_rows([[10, 0], [0, 0], [30, -6]])
+    cases = (
+        (IntMatrix.identity(3), b),
+        (IntMatrix.diagonal([2, -3, 1]), IntMatrix.from_rows([[5, 0], [0, 0], [30, -6]])),
+        (IntMatrix.from_rows([[0, -2], [0, 0], [5, 0]]), None),  # 5 does not divide -6
+        (IntMatrix.from_rows([[0, 5], [0, 0], [-2, 0]]), IntMatrix.from_rows([[-15, 3], [2, 0]])),
+        (IntMatrix.zeros(3, 0), None),
+    )
+    for a, expected in cases:
+        with _counting_snf() as calls:
+            assert solve_columns(a, b) == expected
+        assert calls == []
 
 
 def test_apply_transforms_reject_wrong_heights():
@@ -174,6 +261,16 @@ def test_sparse_product_matches_triple_loop():
     assert IntMatrix.zeros(0, 5) @ sparse(5, 2) == IntMatrix.zeros(0, 2)
     with pytest.raises(IncompatibleShapes):
         IntMatrix.zeros(2, 3) @ IntMatrix.zeros(2, 3)
+
+
+def test_identity_products_return_the_other_operand():
+    rng = random.Random(71)
+    for m, n in product(range(7), repeat=2):
+        a = random_matrix(rng, m, n, -9, 9)
+        assert IntMatrix.identity(m) @ a == a
+        assert a @ IntMatrix.identity(n) == a
+    with pytest.raises(IncompatibleShapes):
+        IntMatrix.identity(3) @ IntMatrix.zeros(2, 2)
 
 
 def test_repr_round_trips_with_shape():
@@ -347,10 +444,10 @@ def test_preimage_basis_against_brute_force():
         columns = [list(basis.column(j)) for j in range(basis.cols)]
         assert q_rank(basis.to_rows()) == basis.cols
         for x in columns:
-            assert group.element_in_relations(a.apply(x))
+            assert group.element_in_relations(apply(a, x))
         # _solve_in_basis raises unless x has integer coordinates
         for x in product(range(-3, 4), repeat=a.cols):
-            if group.element_in_relations(a.apply(x)):
+            if group.element_in_relations(apply(a, x)):
                 _solve_in_basis(columns, list(x))
 
 
@@ -384,7 +481,7 @@ def test_homology_lift_consists_of_cycles():
         f, g = _random_composable_pair(rng)
         cell = _middle_homology(f, g)
         for j in range(cell.gens.cols if cell else 0):
-            image = g.matrix.apply(cell.gens.column(j))
+            image = apply(g.matrix, cell.gens.column(j))
             assert g.target.element_in_relations(image)
 
 

@@ -515,6 +515,19 @@ def test_schema_errors():
             "d1[0].matrix[0][0]: expected an integer, got float",
         ),
         (
+            {
+                "kind": "page",
+                "cap": 1,
+                "cells": [{"p": p, "q": 0, "group": {"free_rank": 1}} for p in (0, 1)],
+                "d1": [{"from": [1, 0], "matrix": [[True]]}],
+            },
+            "d1[0].matrix[0][0]: expected an integer, got bool",
+        ),
+        (
+            {"kind": "page", "cap": 0, "cells": [{"p": 0, "q": 0, "group": {"free_rank": 0, "torsion": [2, False]}}]},
+            "cells[0].group.torsion[1]: expected an integer, got bool",
+        ),
+        (
             {"kind": "ideal_chain", "length": 1, "groups": [{"p": 2, "s": 0, "group": {"free_rank": 1}}]},
             "groups[0].p: 2 lies outside 0..1",
         ),
@@ -634,7 +647,7 @@ def test_schema_errors():
         "mv-no-labels", "page-no-cap", "top-level-list", "cell-no-group", "bool-free-rank",
         "null-cap", "null-period", "list-k", "int-labels", "int-J", "int-torsion", "int-d1-from",
         "d1-touches-countable", "mixed-labels", "str-degree-key", "list-truncated-at",
-        "float-d1-entry", "ideal-chain-p-outside", "duplicate-p-s", "duplicate-J",
+        "float-d1-entry", "bool-d1-entry", "bool-torsion-entry", "ideal-chain-p-outside", "duplicate-p-s", "duplicate-J",
         "duplicate-degree", "duplicate-cell", "duplicate-d1-from", "str-default-zero",
         "duplicate-label", "duplicate-label-in-J", "truncated-without-truncated-at",
         "exact-with-truncated-at", "unknown-mode", "negative-page-cap",
