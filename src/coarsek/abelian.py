@@ -611,6 +611,9 @@ def subquotient(cycles: IntMatrix, boundary_gens: IntMatrix) -> SubquotientCell:
     expressed = solve_columns(cycles, boundary_gens)
     if expressed is None:
         raise AbelianError("boundary lattice is not contained in the cycle lattice")
+    if expressed.is_identity():  # B = Z: the cell dies, and no Smith form is needed
+        m, n = cycles.rows, cycles.cols
+        return SubquotientCell(cycles, cycles, FgAbGroup.zero(), IntMatrix.zeros(m, 0), IntMatrix.zeros(0, n))
     s = smith_normal_form(expressed)
     diag = s.diagonal
     free = [i for i in range(cycles.cols) if i >= len(diag) or diag[i] == 0]

@@ -324,7 +324,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, SchemaError, AbelianError, AssemblyError, CoarseError, PageError, ValueError) as exc:
+    except (CliError, SchemaError, AbelianError, AssemblyError, CoarseError, PageError, ValueError,
+            MemoryError) as exc:  # MemoryError: an input too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

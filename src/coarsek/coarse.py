@@ -369,21 +369,25 @@ def _near(box: LatticeBox, values: np.ndarray, factors: Sequence[int], cut: int,
     """
     import numpy as np
 
-    dim = box.dim
+    shape = (len(values),) * box.dim
     if box.is_empty:
-        return np.zeros((len(values),) * dim, dtype=bool)
+        return np.zeros(shape, dtype=bool)
+    # the max is at most cut iff every gap is; sums of gaps clipped at cut + 1
+    # keep their verdict and run in the narrowest dtype that holds them
+    narrow = np.min_scalar_type(box.dim * (cut + 1))
     tables = []
-    for i, ((lo, hi), f) in enumerate(zip(box.intervals, factors)):
-        gaps = values * 0 if lo is None and hi is None else abs(values - np.clip(values, lo, hi))
-        tables.append((gaps * f).reshape((1,) * i + (-1,) + (1,) * (dim - i - 1)))
-    # every axis has the full value range, so the broadcasting chain always
-    # ends at the full dim-dimensional grid
-    if kind == "dinf":  # the max is at most cut iff every coordinate is
-        return reduce(np.logical_and, [t <= cut for t in tables])
-    # entries clipped at cut + 1 leave the verdict as it is and let the sum
-    # run in the narrowest dtype that holds it
-    narrow = np.min_scalar_type(dim * (cut + 1))
-    return reduce(np.add, [np.minimum(t, cut + 1).astype(narrow) for t in tables]) <= cut
+    for (lo, hi), f in zip(box.intervals, factors):
+        gaps = (values * 0 if lo is None and hi is None else abs(values - np.clip(values, lo, hi))) * f
+        tables.append(gaps <= cut if kind == "dinf" else np.minimum(gaps, cut + 1).astype(narrow))
+    op = np.logical_and if kind == "dinf" else np.add
+
+    def fold(axes):  # flat outer product of two half-grids: index left * len(right) + right
+        # is C order, and the heavier left half gives the last product a long inner loop
+        half = (len(axes) + 1) // 2
+        return axes[0] if len(axes) == 1 else op.outer(fold(axes[:half]), fold(axes[half:])).ravel()
+
+    grid = fold(tables)
+    return (grid if kind == "dinf" else grid <= cut).reshape(shape)
 
 
 def _check_subsets(
@@ -419,10 +423,11 @@ def _check_subsets(
     weights = metric.weights if metric.kind == "weighted" else (1,) * dim
     scale = lcm(radius.denominator, s_radius.denominator, *(w.denominator for w in weights))
     factors = [int(w * scale) for w in weights]
-    # int64 is plenty for sane inputs; huge weight denominators fall back
-    # to exact object arrays rather than risking silent wraparound
+    # int64 is plenty for sane inputs; huge weight denominators, which scale
+    # the gaps or the cuts, fall back to exact object arrays rather than
+    # risking silent wraparound
     worst = inner + max(abs(x) for b in boxes for lo, hi in b.intervals for x in (lo or 0, hi or 0))
-    dtype = np.int64 if worst * max(factors) * dim < 2**62 else object
+    dtype = np.int64 if max(worst * max(factors), (radius + s_radius) * scale + 1) * dim < 2**62 else object
     values = np.arange(-inner, inner + 1).astype(dtype)
 
     near = [_near(b, values, factors, int(radius * scale), metric.kind) for b in boxes]
@@ -430,8 +435,9 @@ def _check_subsets(
     results = {}
     for subset in subsets:
         inter = reduce(LatticeBox.intersect, [boxes[j] for j in subset])
-        in_s = _near(inter, values, factors, s_cut, metric.kind)
-        violations = reduce(np.logical_and, [near[j] for j in subset]) & ~in_s
+        violations = ~_near(inter, values, factors, s_cut, metric.kind)
+        for j in subset:  # in place: no new full grid per member
+            violations &= near[j]
         first = int(violations.argmax())  # the first violation in C order, if any
         witness = None
         if violations.flat[first]:

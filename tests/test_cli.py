@@ -781,6 +781,12 @@ def test_bad_cover_is_one_error_line(capsys, tmp_path, cover, message):
             ["excision", "--builtin", "rn:x", "--radius", "1"],
             "bad builtin parameter in 'rn:x': invalid literal for int() with base 10: 'x'",
         ),
+        (
+            # the grid's values alone would fill more than a 64-bit address space,
+            # so the allocation fails at once
+            ["excision", "--builtin", "rn:1", "--radius", "1", "--box", "1000000000000000"],
+            "Unable to allocate 14.2 PiB for an array with shape (1999999999999999,) and data type int64",
+        ),
         (["simplex", "verify", "--dim", "2", "--samples", "0"], "--samples: expected at least 1, got 0"),
         (["simplex", "verify", "--dim", "2", "--samples", "-3"], "--samples: expected at least 1, got -3"),
         (
@@ -798,7 +804,7 @@ def test_bad_cover_is_one_error_line(capsys, tmp_path, cover, message):
         "rn-cap", "wedge-cap", "wedge-countable-cap", "input-cap", "sweep-wedge-countable-suffix",
         "zinf-cap-above-m", "zinf-cap-negative", "sweep-zinf-caps-above-m", "sweep-zinf-ko-period", "sweep-wedge-ko-period",
         "excision-radius-1/0", "excision-s-3/0", "excision-weights-2/0", "excision-dinf-weights",
-        "excision-d1-weights", "excision-rn-x", "simplex-samples-0",
+        "excision-d1-weights", "excision-rn-x", "excision-huge-box", "simplex-samples-0",
         "simplex-samples-negative", "caps-1/0", "caps-1..2..3", "caps-empty-range", "caps-0..3",
     ],
 )

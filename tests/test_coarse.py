@@ -4,7 +4,7 @@ import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import floor
+from math import ceil, floor
 
 import pytest
 from hypothesis import given
@@ -367,26 +367,29 @@ def _agrees_with_oracle(cover, radius, s_radius, metric, box):
     return results
 
 
-def _random_member(rng, dim):
+def _random_member(rng, dim, span=4):
     if rng.random() < 0.5:
         return BlockySpace(tuple(rng.choice(ALL_FACTORS) for _ in range(dim)))
     intervals = []
     for _ in range(dim):
-        lo = rng.choice((None, rng.randint(-4, 3)))
-        hi = rng.choice((None, rng.randint(-3 if lo is None else lo, 4)))
+        lo = rng.choice((None, rng.randint(-span, span - 1)))
+        hi = rng.choice((None, rng.randint(1 - span if lo is None else lo, span)))
         intervals.append((lo, hi))
     return LatticeBox(tuple(intervals))
 
 
+def _random_metric(rng, kind, dim):
+    weights = (1, Fraction(1, 2), Fraction(2, 3), Fraction(3, 2), Fraction(5, 4))
+    return Metric.weighted([rng.choice(weights) for _ in range(dim)]) if kind == "weighted" else Metric(kind)
+
+
 def test_cover_excision_matches_brute_force_oracle():
     rng = random.Random(2024)
-    weights = (1, Fraction(1, 2), Fraction(2, 3), Fraction(3, 2), Fraction(5, 4))
     empty = failed = 0
     for _ in range(100):
         dim = rng.randint(1, 3)
         cover = [_random_member(rng, dim) for _ in range(rng.randint(1, 3))]
-        kind = rng.choice(("d1", "dinf", "weighted"))
-        metric = Metric.weighted([rng.choice(weights) for _ in range(dim)]) if kind == "weighted" else Metric(kind)
+        metric = _random_metric(rng, rng.choice(("d1", "dinf", "weighted")), dim)
         radius = Fraction(rng.randint(1, 8), rng.randint(1, 4))
         s_radius = Fraction(rng.randint(1, 10), rng.randint(1, 4))
         box = floor(radius + s_radius) + 1 + rng.randint(0, 2)
@@ -395,6 +398,24 @@ def test_cover_excision_matches_brute_force_oracle():
         empty += any(as_box(cover[0]).intersect(as_box(c)).is_empty for c in cover)
     # the draw reaches both verdicts and disjoint members
     assert failed and empty
+
+
+def test_cover_excision_matches_oracle_on_odd_and_even_splits():
+    # masks fold their axes as two half-grids: 2 + 2, 3 + 2 and 3 + 3 here;
+    # members within [-2, 2] and S <= 1 keep failing subsets common
+    rng = random.Random(4056)
+    verdicts = set()
+    for dim in (4, 5, 6):
+        for kind in ("d1", "dinf", "weighted"):
+            for _ in range(4):
+                cover = [_random_member(rng, dim, span=2) for _ in range(rng.randint(1, 3))]
+                metric = _random_metric(rng, kind, dim)
+                s_radius = Fraction(rng.randint(1, 4), 4)
+                box = ceil(s_radius + (rng.randint(1, 2) if dim < 6 else 1))  # inner <= 2
+                radius = Fraction(rng.randint(1, int(4 * (box - s_radius)) - 1), 4)
+                results = _agrees_with_oracle(cover, radius, s_radius, metric, box)
+                verdicts |= {(dim, r.ok) for r in results.values()}
+    assert verdicts == {(dim, ok) for dim in (4, 5, 6) for ok in (False, True)}
 
 
 def test_cover_excision_exact_past_int64():
@@ -408,6 +429,15 @@ def test_cover_excision_exact_past_int64():
     metric = Metric.weighted([Fraction(1, 2**62), Fraction(3, 2)])
     results = _agrees_with_oracle(cover, Fraction(5, 2), Fraction(3, 2), metric, 6)
     assert sorted({r.ok for r in results.values()}) == [False, True]
+
+
+def test_cover_excision_exact_past_int64_cuts():
+    # a weight of 2**-62 on every coordinate keeps the scaled gaps small but
+    # puts both cuts past int64; the disjoint members still fail together
+    cover = [LatticeBox(((None, -1), (0, None))), LatticeBox(((1, None), (None, 2)))]
+    metric = Metric.weighted([Fraction(1, 2**62)] * 2)
+    results = _agrees_with_oracle(cover, 3, 2, metric, 6)
+    assert [r.ok for r in results.values()] == [True, True, False]
 
 
 def test_cover_excision_empty_member_is_near_nothing():
