@@ -4,10 +4,16 @@ Every finite intersection keeps a nonpositive half-ray factor and is
 flasque, so the whole first page vanishes regardless of the truncation
 prefix m <= 30 or the index-set cap.  The first-page walk proves every
 index set flasque without listing them, so m = 30 at cap 30 runs in
-milliseconds; the script exits nonzero if any first page is nonzero.
+milliseconds.  The CLI sweep over caps 1..30 of zinf:30 walks its cover
+once and must report K_0 and K_1 stable from cap 1.  The script exits
+nonzero if any first page is nonzero or the sweep says otherwise.
 """
 
+import contextlib
+import io
+
 from coarsek.assembly import assemble_target, build_mv_e1
+from coarsek.cli import main
 from coarsek.coarse import zinf_mv_input
 from coarsek.pages import run_to_infinity
 
@@ -21,3 +27,12 @@ if __name__ == "__main__":
             print(f"{m:>2} {cap:>4} {str(report.degree(0).assembled):>4} "
                   f"{str(report.degree(1).assembled):>4} {cells:>18}")
             assert cells == 0, (m, cap)
+
+    argv = ["sweep", "--builtin", "zinf:30", "--caps", "1..30"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    print(f"\ncoarsek {' '.join(argv)}\n{out.getvalue()}", end="")
+    lines = out.getvalue().splitlines()
+    assert code == 0, code
+    assert "K_0: stable from cap 1" in lines and "K_1: stable from cap 1" in lines

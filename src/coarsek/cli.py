@@ -11,8 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 from math import floor
+from typing import Sequence
 
 from . import jsonio
 from .abelian import AbelianError, smith_normal_form
@@ -42,7 +45,9 @@ class CliError(Exception):
     """Input-level failure; exits with code 1."""
 
 
-def _parse_builtin(name: str, cap: int | None, period: int):
+def _parse_builtin(name: str, caps: Sequence[int], period: int):
+    """The builtin ``name``; a zinf:<m> input is built at the largest of
+    ``caps`` (m when there are none), and every cap must lie in 0..m."""
     if period != 2:
         raise CliError("builtin examples are complex-K lookups; they require --period 2")
     parts = name.split(":")
@@ -52,11 +57,13 @@ def _parse_builtin(name: str, cap: int | None, period: int):
             return rn_mv_input(int(parts[1]))
         if kind == "zinf" and len(parts) == 2:
             m = int(parts[1])
-            if cap is not None and cap > m:
-                raise ValueError(f"cap {cap} lies above m = {m}")
-            if cap is not None and cap < 0:
-                raise ValueError(f"cap {cap} lies below 0")
-            return zinf_mv_input(m, m if cap is None else cap)
+            if min(caps, default=0) < 0:
+                raise ValueError(f"cap {min(caps)} lies below 0")
+            top = zinf_mv_input(m, max(caps, default=m))  # a prefix m < 1 fails here first
+            above = [c for c in caps if c > m]
+            if above:
+                raise ValueError(f"cap {min(above)} lies above m = {m}")
+            return top
         if kind == "wedge" and len(parts) == 2 and parts[1] != "countable":
             return wedge_mv_input(int(parts[1]))
         if kind == "wedge" and len(parts) == 3 and parts[1] == "countable":
@@ -83,7 +90,7 @@ def _cmd_run(args) -> int:
     if args.cap is not None and not (args.builtin or "").startswith("zinf:"):
         raise CliError("--cap applies only to --builtin zinf:<m>")
     if args.builtin:
-        inp = _parse_builtin(args.builtin, args.cap, args.period)
+        inp = _parse_builtin(args.builtin, () if args.cap is None else (args.cap,), args.period)
         page = build_mv_e1(inp)
         raw = None
     elif args.input:
@@ -258,9 +265,11 @@ def _parse_caps(spec: str) -> list[int]:
 def _cmd_sweep(args) -> int:
     caps = _parse_caps(args.caps)
     if args.builtin == "wedge:countable":
-        family = lambda c: _parse_builtin(f"wedge:countable:{c}", None, args.period)  # noqa: E731
+        family = lambda c: _parse_builtin(f"wedge:countable:{c}", (), args.period)  # noqa: E731
     elif args.builtin.startswith("zinf:"):
-        family = lambda c: _parse_builtin(args.builtin, c, args.period)  # noqa: E731
+        # one input at the top cap: each smaller cap shares its cover and walk
+        top = _parse_builtin(args.builtin, caps, args.period)
+        family = lambda c: replace(top, cap=c)  # noqa: E731
     else:
         raise CliError(
             f"unknown sweep builtin {args.builtin!r}; expected wedge:countable or zinf:<m>"
@@ -273,7 +282,10 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use; each
+    ``parse_args`` call fills a fresh namespace, so calls share no state."""
     parser = argparse.ArgumentParser(
         prog="coarsek",
         description="Exact spectral-sequence calculator for coarse-cover K-theory data",
@@ -320,8 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (CliError, SchemaError, AbelianError, AssemblyError, CoarseError, PageError, ValueError,

@@ -203,12 +203,14 @@ def _blocky_rule(spaces: Sequence[BlockySpace]) -> Callable[[tuple], dict[int, F
     return lambda j: roe_k_theory(intersect([spaces[i] for i in j]))
 
 
-def _blocky_walk(spaces: Sequence[BlockySpace]) -> Callable[[int], Iterator[tuple]]:
+def _blocky_walk(spaces: Sequence[BlockySpace], depth: int = 0) -> Callable[[int], Iterator[tuple]]:
     """Depth-first walk yielding, in lexicographic order, the index sets of
     size <= top whose meet is not flasque (has no ray factor).
 
     A ray is fixed only by a later ``zero`` or opposite ray, so a level stops
     once the running meet holds a ray that no label from there on can fix.
+    The sets are listed once, to size ``depth`` or the first larger top asked
+    for; a smaller top filters that list by size, which keeps the order.
     """
     rays = (Factor.NONNEG, Factor.NONPOS)
     # fixable[i]: the (coordinate, ray) pairs that some label >= i meets to zero
@@ -228,11 +230,23 @@ def _blocky_walk(spaces: Sequence[BlockySpace]) -> Callable[[int], Iterator[tupl
                 return
             yield from below(j + (i,), tuple(map(meet, factors, spaces[i].factors)), top)
 
-    return lambda top: below((), (Factor.FULL,) * spaces[0].dim, top)
+    listed: list[tuple] = []
+    listed_to = 0  # listed holds every set of size <= listed_to
+
+    def walk(top: int) -> Iterator[tuple]:
+        nonlocal listed, listed_to
+        if top > listed_to:
+            listed_to = max(top, depth)
+            listed = list(below((), (Factor.FULL,) * spaces[0].dim, listed_to))
+        return (j for j in listed if len(j) <= top)
+
+    return walk
 
 
 def _blocky_mv_input(spaces: Sequence[BlockySpace], cap: int) -> MvInput:
-    return MvInput(tuple(range(len(spaces))), cap, rule=_blocky_rule(spaces), walk=_blocky_walk(spaces))
+    """Input of a blocky cover whose walk lists its index sets once, to size
+    cap + 1; copies at smaller caps (``dataclasses.replace``) share it."""
+    return MvInput(tuple(range(len(spaces))), cap, rule=_blocky_rule(spaces), walk=_blocky_walk(spaces, cap + 1))
 
 
 def rn_mv_input(n: int) -> MvInput:

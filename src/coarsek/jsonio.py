@@ -123,9 +123,10 @@ def matrix_from_json(obj: Any, where: str = "matrix") -> IntMatrix:
 
 
 def _d1_from_json(obj: dict, period: int) -> dict[tuple[int, int], IntMatrix]:
-    """The optional ``d1`` list (null means none), q taken modulo the period."""
+    """The optional ``d1`` list (null or absent means none), q taken modulo the period."""
     out: dict[tuple[int, int], IntMatrix] = {}
-    for i, item in enumerate(_typed(obj.get("d1") or [], list, "d1")):
+    d1 = obj.get("d1")
+    for i, item in enumerate([] if d1 is None else _typed(d1, list, "d1")):
         at = f"d1[{i}]"
         key = _ints(_need(item, "from", at), f"{at}.from")
         if len(key) != 2:

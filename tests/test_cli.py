@@ -5,12 +5,15 @@ from pathlib import Path
 
 import pytest
 
-from coarsek import jsonio
+from coarsek import coarse, jsonio
 from coarsek.abelian import CountablyInfinite, FgAbGroup, IntMatrix
+from coarsek.assembly import truncation_sweep
 from coarsek.cli import main
+from coarsek.coarse import zinf_mv_input
 from coarsek.pages import Grading, first_page
 
-GOLDEN_MV = Path(__file__).parent / "golden" / "inputs" / "readme_mv.json"
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_MV = GOLDEN / "inputs" / "readme_mv.json"
 
 def run_cli(capsys, *args):
     code = main(list(args))
@@ -410,6 +413,32 @@ def test_sweep_runs_a_repeated_cap_once(capsys, builtin, caps):
     assert out == run_cli(capsys, "sweep", "--builtin", builtin, "--caps", "1,2")[1]
 
 
+@pytest.mark.parametrize("m", range(1, 9))
+def test_zinf_sweep_matches_a_fresh_input_at_every_cap(capsys, m):
+    # the sweep builds one input at its top cap and copies it down; building
+    # each cap's input from scratch must give the same report
+    for caps in ([m], [1], [m, 1], [1, 1, m], list(range(m, 0, -1)), [(m + 1) // 2, m, (m + 1) // 2]):
+        fresh = truncation_sweep(lambda c: zinf_mv_input(m, c), caps)
+        spec = ",".join(map(str, caps))
+        code, out, _ = run_cli(capsys, "--format", "json", "sweep", "--builtin", f"zinf:{m}", "--caps", spec)
+        assert code == 0
+        assert out == jsonio.dumps(jsonio.sweep_to_json(fresh)) + "\n", caps
+        code, out, _ = run_cli(capsys, "--verbose", "sweep", "--builtin", f"zinf:{m}", "--caps", spec)
+        assert out == jsonio.sweep_to_table(fresh, verbose=True) + "\n", caps
+
+
+@pytest.mark.parametrize("m", (4, 10))
+def test_zinf_sweep_walks_its_cover_once(capsys, monkeypatch, m):
+    calls = []
+    real_meet = coarse.meet
+    monkeypatch.setattr(coarse, "meet", lambda a, b: calls.append(1) or real_meet(a, b))
+    list(zinf_mv_input(m, m).walk(m + 1))
+    one_walk = len(calls)
+    calls.clear()
+    assert run_cli(capsys, "sweep", "--builtin", f"zinf:{m}", "--caps", f"1..{m}")[0] == 0
+    assert len(calls) == one_walk > 0
+
+
 # ---------------------------------------------------------------------------
 # serialization round trips
 
@@ -642,6 +671,11 @@ def test_schema_errors():
             },
             "d1 at (2, 0): d o d != 0 through (1, 0)",
         ),
+        # only null or a missing key means no d1; a falsy non-list is no list
+        ({"kind": "page", "cap": 0, "d1": False}, "d1: expected a list, got bool"),
+        ({"kind": "page", "cap": 0, "d1": 0}, "d1: expected a list, got int"),
+        ({"kind": "mv", "labels": [0], "d1": ""}, "d1: expected a list, got str"),
+        ({"kind": "ideal_chain", "length": 0, "default_zero": True, "d1": {}}, "d1: expected a list, got dict"),
     ],
     ids=[
         "mv-no-labels", "page-no-cap", "top-level-list", "cell-no-group", "bool-free-rank",
@@ -654,7 +688,7 @@ def test_schema_errors():
         "negative-ideal-chain-length", "negative-truncated-at", "int-group", "group-no-free-rank",
         "str-free-rank", "negative-free-rank", "torsion-one", "torsion-not-a-chain", "ragged-matrix",
         "matrix-entry-count", "negative-matrix-dimension", "str-matrix", "cell-outside-support",
-        "d-o-d-nonzero",
+        "d-o-d-nonzero", "false-d1", "zero-d1", "empty-str-d1", "empty-object-d1",
     ],
 )
 def test_bad_input_is_one_error_line(capsys, tmp_path, payload, message):
@@ -753,6 +787,14 @@ def test_bad_cover_is_one_error_line(capsys, tmp_path, cover, message):
             "bad builtin parameter in 'zinf:3': cap 4 lies above m = 3",
         ),
         (
+            ["sweep", "--builtin", "zinf:0", "--caps", "1"],
+            "bad builtin parameter in 'zinf:0': truncation prefix must be >= 1",
+        ),
+        (
+            ["sweep", "--builtin", "zinf:-1", "--caps", "1"],
+            "bad builtin parameter in 'zinf:-1': truncation prefix must be >= 1",
+        ),
+        (
             ["--period", "8", "sweep", "--builtin", "zinf:3", "--caps", "1..2"],
             "builtin examples are complex-K lookups; they require --period 2",
         ),
@@ -802,7 +844,8 @@ def test_bad_cover_is_one_error_line(capsys, tmp_path, cover, message):
     ],
     ids=[
         "rn-cap", "wedge-cap", "wedge-countable-cap", "input-cap", "sweep-wedge-countable-suffix",
-        "zinf-cap-above-m", "zinf-cap-negative", "sweep-zinf-caps-above-m", "sweep-zinf-ko-period", "sweep-wedge-ko-period",
+        "zinf-cap-above-m", "zinf-cap-negative", "sweep-zinf-caps-above-m", "sweep-zinf-0", "sweep-zinf-negative",
+        "sweep-zinf-ko-period", "sweep-wedge-ko-period",
         "excision-radius-1/0", "excision-s-3/0", "excision-weights-2/0", "excision-dinf-weights",
         "excision-d1-weights", "excision-rn-x", "excision-huge-box", "simplex-samples-0",
         "simplex-samples-negative", "caps-1/0", "caps-1..2..3", "caps-empty-range", "caps-0..3",
@@ -813,6 +856,49 @@ def test_bad_arguments_are_one_error_line(capsys, args, message):
     assert code == 1
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_calls_in_one_process_share_no_state(capsys):
+    # main parses every call with one parser; no flag, default or failed
+    # parse of one call may reach the next
+    plain = (GOLDEN / "rn2.table").read_text(encoding="utf-8")
+    verbose_simplex = ["--verbose", "simplex", "verify", "--dim", "2", "--samples", "1"]
+    calls = [
+        (["--format", "json", "run", "--builtin", "rn:2"], 0),
+        (["--verbose", "run", "--builtin", "rn:2"], 0),
+        (["--period", "8", "run", "--builtin", "rn:2"], 1),
+        (["--format", "json", "--verbose", "--period", "8", "sweep", "--builtin", "zinf:3", "--caps", "1..2"], 1),
+        (["--format", "json", "run", "--builtin", "rn:2", "--cap", "1"], 1),
+        (verbose_simplex + ["--seed", "7"], 0),
+        (["run", "--builtin", "rn:2", "--no-such-flag"], 2),
+        (["--format", "xml", "run", "--builtin", "rn:2"], 2),
+        (["--seed", "5"] + verbose_simplex, 0),
+        (verbose_simplex, 0),
+    ]
+    for argv, code in calls:
+        if code == 2:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            capsys.readouterr()
+        else:
+            assert run_cli(capsys, *argv)[0] == code, argv
+        assert run_cli(capsys, "run", "--builtin", "rn:2") == (0, plain, ""), argv
+    # simplex --seed defaults to SUPPRESS: without it the global --seed (default 0) holds
+    for argv, seed in ((verbose_simplex + ["--seed", "7"], 7), (["--seed", "5"] + verbose_simplex, 5), (verbose_simplex, 0)):
+        assert f'"seed": {seed}\n' in run_cli(capsys, *argv)[1]
+
+
+def test_null_or_missing_d1_means_none(capsys, tmp_path):
+    base = json.loads((GOLDEN / "inputs" / "readme_page.json").read_text())
+    del base["d1"]
+    path = tmp_path / "page.json"
+    outputs = []
+    for payload in ({**base, "d1": []}, {**base, "d1": None}, base):
+        path.write_text(json.dumps(payload))
+        outputs.append(run_cli(capsys, "run", "--input", str(path)))
+    assert outputs[0][0] == 0
+    assert outputs == outputs[:1] * 3
 
 
 # ---------------------------------------------------------------------------

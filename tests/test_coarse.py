@@ -224,6 +224,18 @@ def test_blocky_rule_matches_direct_intersections_on_random_covers():
                     assert j in walked
 
 
+def test_blocky_walk_answers_every_top_from_one_listing():
+    # a walk listed to one depth filters that list for smaller tops and
+    # lists again, deeper, for a larger one
+    rng = random.Random(5)
+    for _ in range(100):
+        dim = rng.randint(1, 4)
+        spaces = [BlockySpace(tuple(rng.choice(ALL_FACTORS) for _ in range(dim))) for _ in range(rng.randint(1, 8))]
+        walk = _blocky_walk(spaces, rng.randint(1, len(spaces)))
+        for top in rng.sample(range(1, len(spaces) + 1), len(spaces)):
+            assert list(walk(top)) == list(_blocky_walk(spaces)(top))
+
+
 @pytest.mark.parametrize(
     "inp", [rn_mv_input(12), wedge_mv_input(15), zinf_mv_input(11, 10)], ids=["rn12", "wedge15", "zinf11"]
 )
