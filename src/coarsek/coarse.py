@@ -5,7 +5,7 @@ Blocky subsets of Z^n are products of four per-coordinate constraints
 flasqueness syntactically (a half-ray factor admits a shift to infinity),
 looks up the K-theory of the Roe algebra for the shapes in the grammar,
 generates the covers behind the worked examples, and verifies coarse
-excisiveness by brute force on finite lattice boxes.
+excisiveness exhaustively on finite lattice boxes.
 
 Z^n stands in for R^n throughout: the two are coarsely equivalent, and
 coarse equivalence preserves the K-theory being tracked.
@@ -19,13 +19,10 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from math import floor, lcm
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .abelian import FgAbGroup
 from .assembly import MvInput
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class CoarseError(Exception):
@@ -375,33 +372,114 @@ class ExcisionResult:
     points_checked: int
 
 
-def _near(box: LatticeBox, values: np.ndarray, factors: Sequence[int], cut: int, kind: str) -> np.ndarray:
-    """Mask of the grid values^dim within scaled distance ``cut`` of the box.
+def _dinf_first_violation(
+    boxes: Sequence[LatticeBox], r: int, s: int, inner: int
+) -> Callable[[tuple[int, ...]], tuple[int, ...] | None]:
+    """First violating grid point of a subset under the sup-metric, on intervals.
 
-    The distance is the max (dinf) or the sum of the per-coordinate gaps,
-    each times its factor; an empty box is near nothing.
+    A point is within R of a box iff every coordinate gap is at most r =
+    floor(R), so each neighbourhood is a box: the grid points near every
+    member form a box A, those within s = floor(S) of the members'
+    intersection a box C, and the violations are A minus C.  The
+    lexicographically first of them is A's lowest corner when that lies
+    outside C; otherwise it is that corner with its last axis that can
+    still leave C moved just past C's top.
+    """
+    grid = LatticeBox(((-inner, inner),) * boxes[0].dim)
+
+    def near(box: LatticeBox, gap: int) -> LatticeBox:
+        """Grid points within sup-distance ``gap`` of a nonempty box."""
+        widened = ((None if lo is None else lo - gap, None if hi is None else hi + gap) for lo, hi in box.intervals)
+        return LatticeBox(tuple(widened)).intersect(grid)
+
+    members = [None if b.is_empty else near(b, r) for b in boxes]  # an empty member is near nothing
+
+    def first(subset: tuple[int, ...]) -> tuple[int, ...] | None:
+        if any(members[j] is None for j in subset):
+            return None
+        inside = reduce(LatticeBox.intersect, [members[j] for j in subset])
+        if inside.is_empty:
+            return None
+        corner = [lo for lo, _ in inside.intervals]
+        meet = reduce(LatticeBox.intersect, [boxes[j] for j in subset])
+        if meet.is_empty:  # no target: every point of A violates
+            return tuple(corner)
+        target = near(meet, s).intervals
+        leaving = [i for i, ((a, b), (c, d)) in enumerate(zip(inside.intervals, target)) if a < c or b > d]
+        if not leaving:  # A lies inside C
+            return None
+        if all(c <= x <= d for x, (c, d) in zip(corner, target)):  # then A leaves C only above it
+            corner[leaving[-1]] = target[leaving[-1]][1] + 1
+        return tuple(corner)
+
+    return first
+
+
+def _sum_first_violation(
+    boxes: Sequence[LatticeBox], radius: Fraction, s_radius: Fraction, weights: Sequence, inner: int
+) -> Callable[[tuple[int, ...]], tuple[int, ...] | None]:
+    """First violating grid point of a subset under a 1-metric, on the dense grid.
+
+    Distances are integers scaled by the lcm of every denominator in play.
+    Each member's mask {d(x, B_j) <= R} is built once; a subset ANDs its
+    members' masks into its intersection's mask {d(x, meet) > S}.  Each
+    per-axis gap table is built once per call and shared by every box
+    with the same interval on that axis.
     """
     import numpy as np
 
-    shape = (len(values),) * box.dim
-    if box.is_empty:
-        return np.zeros(shape, dtype=bool)
-    # the max is at most cut iff every gap is; sums of gaps clipped at cut + 1
-    # keep their verdict and run in the narrowest dtype that holds them
-    narrow = np.min_scalar_type(box.dim * (cut + 1))
-    tables = []
-    for (lo, hi), f in zip(box.intervals, factors):
-        gaps = (values * 0 if lo is None and hi is None else abs(values - np.clip(values, lo, hi))) * f
-        tables.append(gaps <= cut if kind == "dinf" else np.minimum(gaps, cut + 1).astype(narrow))
-    op = np.logical_and if kind == "dinf" else np.add
+    dim = len(weights)
+    scale = lcm(radius.denominator, s_radius.denominator, *(w.denominator for w in weights))
+    factors = [int(w * scale) for w in weights]
+    # int64 is plenty for sane inputs; huge weight denominators, which scale
+    # the gaps or the cuts, fall back to exact object arrays rather than
+    # risking silent wraparound
+    worst = inner + max(abs(x) for b in boxes for lo, hi in b.intervals for x in (lo or 0, hi or 0))
+    dtype = np.int64 if max(worst * max(factors), (radius + s_radius) * scale + 1) * dim < 2**62 else object
+    values = np.arange(-inner, inner + 1).astype(dtype)
+    tables: dict = {}
 
-    def fold(axes):  # flat outer product of two half-grids: index left * len(right) + right
-        # is C order, and the heavier left half gives the last product a long inner loop
-        half = (len(axes) + 1) // 2
-        return axes[0] if len(axes) == 1 else op.outer(fold(axes[:half]), fold(axes[half:])).ravel()
+    def sums(box: LatticeBox, cut: int) -> np.ndarray | None:
+        """Flat grid of the scaled distances to the box clipped at cut + 1; None if empty.
 
-    grid = fold(tables)
-    return (grid if kind == "dinf" else grid <= cut).reshape(shape)
+        Each grid is the flat outer sum of two half-grids, the first ceil(n/2)
+        axes against the rest, so the flat index is C order.
+        """
+        if box.is_empty:
+            return None
+        # clipped at cut + 1 the sums keep their verdict and fit the narrowest dtype
+        narrow = np.min_scalar_type(dim * (cut + 1))
+        axes = []
+        for (lo, hi), f in zip(box.intervals, factors):
+            key = (lo, hi, f, cut)
+            if key not in tables:
+                gaps = (values * 0 if lo is None and hi is None else abs(values - np.clip(values, lo, hi))) * f
+                tables[key] = np.minimum(gaps, cut + 1).astype(narrow)
+            axes.append(tables[key])
+
+        def fold(axes):  # the heavier left half gives the last sum a long inner loop
+            half = (len(axes) + 1) // 2
+            return axes[0] if len(axes) == 1 else np.add.outer(fold(axes[:half]), fold(axes[half:])).ravel()
+
+        return fold(axes)
+
+    r_cut, s_cut = int(radius * scale), int(s_radius * scale)
+    near = []
+    for b in boxes:
+        grid = sums(b, r_cut)
+        near.append(np.zeros(len(values) ** dim, dtype=bool) if grid is None else grid <= r_cut)
+
+    def first(subset: tuple[int, ...]) -> tuple[int, ...] | None:
+        # the previous subset's grids died with its call: one S-grid and one mask at a time
+        grid = sums(reduce(LatticeBox.intersect, [boxes[j] for j in subset]), s_cut)
+        violations = np.ones(len(values) ** dim, dtype=bool) if grid is None else grid > s_cut
+        del grid
+        for j in subset:  # in place: no new full grid per member
+            violations &= near[j]
+        at = int(violations.argmax())  # the first violation in C order, if any
+        return tuple(int(k) - inner for k in np.unravel_index(at, (len(values),) * dim)) if violations[at] else None
+
+    return first
 
 
 def _check_subsets(
@@ -414,12 +492,10 @@ def _check_subsets(
 ) -> dict[tuple[int, ...], ExcisionResult]:
     """Excision verdict of each subset of the cover on one lattice box.
 
-    Each member's mask {d(x, B_j) <= R} is built once; a subset ANDs its
-    members' masks and builds only its intersection's S-mask.  Distances
-    are integers scaled by the lcm of every denominator in play.
+    The sup-metric decides each subset on per-axis integer intervals; the
+    1-metrics on the dense grid.  Either way every grid point gets its
+    verdict, so ``points_checked`` counts the whole grid.
     """
-    import numpy as np
-
     boxes = [as_box(space) for space in cover]
     dim = boxes[0].dim
     if any(b.dim != dim for b in boxes):
@@ -434,29 +510,16 @@ def _check_subsets(
         raise DimensionMismatch("weight count does not match dimension")
     inner = floor(Fraction(box) - s_radius)
 
-    weights = metric.weights if metric.kind == "weighted" else (1,) * dim
-    scale = lcm(radius.denominator, s_radius.denominator, *(w.denominator for w in weights))
-    factors = [int(w * scale) for w in weights]
-    # int64 is plenty for sane inputs; huge weight denominators, which scale
-    # the gaps or the cuts, fall back to exact object arrays rather than
-    # risking silent wraparound
-    worst = inner + max(abs(x) for b in boxes for lo, hi in b.intervals for x in (lo or 0, hi or 0))
-    dtype = np.int64 if max(worst * max(factors), (radius + s_radius) * scale + 1) * dim < 2**62 else object
-    values = np.arange(-inner, inner + 1).astype(dtype)
-
-    near = [_near(b, values, factors, int(radius * scale), metric.kind) for b in boxes]
-    s_cut = int(s_radius * scale)
+    if metric.kind == "dinf":
+        first = _dinf_first_violation(boxes, floor(radius), floor(s_radius), inner)
+    else:
+        weights = metric.weights if metric.kind == "weighted" else (1,) * dim
+        first = _sum_first_violation(boxes, radius, s_radius, weights, inner)
+    points = (2 * inner + 1) ** dim
     results = {}
     for subset in subsets:
-        inter = reduce(LatticeBox.intersect, [boxes[j] for j in subset])
-        violations = ~_near(inter, values, factors, s_cut, metric.kind)
-        for j in subset:  # in place: no new full grid per member
-            violations &= near[j]
-        first = int(violations.argmax())  # the first violation in C order, if any
-        witness = None
-        if violations.flat[first]:
-            witness = tuple(int(k) - inner for k in np.unravel_index(first, violations.shape))
-        results[subset] = ExcisionResult(witness is None, witness, violations.size)
+        witness = first(subset)
+        results[subset] = ExcisionResult(witness is None, witness, points)
     return results
 
 
@@ -468,15 +531,16 @@ def check_excision(
     metric: Metric,
     box: int,
 ) -> ExcisionResult:
-    """Brute-force test of one excision inclusion on a lattice box.
+    """Exhaustive test of one excision inclusion on a lattice box.
 
-    Enumerates every lattice point x with coordinates in
-    [-(box - s_radius), box - s_radius] and verifies: if x lies within
-    ``radius`` of every set indexed by ``subset``, then x lies within
-    ``s_radius`` of their intersection.  Distances are computed against
-    the untruncated sets in closed per-coordinate form, so the box only
-    bounds the enumeration, never the geometry.  The first violating
-    point (lexicographically) is returned as witness.
+    Decides for every lattice point x with coordinates in
+    [-(box - s_radius), box - s_radius]: if x lies within ``radius`` of
+    every set indexed by ``subset``, then x lies within ``s_radius`` of
+    their intersection.  Distances are computed against the untruncated
+    sets in closed per-coordinate form, so the box only bounds the points,
+    never the geometry.  The sup-metric decides on per-axis integer
+    intervals and allocates no grid; the 1-metrics enumerate the grid.
+    The first violating point (lexicographically) is returned as witness.
     """
     if not subset:
         raise ValueError("subset of cover indices must be nonempty")

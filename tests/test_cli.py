@@ -334,6 +334,33 @@ def test_excision_default_box_exceeds_s_plus_r(capsys, radius, box):
     assert "overall: PASS" in out
 
 
+def test_excision_dinf_decides_a_grid_too_large_to_allocate(capsys):
+    # the sup-metric decides on intervals, so a 10**15 box needs no grid
+    box = 10**15
+    code, out, err = run_cli(
+        capsys, "--format", "json", "excision", "--builtin", "rn:2", "--radius", "1", "--box", str(box)
+    )
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["all_ok"] is True and len(payload["subsets"]) == 7
+    for subset in payload["subsets"]:
+        assert subset["ok"] is True and subset["witness"] is None
+        assert type(subset["points_checked"]) is int and subset["points_checked"] == (2 * (box - 1) + 1) ** 2
+
+
+def test_excision_dinf_verdicts_hold_on_a_wide_box(capsys):
+    # widening the box moves no verdict of the failing rn:6 golden
+    golden = json.loads((GOLDEN / "excision-rn6-dinf-fail.json").read_text(encoding="utf-8"))
+    code, out, _ = run_cli(
+        capsys, "--format", "json", "excision", "--builtin", "rn:6", "--metric", "dinf",
+        "--radius", "3", "--s", "2", "--box", str(10**6),
+    )
+    assert code == 0
+    wide = json.loads(out)
+    assert [(s["J"], s["ok"]) for s in wide["subsets"]] == [(s["J"], s["ok"]) for s in golden["subsets"]]
+    assert not wide["all_ok"]
+
+
 def test_excision_cover_file(capsys, tmp_path):
     cover = [{"factors": ["nonpos"]}, {"factors": ["nonneg"]}]
     path = tmp_path / "cover.json"
@@ -825,8 +852,8 @@ def test_bad_cover_is_one_error_line(capsys, tmp_path, cover, message):
         ),
         (
             # the grid's values alone would fill more than a 64-bit address space,
-            # so the allocation fails at once
-            ["excision", "--builtin", "rn:1", "--radius", "1", "--box", "1000000000000000"],
+            # so the allocation fails at once; only the 1-metrics build a grid
+            ["excision", "--builtin", "rn:1", "--radius", "1", "--metric", "d1", "--box", "1000000000000000"],
             "Unable to allocate 14.2 PiB for an array with shape (1999999999999999,) and data type int64",
         ),
         (["simplex", "verify", "--dim", "2", "--samples", "0"], "--samples: expected at least 1, got 0"),

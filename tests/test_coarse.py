@@ -3,6 +3,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
 from math import ceil, floor
 
@@ -428,6 +429,47 @@ def test_cover_excision_matches_oracle_on_odd_and_even_splits():
                 results = _agrees_with_oracle(cover, radius, s_radius, metric, box)
                 verdicts |= {(dim, r.ok) for r in results.values()}
     assert verdicts == {(dim, ok) for dim in (4, 5, 6) for ok in (False, True)}
+
+
+def test_dinf_intervals_match_brute_force_oracle():
+    # the sup-metric decides each subset on per-axis intervals; the oracle
+    # walks every grid point.  Fractional R and S, inner <= 5 - dim.
+    rng = random.Random(1993)
+    dinf = Metric("dinf")
+    late = no_target = apart = 0
+    for _ in range(80):
+        dim = rng.randint(1, 4)
+        cover = [_random_member(rng, dim, span=3) for _ in range(rng.randint(1, 5))]
+        s_radius = Fraction(rng.randint(1, 12), rng.randint(1, 4))
+        box = ceil(s_radius + rng.randint(1, 6 - dim))
+        radius = (box - s_radius) * Fraction(rng.randint(1, 7), 8)
+        results = _agrees_with_oracle(cover, radius, s_radius, dinf, box)
+        boxes = [as_box(space) for space in cover]
+        for j, res in results.items():
+            members = [boxes[i] for i in j]
+            meet = reduce(LatticeBox.intersect, members)
+            if meet.is_empty and not any(m.is_empty for m in members):
+                no_target += not res.ok
+                apart += res.ok  # no target and still no violation: A is empty
+            elif not res.ok:  # counted when the witness is within S of the meet on axis 0
+                late += set_distance(res.witness[:1], LatticeBox(meet.intervals[:1]), dinf) <= s_radius
+    # the draw reaches escapes after the first axis, subsets without a target,
+    # and subsets whose members' neighbourhoods miss each other on the grid
+    assert late and no_target and apart
+
+
+def test_dinf_intervals_exact_far_past_int64():
+    # R = N + 1/2 and S = N - 1/3 with N = 2**70, so floor(R) = N and
+    # floor(S) = N - 1; box 2N + 1 gives inner = N + 1.  Within R of
+    # (-inf, -5] means x <= N - 5, within S only x <= N - 6; within R of
+    # [5, inf) means x >= 5 - N, within S only x >= 6 - N; both rays are
+    # within R of [5 - N, N - 5] and their intersection is empty.
+    n = 2**70
+    results = check_cover_excision(
+        disjoint_rays(), n + Fraction(1, 2), Metric("dinf"), 2 * n + 1, s_radius=n - Fraction(1, 3)
+    )
+    assert {j: r.witness for j, r in results.items()} == {(0,): (n - 5,), (1,): (5 - n,), (0, 1): (5 - n,)}
+    assert {r.points_checked for r in results.values()} == {2 * n + 3}
 
 
 def test_cover_excision_exact_past_int64():
