@@ -180,7 +180,7 @@ def _cmd_excision(args) -> int:
     if args.metric == "weighted":
         if not args.weights:
             raise CliError("weighted metric needs --weights")
-        metric = Metric.weighted([_fraction("--weights", w) for w in args.weights.split(",")])
+        metric = Metric("weighted", tuple(_fraction("--weights", w) for w in args.weights.split(",")))
     else:
         metric = Metric(args.metric)
     radius = _fraction("--radius", args.radius)

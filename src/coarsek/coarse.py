@@ -5,7 +5,8 @@ Blocky subsets of Z^n are products of four per-coordinate constraints
 flasqueness syntactically (a half-ray factor admits a shift to infinity),
 looks up the K-theory of the Roe algebra for the shapes in the grammar,
 generates the covers behind the worked examples, and verifies coarse
-excisiveness exhaustively on finite lattice boxes.
+excisiveness exhaustively on finite lattice boxes, searching each subset
+of a cover only inside the box its members' neighbourhoods share.
 
 Z^n stands in for R^n throughout: the two are coarsely equivalent, and
 coarse equivalence preserves the K-theory being tracked.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from math import floor, lcm
+from math import floor, lcm, prod
 from typing import Callable, Iterator, Sequence
 
 from .abelian import FgAbGroup
@@ -306,10 +307,6 @@ class Metric:
         elif self.weights is not None:
             raise ValueError("weights only apply to the weighted metric")
 
-    @classmethod
-    def weighted(cls, weights: Sequence) -> "Metric":
-        return cls("weighted", tuple(Fraction(w) for w in weights))
-
 
 @dataclass(frozen=True)
 class LatticeBox:
@@ -372,27 +369,76 @@ class ExcisionResult:
     points_checked: int
 
 
-def _dinf_first_violation(
-    boxes: Sequence[LatticeBox], r: int, s: int, inner: int
+def _first_violation(
+    boxes: Sequence[LatticeBox], radius: Fraction, s_radius: Fraction, metric: Metric, inner: int
 ) -> Callable[[tuple[int, ...]], tuple[int, ...] | None]:
-    """First violating grid point of a subset under the sup-metric, on intervals.
+    """First violating grid point of a subset, found inside its members' shared box.
 
-    A point is within R of a box iff every coordinate gap is at most r =
-    floor(R), so each neighbourhood is a box: the grid points near every
-    member form a box A, those within s = floor(S) of the members'
-    intersection a box C, and the violations are A minus C.  The
+    A point within R of a box has every coordinate gap at most floor(R / w_i)
+    (w_i = 1 for d1 and dinf), so each member's neighbourhood lies in its
+    near-box, built once per call, and every candidate of a subset lies in
+    the intersection A of its members' near-boxes.  Under the sup-metric
+    that bound is exact: the points within s = floor(S) of the members'
+    intersection form a box C, the violations are A minus C, and the
     lexicographically first of them is A's lowest corner when that lies
-    outside C; otherwise it is that corner with its last axis that can
-    still leave C moved just past C's top.
+    outside C; otherwise it is that corner with its last axis that can still
+    leave C moved just past C's top.  Under a 1-metric the distances are
+    summed over A's window only, as integers scaled by the lcm of every
+    denominator in play; A is a box, so its C order is lexicographic.
     """
-    grid = LatticeBox(((-inner, inner),) * boxes[0].dim)
+    dim = boxes[0].dim
+    weights = metric.weights or (Fraction(1),) * dim
+    grid = LatticeBox(((-inner, inner),) * dim)
 
-    def near(box: LatticeBox, gap: int) -> LatticeBox:
-        """Grid points within sup-distance ``gap`` of a nonempty box."""
-        widened = ((None if lo is None else lo - gap, None if hi is None else hi + gap) for lo, hi in box.intervals)
+    def near(box: LatticeBox, gaps: Sequence[int]) -> LatticeBox:
+        """Grid points within per-axis ``gaps`` of a nonempty box."""
+        widened = (
+            (None if lo is None else lo - g, None if hi is None else hi + g)
+            for (lo, hi), g in zip(box.intervals, gaps)
+        )
         return LatticeBox(tuple(widened)).intersect(grid)
 
-    members = [None if b.is_empty else near(b, r) for b in boxes]  # an empty member is near nothing
+    reach = [radius * w.denominator // w.numerator for w in weights]  # floor(R / w_i)
+    members = [None if b.is_empty else near(b, reach) for b in boxes]  # an empty member is near nothing
+
+    if metric.kind != "dinf":
+        import numpy as np
+
+        scale = lcm(radius.denominator, s_radius.denominator, *(w.denominator for w in weights))
+        factors = [int(w * scale) for w in weights]
+        # int64 is plenty for sane inputs; huge weight denominators, which scale
+        # the gaps or the cuts, fall back to exact object arrays rather than
+        # risking silent wraparound
+        worst = inner + max(abs(x) for b in boxes for lo, hi in b.intervals for x in (lo or 0, hi or 0))
+        dtype = np.int64 if max(worst * max(factors), (radius + s_radius) * scale + 1) * dim < 2**62 else object
+        values = np.arange(-inner, inner + 1).astype(dtype)
+        tables: dict = {}
+        r_cut, s_cut = int(radius * scale), int(s_radius * scale)
+
+        def sums(box: LatticeBox, cut: int, window: LatticeBox) -> np.ndarray:
+            """Flat grid over the window of the scaled distances to a nonempty
+            box, clipped at cut + 1.
+
+            Each per-axis table spans the whole grid and is built once per
+            call, then sliced to the window; the grid is the flat outer sum of
+            two half-grids, the first ceil(n/2) axes against the rest, so the
+            flat index is the window's C order.
+            """
+            # clipped at cut + 1 the sums keep their verdict and fit the narrowest dtype
+            narrow = np.min_scalar_type(dim * (cut + 1))
+            axes = []
+            for (lo, hi), f, (a, b) in zip(box.intervals, factors, window.intervals):
+                key = (lo, hi, f, cut)
+                if key not in tables:
+                    gaps = (values * 0 if lo is None and hi is None else abs(values - np.clip(values, lo, hi))) * f
+                    tables[key] = np.minimum(gaps, cut + 1).astype(narrow)
+                axes.append(tables[key][a + inner : b + inner + 1])
+
+            def fold(axes):  # the heavier left half gives the last sum a long inner loop
+                half = (len(axes) + 1) // 2
+                return axes[0] if len(axes) == 1 else np.add.outer(fold(axes[:half]), fold(axes[half:])).ravel()
+
+            return fold(axes)
 
     def first(subset: tuple[int, ...]) -> tuple[int, ...] | None:
         if any(members[j] is None for j in subset):
@@ -402,82 +448,23 @@ def _dinf_first_violation(
             return None
         corner = [lo for lo, _ in inside.intervals]
         meet = reduce(LatticeBox.intersect, [boxes[j] for j in subset])
+        if metric.kind != "dinf":
+            shape = [hi - lo + 1 for lo, hi in inside.intervals]
+            # one S-grid and one R-grid over A at a time
+            violations = np.ones(prod(shape), dtype=bool) if meet.is_empty else sums(meet, s_cut, inside) > s_cut
+            for j in subset:
+                violations &= sums(boxes[j], r_cut, inside) <= r_cut
+            at = int(violations.argmax())  # the first violation in A's C order, if any
+            return tuple(int(k) + c for k, c in zip(np.unravel_index(at, shape), corner)) if violations[at] else None
         if meet.is_empty:  # no target: every point of A violates
             return tuple(corner)
-        target = near(meet, s).intervals
+        target = near(meet, [floor(s_radius)] * dim).intervals
         leaving = [i for i, ((a, b), (c, d)) in enumerate(zip(inside.intervals, target)) if a < c or b > d]
         if not leaving:  # A lies inside C
             return None
         if all(c <= x <= d for x, (c, d) in zip(corner, target)):  # then A leaves C only above it
             corner[leaving[-1]] = target[leaving[-1]][1] + 1
         return tuple(corner)
-
-    return first
-
-
-def _sum_first_violation(
-    boxes: Sequence[LatticeBox], radius: Fraction, s_radius: Fraction, weights: Sequence, inner: int
-) -> Callable[[tuple[int, ...]], tuple[int, ...] | None]:
-    """First violating grid point of a subset under a 1-metric, on the dense grid.
-
-    Distances are integers scaled by the lcm of every denominator in play.
-    Each member's mask {d(x, B_j) <= R} is built once; a subset ANDs its
-    members' masks into its intersection's mask {d(x, meet) > S}.  Each
-    per-axis gap table is built once per call and shared by every box
-    with the same interval on that axis.
-    """
-    import numpy as np
-
-    dim = len(weights)
-    scale = lcm(radius.denominator, s_radius.denominator, *(w.denominator for w in weights))
-    factors = [int(w * scale) for w in weights]
-    # int64 is plenty for sane inputs; huge weight denominators, which scale
-    # the gaps or the cuts, fall back to exact object arrays rather than
-    # risking silent wraparound
-    worst = inner + max(abs(x) for b in boxes for lo, hi in b.intervals for x in (lo or 0, hi or 0))
-    dtype = np.int64 if max(worst * max(factors), (radius + s_radius) * scale + 1) * dim < 2**62 else object
-    values = np.arange(-inner, inner + 1).astype(dtype)
-    tables: dict = {}
-
-    def sums(box: LatticeBox, cut: int) -> np.ndarray | None:
-        """Flat grid of the scaled distances to the box clipped at cut + 1; None if empty.
-
-        Each grid is the flat outer sum of two half-grids, the first ceil(n/2)
-        axes against the rest, so the flat index is C order.
-        """
-        if box.is_empty:
-            return None
-        # clipped at cut + 1 the sums keep their verdict and fit the narrowest dtype
-        narrow = np.min_scalar_type(dim * (cut + 1))
-        axes = []
-        for (lo, hi), f in zip(box.intervals, factors):
-            key = (lo, hi, f, cut)
-            if key not in tables:
-                gaps = (values * 0 if lo is None and hi is None else abs(values - np.clip(values, lo, hi))) * f
-                tables[key] = np.minimum(gaps, cut + 1).astype(narrow)
-            axes.append(tables[key])
-
-        def fold(axes):  # the heavier left half gives the last sum a long inner loop
-            half = (len(axes) + 1) // 2
-            return axes[0] if len(axes) == 1 else np.add.outer(fold(axes[:half]), fold(axes[half:])).ravel()
-
-        return fold(axes)
-
-    r_cut, s_cut = int(radius * scale), int(s_radius * scale)
-    near = []
-    for b in boxes:
-        grid = sums(b, r_cut)
-        near.append(np.zeros(len(values) ** dim, dtype=bool) if grid is None else grid <= r_cut)
-
-    def first(subset: tuple[int, ...]) -> tuple[int, ...] | None:
-        # the previous subset's grids died with its call: one S-grid and one mask at a time
-        grid = sums(reduce(LatticeBox.intersect, [boxes[j] for j in subset]), s_cut)
-        violations = np.ones(len(values) ** dim, dtype=bool) if grid is None else grid > s_cut
-        del grid
-        for j in subset:  # in place: no new full grid per member
-            violations &= near[j]
-        at = int(violations.argmax())  # the first violation in C order, if any
-        return tuple(int(k) - inner for k in np.unravel_index(at, (len(values),) * dim)) if violations[at] else None
 
     return first
 
@@ -492,9 +479,11 @@ def _check_subsets(
 ) -> dict[tuple[int, ...], ExcisionResult]:
     """Excision verdict of each subset of the cover on one lattice box.
 
-    The sup-metric decides each subset on per-axis integer intervals; the
-    1-metrics on the dense grid.  Either way every grid point gets its
-    verdict, so ``points_checked`` counts the whole grid.
+    Every metric first bounds a subset's candidates by the intersection of
+    its members' per-axis windows; the sup-metric decides there on
+    integer intervals, the 1-metrics sum distances inside the window only.
+    Points outside the window are near no member of the subset, so every
+    grid point gets its verdict and ``points_checked`` counts the whole grid.
     """
     boxes = [as_box(space) for space in cover]
     dim = boxes[0].dim
@@ -510,11 +499,7 @@ def _check_subsets(
         raise DimensionMismatch("weight count does not match dimension")
     inner = floor(Fraction(box) - s_radius)
 
-    if metric.kind == "dinf":
-        first = _dinf_first_violation(boxes, floor(radius), floor(s_radius), inner)
-    else:
-        weights = metric.weights if metric.kind == "weighted" else (1,) * dim
-        first = _sum_first_violation(boxes, radius, s_radius, weights, inner)
+    first = _first_violation(boxes, radius, s_radius, metric, inner)
     points = (2 * inner + 1) ** dim
     results = {}
     for subset in subsets:
@@ -538,8 +523,9 @@ def check_excision(
     every set indexed by ``subset``, then x lies within ``s_radius`` of
     their intersection.  Distances are computed against the untruncated
     sets in closed per-coordinate form, so the box only bounds the points,
-    never the geometry.  The sup-metric decides on per-axis integer
-    intervals and allocates no grid; the 1-metrics enumerate the grid.
+    never the geometry.  Only the points inside the members' shared
+    per-axis window can violate: the sup-metric decides them on integer
+    intervals and allocates no grid, the 1-metrics enumerate the window.
     The first violating point (lexicographically) is returned as witness.
     """
     if not subset:

@@ -274,7 +274,7 @@ def test_wedge_truncation_first_column():
 
 def test_set_distance_closed_form_vs_brute_force():
     rng = random.Random(9)
-    metrics = [Metric("d1"), Metric("dinf"), Metric.weighted([1, Fraction(1, 2), 3])]
+    metrics = [Metric("d1"), Metric("dinf"), Metric("weighted", (1, Fraction(1, 2), 3))]
     for _ in range(60):
         n = 3
         space = BlockySpace(tuple(rng.choice(ALL_FACTORS) for _ in range(n)))
@@ -334,11 +334,11 @@ def test_excision_weighted_metric_with_explicit_s():
     fam = zinf_block_family(2)
     weights = [1, 2, 3]
     big_s = 3 * 4  # max weight times R
-    res = check_excision(fam, [0, 1, 2], 4, big_s, Metric.weighted(weights), 40)
+    res = check_excision(fam, [0, 1, 2], 4, big_s, Metric("weighted", weights), 40)
     assert res.ok
     # fractional weights: S = R genuinely fails, the M^3 R bound passes
     # (M bounds the weights from both sides and dominates the dimension)
-    fractional = Metric.weighted([1, Fraction(1, 2), Fraction(1, 3)])
+    fractional = Metric("weighted", (1, Fraction(1, 2), Fraction(1, 3)))
     res = check_excision(fam, [0, 1, 2], 4, 4, fractional, 20)
     assert not res.ok and res.witness is not None
     res = check_excision(fam, [0, 1, 2], 4, 27 * 4, fractional, 120)
@@ -393,7 +393,7 @@ def _random_member(rng, dim, span=4):
 
 def _random_metric(rng, kind, dim):
     weights = (1, Fraction(1, 2), Fraction(2, 3), Fraction(3, 2), Fraction(5, 4))
-    return Metric.weighted([rng.choice(weights) for _ in range(dim)]) if kind == "weighted" else Metric(kind)
+    return Metric("weighted", tuple(rng.choice(weights) for _ in range(dim))) if kind == "weighted" else Metric(kind)
 
 
 def test_cover_excision_matches_brute_force_oracle():
@@ -480,7 +480,7 @@ def test_cover_excision_exact_past_int64():
         BlockySpace.of(Factor.FULL, Factor.NONPOS),
         LatticeBox(((-2, 3), (-3, 2))),
     ]
-    metric = Metric.weighted([Fraction(1, 2**62), Fraction(3, 2)])
+    metric = Metric("weighted", (Fraction(1, 2**62), Fraction(3, 2)))
     results = _agrees_with_oracle(cover, Fraction(5, 2), Fraction(3, 2), metric, 6)
     assert sorted({r.ok for r in results.values()}) == [False, True]
 
@@ -489,7 +489,7 @@ def test_cover_excision_exact_past_int64_cuts():
     # a weight of 2**-62 on every coordinate keeps the scaled gaps small but
     # puts both cuts past int64; the disjoint members still fail together
     cover = [LatticeBox(((None, -1), (0, None))), LatticeBox(((1, None), (None, 2)))]
-    metric = Metric.weighted([Fraction(1, 2**62)] * 2)
+    metric = Metric("weighted", (Fraction(1, 2**62),) * 2)
     results = _agrees_with_oracle(cover, 3, 2, metric, 6)
     assert [r.ok for r in results.values()] == [True, True, False]
 
@@ -499,6 +499,17 @@ def test_cover_excision_empty_member_is_near_nothing():
     results = _agrees_with_oracle(cover, 2, 1, Metric("dinf"), 5)
     assert results[(0,)].ok and results[(0, 1)].ok
     assert results[(1,)].witness == (2,)
+
+
+def test_cover_excision_witnesses_on_window_edges():
+    # floor(5 / (5/4)) = 4 and floor(5 / (2/3)) = 7: the point's window is
+    # [-4, 4] x [-7, 7] and the line's [-9, 9] x [-7, 7], and each first
+    # witness lies on its window's low edge
+    cover = [LatticeBox(((0, 0), (0, 0))), LatticeBox(((None, None), (0, 0)))]
+    metric = Metric("weighted", (Fraction(5, 4), Fraction(2, 3)))
+    results = _agrees_with_oracle(cover, 5, Fraction(1, 3), metric, 10)
+    assert {j: r.witness for j, r in results.items()} == {(0,): (-4, 0), (1,): (-9, -7), (0, 1): (-4, 0)}
+    assert {r.points_checked for r in results.values()} == {361}
 
 
 def test_cover_excision_sums_exact_at_dtype_boundary():
