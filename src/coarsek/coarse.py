@@ -6,7 +6,9 @@ flasqueness syntactically (a half-ray factor admits a shift to infinity),
 looks up the K-theory of the Roe algebra for the shapes in the grammar,
 generates the covers behind the worked examples, and verifies coarse
 excisiveness exhaustively on finite lattice boxes, searching each subset
-of a cover only inside the box its members' neighbourhoods share.
+of a cover only inside the box its members' neighbourhoods share, and
+only when the farthest point of that box from the members' intersection
+does not settle the subset at once.
 
 Z^n stands in for R^n throughout: the two are coarsely equivalent, and
 coarse equivalence preserves the K-theory being tracked.
@@ -17,9 +19,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache
 from itertools import combinations
 from math import floor, lcm, prod
+from operator import mul
 from typing import Callable, Iterator, Sequence
 
 from .abelian import FgAbGroup
@@ -377,14 +380,19 @@ def _first_violation(
     A point within R of a box has every coordinate gap at most floor(R / w_i)
     (w_i = 1 for d1 and dinf), so each member's neighbourhood lies in its
     near-box, built once per call, and every candidate of a subset lies in
-    the intersection A of its members' near-boxes.  Under the sup-metric
-    that bound is exact: the points within s = floor(S) of the members'
-    intersection form a box C, the violations are A minus C, and the
+    the intersection A of its members' near-boxes.  A point of A is at most
+    g_i = max(0, M_lo - A_lo, A_hi - M_hi) from the members' meet M on axis
+    i, so a subset passes at once when that farthest point is within S of M:
+    max g_i <= floor(S) under the sup-metric, sum w_i g_i <= S under a
+    1-metric.  Under the sup-metric the test is exact, and the violations
+    are A minus the box C of points within floor(S) of M; the
     lexicographically first of them is A's lowest corner when that lies
     outside C; otherwise it is that corner with its last axis that can still
-    leave C moved just past C's top.  Under a 1-metric the distances are
-    summed over A's window only, as integers scaled by the lcm of every
-    denominator in play; A is a box, so its C order is lexicographic.
+    leave C moved just past C's top.  Under a 1-metric the subsets the test
+    leaves open are summed over A's window only, as integers scaled by the
+    lcm of every denominator in play; A is a box, so its C order is
+    lexicographic.  numpy and the per-axis tables are set up on the first
+    such subset, so a call the test decides throughout builds no grid.
     """
     dim = boxes[0].dim
     weights = metric.weights or (Fraction(1),) * dim
@@ -400,12 +408,29 @@ def _first_violation(
 
     reach = [radius * w.denominator // w.numerator for w in weights]  # floor(R / w_i)
     members = [None if b.is_empty else near(b, reach) for b in boxes]  # an empty member is near nothing
+    scale = lcm(radius.denominator, s_radius.denominator, *(w.denominator for w in weights))
+    factors = [int(w * scale) for w in weights]
+    r_cut, s_cut = int(radius * scale), int(s_radius * scale)
+    s = floor(s_radius)
+    # (A, M) of each subset seen so far; None once A is empty
+    windows: dict = {(): (grid, LatticeBox(((None, None),) * dim))}
 
-    if metric.kind != "dinf":
+    def window(subset: tuple[int, ...]) -> tuple[LatticeBox, LatticeBox] | None:
+        """(A, M) of a subset, grown one member at a time from its longest known prefix."""
+        known = len(subset)
+        while subset[:known] not in windows:  # in size order only the subset itself is new
+            known -= 1
+        for k in range(known, len(subset)):
+            prefix, j = windows[subset[:k]], subset[k]
+            inside = None if prefix is None or members[j] is None else prefix[0].intersect(members[j])
+            windows[subset[: k + 1]] = None if inside is None or inside.is_empty else (inside, prefix[1].intersect(boxes[j]))
+        return windows[subset]
+
+    @cache
+    def summed() -> Callable[[tuple[int, ...], LatticeBox, LatticeBox], tuple[int, ...] | None]:
+        """The 1-metrics' search over a window, set up on its first use."""
         import numpy as np
 
-        scale = lcm(radius.denominator, s_radius.denominator, *(w.denominator for w in weights))
-        factors = [int(w * scale) for w in weights]
         # int64 is plenty for sane inputs; huge weight denominators, which scale
         # the gaps or the cuts, fall back to exact object arrays rather than
         # risking silent wraparound
@@ -413,7 +438,6 @@ def _first_violation(
         dtype = np.int64 if max(worst * max(factors), (radius + s_radius) * scale + 1) * dim < 2**62 else object
         values = np.arange(-inner, inner + 1).astype(dtype)
         tables: dict = {}
-        r_cut, s_cut = int(radius * scale), int(s_radius * scale)
 
         def sums(box: LatticeBox, cut: int, window: LatticeBox) -> np.ndarray:
             """Flat grid over the window of the scaled distances to a nonempty
@@ -440,28 +464,37 @@ def _first_violation(
 
             return fold(axes)
 
-    def first(subset: tuple[int, ...]) -> tuple[int, ...] | None:
-        if any(members[j] is None for j in subset):
-            return None
-        inside = reduce(LatticeBox.intersect, [members[j] for j in subset])
-        if inside.is_empty:
-            return None
-        corner = [lo for lo, _ in inside.intervals]
-        meet = reduce(LatticeBox.intersect, [boxes[j] for j in subset])
-        if metric.kind != "dinf":
+        def search(subset: tuple[int, ...], inside: LatticeBox, meet: LatticeBox) -> tuple[int, ...] | None:
             shape = [hi - lo + 1 for lo, hi in inside.intervals]
             # one S-grid and one R-grid over A at a time
             violations = np.ones(prod(shape), dtype=bool) if meet.is_empty else sums(meet, s_cut, inside) > s_cut
             for j in subset:
                 violations &= sums(boxes[j], r_cut, inside) <= r_cut
             at = int(violations.argmax())  # the first violation in A's C order, if any
+            corner = [lo for lo, _ in inside.intervals]
             return tuple(int(k) + c for k, c in zip(np.unravel_index(at, shape), corner)) if violations[at] else None
+
+        return search
+
+    def first(subset: tuple[int, ...]) -> tuple[int, ...] | None:
+        found = window(subset)
+        if found is None:
+            return None
+        inside, meet = found
+        if not meet.is_empty:  # the farthest point of A from M, per axis
+            far = [
+                max(0, 0 if c is None else c - a, 0 if d is None else b - d)
+                for (a, b), (c, d) in zip(inside.intervals, meet.intervals)
+            ]
+            if (max(far) <= s) if metric.kind == "dinf" else (sum(map(mul, factors, far)) <= s_cut):
+                return None
+        if metric.kind != "dinf":
+            return summed()(subset, inside, meet)
+        corner = [lo for lo, _ in inside.intervals]
         if meet.is_empty:  # no target: every point of A violates
             return tuple(corner)
-        target = near(meet, [floor(s_radius)] * dim).intervals
+        target = near(meet, [s] * dim).intervals
         leaving = [i for i, ((a, b), (c, d)) in enumerate(zip(inside.intervals, target)) if a < c or b > d]
-        if not leaving:  # A lies inside C
-            return None
         if all(c <= x <= d for x, (c, d) in zip(corner, target)):  # then A leaves C only above it
             corner[leaving[-1]] = target[leaving[-1]][1] + 1
         return tuple(corner)
@@ -480,10 +513,13 @@ def _check_subsets(
     """Excision verdict of each subset of the cover on one lattice box.
 
     Every metric first bounds a subset's candidates by the intersection of
-    its members' per-axis windows; the sup-metric decides there on
-    integer intervals, the 1-metrics sum distances inside the window only.
-    Points outside the window are near no member of the subset, so every
-    grid point gets its verdict and ``points_checked`` counts the whole grid.
+    its members' per-axis windows, and passes the subset at once when the
+    window's farthest point from the members' intersection is within S of
+    it.  Otherwise the sup-metric decides on integer intervals, and the
+    1-metrics sum distances inside the window only, on a grid set up the
+    first time a subset needs one.  Points outside the window are near no
+    member of the subset, so every grid point gets its verdict and
+    ``points_checked`` counts the whole grid.
     """
     boxes = [as_box(space) for space in cover]
     dim = boxes[0].dim
@@ -524,8 +560,10 @@ def check_excision(
     their intersection.  Distances are computed against the untruncated
     sets in closed per-coordinate form, so the box only bounds the points,
     never the geometry.  Only the points inside the members' shared
-    per-axis window can violate: the sup-metric decides them on integer
-    intervals and allocates no grid, the 1-metrics enumerate the window.
+    per-axis window can violate, and none does when the window's farthest
+    point is within ``s_radius`` of the intersection; otherwise the
+    sup-metric decides them on integer intervals and allocates no grid,
+    and the 1-metrics enumerate the window.
     The first violating point (lexicographically) is returned as witness.
     """
     if not subset:

@@ -1,6 +1,9 @@
 """CLI subcommands, exit codes, serialization round trips, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -361,19 +364,29 @@ def test_excision_dinf_verdicts_hold_on_a_wide_box(capsys):
     assert not wide["all_ok"]
 
 
+SETTLED = ["--builtin", "rn:6", "--metric", "d1", "--radius", "3", "--box", "22"]
+TIGHT = ["--builtin", "rn:6", "--metric", "d1", "--radius", "3", "--s", "17", "--box", "21"]
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, verdict",
     [
-        ["--metric", "d1", "--builtin", "rn:6", "--radius", "3", "--box", "22"],
-        ["--metric", "weighted", "--builtin", "rn:3", "--weights", "1,3/2,2", "--radius", "7/2", "--s", "21", "--box", "66"],
+        (SETTLED, "PASS"),
+        (
+            ["--metric", "weighted", "--builtin", "rn:3", "--weights", "1,3/2,2", "--radius", "7/2", "--s", "21", "--box", "66"],
+            "PASS",
+        ),
+        (TIGHT, "FAIL"),
     ],
-    ids=["rn6-d1", "rn3-weighted"],
+    ids=["rn6-d1", "rn3-weighted", "rn6-d1-tight"],
 )
-def test_excision_sums_peak_allocation(capsys, argv):
-    # a subset sums only inside its members' shared box, one grid at a time;
-    # a full-grid mask per member, held through the call, would take the
-    # traced peak to about 4.8 MB (d1) and 4.5 MB (weighted) here.  numpy
-    # is imported and the parser built before tracing.
+def test_excision_sums_peak_allocation(capsys, argv, verdict):
+    # the farthest-point bound settles every subset of the first two rows
+    # (a traced peak of about 0.05 MB and 0.01 MB); at S = 17 it leaves
+    # subsets of rn:6 to the grid, which sums one window at a time (about
+    # 0.8 MB), while a full-grid mask per member held through the call
+    # would alone take 7 x 0.53 MB.  numpy is imported and the parser
+    # built before tracing.
     import tracemalloc
 
     import numpy  # noqa: F401
@@ -385,8 +398,42 @@ def test_excision_sums_peak_allocation(capsys, argv):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 0 and out.endswith("overall: PASS\n")
+    assert code == 0 and out.endswith(f"overall: {verdict}\n")
     assert peak < 2.5 * 10**6, peak
+
+
+@pytest.mark.parametrize("argv, grid", [(SETTLED, False), (TIGHT, True)], ids=["settled", "tight"])
+def test_excision_imports_numpy_only_for_a_grid(argv, grid):
+    # at the default S = n R the farthest-point bound settles every subset
+    # of rn:6 under d1, so no grid is built and numpy is never imported; at
+    # S = 17 the bound leaves subsets open and the grid needs numpy
+    script = (
+        "import contextlib, io, sys\n"
+        "from coarsek.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(sys.argv[1:])\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, "excision", *argv],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == f"{grid}\n"
+
+
+def test_excision_window_bound_decides_a_grid_too_large_to_allocate(capsys):
+    # the grid's values alone would fill more than a 64-bit address space, but
+    # at the default S = R every subset of rn:1 is settled by its window's
+    # farthest point, so no grid is built
+    code, out, err = run_cli(
+        capsys, "--format", "json", "excision", "--builtin", "rn:1", "--metric", "d1",
+        "--radius", "1", "--box", str(10**15),
+    )
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["all_ok"] is True
+    assert {s["points_checked"] for s in payload["subsets"]} == {1999999999999999}
 
 
 def test_excision_cover_file(capsys, tmp_path):
@@ -880,8 +927,12 @@ def test_bad_cover_is_one_error_line(capsys, tmp_path, cover, message):
         ),
         (
             # the grid's values alone would fill more than a 64-bit address space,
-            # so the allocation fails at once; only the 1-metrics build a grid
-            ["excision", "--builtin", "rn:1", "--radius", "1", "--metric", "d1", "--box", "1000000000000000"],
+            # so the allocation fails at once; only the 1-metrics build a grid, and
+            # only for subsets the farthest-point bound leaves open, as S = 1/2 does
+            [
+                "excision", "--builtin", "rn:1", "--radius", "1", "--s", "1/2", "--metric", "d1",
+                "--box", "1000000000000000",
+            ],
             "Unable to allocate 14.2 PiB for an array with shape (1999999999999999,) and data type int64",
         ),
         (["simplex", "verify", "--dim", "2", "--samples", "0"], "--samples: expected at least 1, got 0"),

@@ -396,9 +396,35 @@ def _random_metric(rng, kind, dim):
     return Metric("weighted", tuple(rng.choice(weights) for _ in range(dim))) if kind == "weighted" else Metric(kind)
 
 
+def _settled_by_farthest_point(members, radius, s_radius, metric, box):
+    """Whether a subset's farthest window point is within S of its meet.
+
+    The window is the grid points within floor(R / w_i) of every member on
+    each axis i.  None when it is empty, so no grid point is near every
+    member; False when the meet is empty or the farthest point of the
+    window, sum_i w_i max(0, M_lo - A_lo, A_hi - M_hi), lies beyond S.
+    """
+    if any(m.is_empty for m in members):
+        return None
+    inner = floor(box - s_radius)
+    far = 0
+    meet_empty = False
+    for i, w in enumerate(metric.weights or (1,) * members[0].dim):
+        los = [m.intervals[i][0] for m in members if m.intervals[i][0] is not None]
+        his = [m.intervals[i][1] for m in members if m.intervals[i][1] is not None]
+        reach = floor(radius / w)
+        a, b = max([-inner] + [lo - reach for lo in los]), min([inner] + [hi + reach for hi in his])
+        if a > b:
+            return None
+        c, d = max(los, default=None), min(his, default=None)
+        meet_empty |= c is not None and d is not None and c > d
+        far += w * max(0, 0 if c is None else c - a, 0 if d is None else b - d)
+    return not meet_empty and far <= s_radius
+
+
 def test_cover_excision_matches_brute_force_oracle():
     rng = random.Random(2024)
-    empty = failed = 0
+    empty = failed = settled = opened = 0
     for _ in range(100):
         dim = rng.randint(1, 3)
         cover = [_random_member(rng, dim) for _ in range(rng.randint(1, 3))]
@@ -409,8 +435,17 @@ def test_cover_excision_matches_brute_force_oracle():
         results = _agrees_with_oracle(cover, radius, s_radius, metric, box)
         failed += sum(not r.ok for r in results.values())
         empty += any(as_box(cover[0]).intersect(as_box(c)).is_empty for c in cover)
-    # the draw reaches both verdicts and disjoint members
-    assert failed and empty
+        if metric.kind != "dinf":
+            kinds = [
+                _settled_by_farthest_point([as_box(cover[i]) for i in j], radius, s_radius, metric, box)
+                for j in results
+            ]
+            settled += kinds.count(True)
+            opened += kinds.count(False)
+    # the draw reaches both verdicts and disjoint members, and under the
+    # 1-metrics both subsets the farthest-point bound settles and subsets
+    # it leaves to the grid
+    assert failed and empty and settled and opened
 
 
 def test_cover_excision_matches_oracle_on_odd_and_even_splits():
