@@ -2,8 +2,9 @@
 
 Builtin examples (rn:<n>, zinf:<m>, wedge:<k> or wedge:countable:<cap>)
 embed the cover generators, so the headline computations run with no
-input files.  Exit codes: 0 success, 1 input error, 2 the run computed
-but left an ambiguous extension (pieces are still printed).
+input files.  Exit codes: 0 success, 1 input error (a malformed command
+line included), 2 the run computed but left an ambiguous extension
+(pieces are still printed).
 """
 
 from __future__ import annotations
@@ -43,6 +44,14 @@ from .simplex import verify_geometry
 
 class CliError(Exception):
     """Input-level failure; exits with code 1."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser, and its subcommand parsers, that refuse a malformed command
+    line with a CliError instead of a usage block and exit 2."""
+
+    def error(self, message: str):
+        raise CliError(message)
 
 
 def _parse_builtin(name: str, caps: Sequence[int], period: int):
@@ -286,7 +295,7 @@ def _cmd_sweep(args) -> int:
 def _parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on first use; each
     ``parse_args`` call fills a fresh namespace, so calls share no state."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coarsek",
         description="Exact spectral-sequence calculator for coarse-cover K-theory data",
     )
@@ -332,8 +341,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (CliError, SchemaError, AbelianError, AssemblyError, CoarseError, PageError, ValueError,
             MemoryError) as exc:  # MemoryError: an input too large to allocate

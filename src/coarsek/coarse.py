@@ -5,10 +5,10 @@ Blocky subsets of Z^n are products of four per-coordinate constraints
 flasqueness syntactically (a half-ray factor admits a shift to infinity),
 looks up the K-theory of the Roe algebra for the shapes in the grammar,
 generates the covers behind the worked examples, and verifies coarse
-excisiveness exhaustively on finite lattice boxes, searching each subset
-of a cover only inside the box its members' neighbourhoods share, and
-only when the farthest point of that box from the members' intersection
-does not settle the subset at once.
+excisiveness exhaustively on finite lattice boxes, with one integer
+search per subset of a cover inside the box its members' neighbourhoods
+share; the farthest point of that box from the members' intersection
+settles most subsets before the search takes a step.
 
 Z^n stands in for R^n throughout: the two are coarsely equivalent, and
 coarse equivalence preserves the K-theory being tracked.
@@ -19,10 +19,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import combinations
-from math import floor, lcm, prod
-from operator import mul
+from math import floor, lcm
+from operator import sub
 from typing import Callable, Iterator, Sequence
 
 from .abelian import FgAbGroup
@@ -375,24 +374,28 @@ class ExcisionResult:
 def _first_violation(
     boxes: Sequence[LatticeBox], radius: Fraction, s_radius: Fraction, metric: Metric, inner: int
 ) -> Callable[[tuple[int, ...]], tuple[int, ...] | None]:
-    """First violating grid point of a subset, found inside its members' shared box.
+    """First violating grid point of a subset, found by a depth-first search
+    inside its members' shared window.
 
-    A point within R of a box has every coordinate gap at most floor(R / w_i)
-    (w_i = 1 for d1 and dinf), so each member's neighbourhood lies in its
-    near-box, built once per call, and every candidate of a subset lies in
-    the intersection A of its members' near-boxes.  A point of A is at most
-    g_i = max(0, M_lo - A_lo, A_hi - M_hi) from the members' meet M on axis
-    i, so a subset passes at once when that farthest point is within S of M:
-    max g_i <= floor(S) under the sup-metric, sum w_i g_i <= S under a
-    1-metric.  Under the sup-metric the test is exact, and the violations
-    are A minus the box C of points within floor(S) of M; the
-    lexicographically first of them is A's lowest corner when that lies
-    outside C; otherwise it is that corner with its last axis that can still
-    leave C moved just past C's top.  Under a 1-metric the subsets the test
-    leaves open are summed over A's window only, as integers scaled by the
-    lcm of every denominator in play; A is a box, so its C order is
-    lexicographic.  numpy and the per-axis tables are set up on the first
-    such subset, so a call the test decides throughout builds no grid.
+    Distances are integers scaled by the lcm of every denominator in play,
+    so axis i weighs f_i and the cuts are r_cut and s_cut.  A point within
+    R of a box has every coordinate gap at most floor(R / w_i), so each
+    member's neighbourhood lies in its near-box, built once per call, and
+    every candidate of a subset lies in the intersection A of its members'
+    near-boxes.  A point of A is at most g_i = max(0, M_lo - A_lo,
+    A_hi - M_hi) from the members' meet M on axis i, and rest[i] combines
+    f_k g_k over the axes k >= i; ``combine`` takes the sum of distances
+    under a 1-metric and their max under the sup-metric.
+
+    The search fixes x_1, then x_2, and so on, lowest value first.  On axis
+    i it keeps a value only when every member can still be within R, and
+    the distance to M can still pass S given rest[i + 1]; ``spare(cut, u)``
+    is the largest contribution that keeps a distance u within the cut.
+    Every value inside M's interval looks the same to the later axes, so
+    only the first one is tried.  An empty meet leaves no target: every
+    point within R of the members violates.  At the root the test is the
+    window's farthest point, which settles most subsets at once; the first
+    leaf reached is the lexicographically first violation.
     """
     dim = boxes[0].dim
     weights = metric.weights or (Fraction(1),) * dim
@@ -411,7 +414,11 @@ def _first_violation(
     scale = lcm(radius.denominator, s_radius.denominator, *(w.denominator for w in weights))
     factors = [int(w * scale) for w in weights]
     r_cut, s_cut = int(radius * scale), int(s_radius * scale)
-    s = floor(s_radius)
+    # combine folds an iterable of distances, so the farthest-point test is one call
+    if metric.kind == "dinf":
+        combine, spare = max, lambda cut, u: cut if u <= cut else -1
+    else:
+        combine, spare = sum, sub
     # (A, M) of each subset seen so far; None once A is empty
     windows: dict = {(): (grid, LatticeBox(((None, None),) * dim))}
 
@@ -420,84 +427,60 @@ def _first_violation(
         known = len(subset)
         while subset[:known] not in windows:  # in size order only the subset itself is new
             known -= 1
+        found = windows[subset[:known]]
         for k in range(known, len(subset)):
-            prefix, j = windows[subset[:k]], subset[k]
-            inside = None if prefix is None or members[j] is None else prefix[0].intersect(members[j])
-            windows[subset[: k + 1]] = None if inside is None or inside.is_empty else (inside, prefix[1].intersect(boxes[j]))
-        return windows[subset]
-
-    @cache
-    def summed() -> Callable[[tuple[int, ...], LatticeBox, LatticeBox], tuple[int, ...] | None]:
-        """The 1-metrics' search over a window, set up on its first use."""
-        import numpy as np
-
-        # int64 is plenty for sane inputs; huge weight denominators, which scale
-        # the gaps or the cuts, fall back to exact object arrays rather than
-        # risking silent wraparound
-        worst = inner + max(abs(x) for b in boxes for lo, hi in b.intervals for x in (lo or 0, hi or 0))
-        dtype = np.int64 if max(worst * max(factors), (radius + s_radius) * scale + 1) * dim < 2**62 else object
-        values = np.arange(-inner, inner + 1).astype(dtype)
-        tables: dict = {}
-
-        def sums(box: LatticeBox, cut: int, window: LatticeBox) -> np.ndarray:
-            """Flat grid over the window of the scaled distances to a nonempty
-            box, clipped at cut + 1.
-
-            Each per-axis table spans the whole grid and is built once per
-            call, then sliced to the window; the grid is the flat outer sum of
-            two half-grids, the first ceil(n/2) axes against the rest, so the
-            flat index is the window's C order.
-            """
-            # clipped at cut + 1 the sums keep their verdict and fit the narrowest dtype
-            narrow = np.min_scalar_type(dim * (cut + 1))
-            axes = []
-            for (lo, hi), f, (a, b) in zip(box.intervals, factors, window.intervals):
-                key = (lo, hi, f, cut)
-                if key not in tables:
-                    gaps = (values * 0 if lo is None and hi is None else abs(values - np.clip(values, lo, hi))) * f
-                    tables[key] = np.minimum(gaps, cut + 1).astype(narrow)
-                axes.append(tables[key][a + inner : b + inner + 1])
-
-            def fold(axes):  # the heavier left half gives the last sum a long inner loop
-                half = (len(axes) + 1) // 2
-                return axes[0] if len(axes) == 1 else np.add.outer(fold(axes[:half]), fold(axes[half:])).ravel()
-
-            return fold(axes)
-
-        def search(subset: tuple[int, ...], inside: LatticeBox, meet: LatticeBox) -> tuple[int, ...] | None:
-            shape = [hi - lo + 1 for lo, hi in inside.intervals]
-            # one S-grid and one R-grid over A at a time
-            violations = np.ones(prod(shape), dtype=bool) if meet.is_empty else sums(meet, s_cut, inside) > s_cut
-            for j in subset:
-                violations &= sums(boxes[j], r_cut, inside) <= r_cut
-            at = int(violations.argmax())  # the first violation in A's C order, if any
-            corner = [lo for lo, _ in inside.intervals]
-            return tuple(int(k) + c for k, c in zip(np.unravel_index(at, shape), corner)) if violations[at] else None
-
-        return search
+            j = subset[k]
+            inside = None if found is None or members[j] is None else found[0].intersect(members[j])
+            found = windows[subset[: k + 1]] = None if inside is None or inside.is_empty else (inside, found[1].intersect(boxes[j]))
+        return found
 
     def first(subset: tuple[int, ...]) -> tuple[int, ...] | None:
         found = window(subset)
         if found is None:
             return None
         inside, meet = found
-        if not meet.is_empty:  # the farthest point of A from M, per axis
-            far = [
-                max(0, 0 if c is None else c - a, 0 if d is None else b - d)
-                for (a, b), (c, d) in zip(inside.intervals, meet.intervals)
-            ]
-            if (max(far) <= s) if metric.kind == "dinf" else (sum(map(mul, factors, far)) <= s_cut):
-                return None
-        if metric.kind != "dinf":
-            return summed()(subset, inside, meet)
-        corner = [lo for lo, _ in inside.intervals]
-        if meet.is_empty:  # no target: every point of A violates
-            return tuple(corner)
-        target = near(meet, [s] * dim).intervals
-        leaving = [i for i, ((a, b), (c, d)) in enumerate(zip(inside.intervals, target)) if a < c or b > d]
-        if all(c <= x <= d for x, (c, d) in zip(corner, target)):  # then A leaves C only above it
-            corner[leaving[-1]] = target[leaving[-1]][1] + 1
-        return tuple(corner)
+        far = [
+            f * max(0, 0 if c is None else c - a, 0 if d is None else b - d)
+            for f, (a, b), (c, d) in zip(factors, inside.intervals, meet.intervals)
+        ]
+        if meet.is_empty:
+            got = s_cut + 1  # no target: every distance to it passes S
+        elif combine(far) <= s_cut:  # the farthest point of A is within S of M
+            return None
+        else:
+            got = 0
+        rest = [combine(far[i:]) for i in range(dim)] + [0]
+        sides = list(zip(*(boxes[j].intervals for j in subset)))  # sides[i]: the members' intervals on axis i
+
+        def descend(i: int, used: list[int], got: int) -> tuple[int, ...] | None:
+            if i == dim:
+                return ()
+            f, (lo, hi), (c, d) = factors[i], inside.intervals[i], meet.intervals[i]
+            for (a, b), spent in zip(sides[i], used):
+                t = spare(r_cut, spent) // f  # the largest gap to this member that stays within R
+                lo, hi = lo if a is None else max(lo, a - t), hi if b is None else min(hi, b + t)
+            u = spare(s_cut, combine((got, rest[i + 1]))) // f  # gaps to M up to u stay within S
+            first_in, last_in = lo if c is None else max(c, lo), hi if d is None else min(d, hi)
+            # drop the values within u of M; when no value can be, the rest of
+            # M's interval after its first value repeats that value's subtree
+            skip = (first_in - u, last_in + u) if u >= 0 else (first_in + 1, last_in)
+            x = lo
+            while x <= hi:
+                if skip[0] <= x <= skip[1]:
+                    x = skip[1] + 1
+                    continue
+                after = [
+                    combine((spent, f * max(0, 0 if a is None else a - x, 0 if b is None else x - b)))
+                    for (a, b), spent in zip(sides[i], used)
+                ]
+                to_meet = max(0, 0 if c is None else c - x, 0 if d is None else x - d)
+                below = descend(i + 1, after, combine((got, f * to_meet)))
+                if below is not None:
+                    return (x,) + below
+                x += 1
+            return None
+
+        return descend(0, [0] * len(subset), got)
 
     return first
 
@@ -512,14 +495,13 @@ def _check_subsets(
 ) -> dict[tuple[int, ...], ExcisionResult]:
     """Excision verdict of each subset of the cover on one lattice box.
 
-    Every metric first bounds a subset's candidates by the intersection of
-    its members' per-axis windows, and passes the subset at once when the
-    window's farthest point from the members' intersection is within S of
-    it.  Otherwise the sup-metric decides on integer intervals, and the
-    1-metrics sum distances inside the window only, on a grid set up the
-    first time a subset needs one.  Points outside the window are near no
-    member of the subset, so every grid point gets its verdict and
-    ``points_checked`` counts the whole grid.
+    Every metric bounds a subset's candidates by the intersection of its
+    members' per-axis windows, and one depth-first search over the axes
+    decides the window on integers; its root passes the subset at once when
+    the window's farthest point from the members' intersection is within S
+    of it.  Points outside the window are near no member of the subset, so
+    every grid point gets its verdict and ``points_checked`` counts the
+    whole grid, while time and memory follow the windows, not the box.
     """
     boxes = [as_box(space) for space in cover]
     dim = boxes[0].dim
@@ -561,9 +543,9 @@ def check_excision(
     sets in closed per-coordinate form, so the box only bounds the points,
     never the geometry.  Only the points inside the members' shared
     per-axis window can violate, and none does when the window's farthest
-    point is within ``s_radius`` of the intersection; otherwise the
-    sup-metric decides them on integer intervals and allocates no grid,
-    and the 1-metrics enumerate the window.
+    point is within ``s_radius`` of the intersection; otherwise a search
+    that fixes one coordinate at a time, lowest first, decides them and
+    allocates nothing that grows with the box.
     The first violating point (lexicographically) is returned as witness.
     """
     if not subset:

@@ -338,7 +338,8 @@ def test_excision_default_box_exceeds_s_plus_r(capsys, radius, box):
 
 
 def test_excision_dinf_decides_a_grid_too_large_to_allocate(capsys):
-    # the sup-metric decides on intervals, so a 10**15 box needs no grid
+    # each subset is decided inside its window, so a 10**15 box costs what a
+    # small one does
     box = 10**15
     code, out, err = run_cli(
         capsys, "--format", "json", "excision", "--builtin", "rn:2", "--radius", "1", "--box", str(box)
@@ -383,13 +384,10 @@ TIGHT = ["--builtin", "rn:6", "--metric", "d1", "--radius", "3", "--s", "17", "-
 def test_excision_sums_peak_allocation(capsys, argv, verdict):
     # the farthest-point bound settles every subset of the first two rows
     # (a traced peak of about 0.05 MB and 0.01 MB); at S = 17 it leaves
-    # subsets of rn:6 to the grid, which sums one window at a time (about
-    # 0.8 MB), while a full-grid mask per member held through the call
-    # would alone take 7 x 0.53 MB.  numpy is imported and the parser
-    # built before tracing.
+    # subsets of rn:6 to the search, which holds one path of integers per
+    # subset (about 0.09 MB) where a grid over the window would take
+    # megabytes.  The parser is built before tracing.
     import tracemalloc
-
-    import numpy  # noqa: F401
 
     assert run_cli(capsys, "excision", *argv)[0] == 0
     tracemalloc.start()
@@ -399,33 +397,39 @@ def test_excision_sums_peak_allocation(capsys, argv, verdict):
     finally:
         tracemalloc.stop()
     assert code == 0 and out.endswith(f"overall: {verdict}\n")
-    assert peak < 2.5 * 10**6, peak
+    assert peak < 0.5 * 10**6, peak
 
 
-@pytest.mark.parametrize("argv, grid", [(SETTLED, False), (TIGHT, True)], ids=["settled", "tight"])
-def test_excision_imports_numpy_only_for_a_grid(argv, grid):
-    # at the default S = n R the farthest-point bound settles every subset
-    # of rn:6 under d1, so no grid is built and numpy is never imported; at
-    # S = 17 the bound leaves subsets open and the grid needs numpy
+def test_excision_goldens_run_without_numpy():
+    # every subset is decided by a search on Python integers, so with numpy
+    # unimportable each excision golden still prints its pinned bytes
+    from test_golden import CASES
+
+    cases = {name: argv for name, argv in CASES.items() if name.startswith("excision-")}
     script = (
-        "import contextlib, io, sys\n"
+        "import contextlib, io, json, sys\n"
+        "sys.modules['numpy'] = None\n"
         "from coarsek.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    main(sys.argv[1:])\n"
-        "print('numpy' in sys.modules)\n"
+        "outs = {}\n"
+        "for name, argv in json.loads(sys.argv[1]).items():\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        assert main(argv) == 0, name\n"
+        "    outs[name] = out.getvalue()\n"
+        "print(json.dumps(outs))\n"
     )
     path = os.pathsep.join(filter(None, [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", script, "excision", *argv],
+        [sys.executable, "-c", script, json.dumps(cases)],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
     )
-    assert done.stdout == f"{grid}\n"
+    assert {"excision-rn3-d1", "excision-rn5-d1-fail", "excision-rn6-dinf-fail", "excision-rn3-weighted",
+            "excision-rn6-d1-tight"} <= set(cases)
+    assert json.loads(done.stdout) == {name: (GOLDEN / f"{name}.table").read_text(encoding="utf-8") for name in cases}
 
 
 def test_excision_window_bound_decides_a_grid_too_large_to_allocate(capsys):
-    # the grid's values alone would fill more than a 64-bit address space, but
     # at the default S = R every subset of rn:1 is settled by its window's
-    # farthest point, so no grid is built
+    # farthest point, and points_checked still counts every grid point
     code, out, err = run_cli(
         capsys, "--format", "json", "excision", "--builtin", "rn:1", "--metric", "d1",
         "--radius", "1", "--box", str(10**15),
@@ -434,6 +438,35 @@ def test_excision_window_bound_decides_a_grid_too_large_to_allocate(capsys):
     payload = json.loads(out)
     assert payload["all_ok"] is True
     assert {s["points_checked"] for s in payload["subsets"]} == {1999999999999999}
+
+
+@pytest.mark.parametrize(
+    "cover, witnesses",
+    [
+        (None, {(0,): [1], (0, 1): [-1], (1,): [-1]}),
+        ([{"factors": ["zero"]}], {(0,): [-1]}),
+    ],
+    ids=["rn1", "point"],
+)
+def test_excision_huge_box_answers_as_a_small_one(capsys, tmp_path, cover, witnesses):
+    # at S = 1/2 the farthest-point bound settles no subset, and the search
+    # walks each window, which holds a few points at any box; only
+    # points_checked grows with the box
+    if cover is None:
+        source = ["--builtin", "rn:1"]
+    else:
+        (tmp_path / "cover.json").write_text(json.dumps(cover))
+        source = ["--cover", str(tmp_path / "cover.json")]
+    for box in (10, 10**15):
+        code, out, err = run_cli(
+            capsys, "--format", "json", "excision", *source, "--metric", "d1", "--radius", "1", "--s", "1/2",
+            "--box", str(box),
+        )
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["all_ok"] is False
+        assert {tuple(s["J"]): s["witness"] for s in payload["subsets"]} == witnesses
+        assert {s["points_checked"] for s in payload["subsets"]} == {2 * box - 1}
 
 
 def test_excision_cover_file(capsys, tmp_path):
@@ -925,16 +958,8 @@ def test_bad_cover_is_one_error_line(capsys, tmp_path, cover, message):
             ["excision", "--builtin", "rn:x", "--radius", "1"],
             "bad builtin parameter in 'rn:x': invalid literal for int() with base 10: 'x'",
         ),
-        (
-            # the grid's values alone would fill more than a 64-bit address space,
-            # so the allocation fails at once; only the 1-metrics build a grid, and
-            # only for subsets the farthest-point bound leaves open, as S = 1/2 does
-            [
-                "excision", "--builtin", "rn:1", "--radius", "1", "--s", "1/2", "--metric", "d1",
-                "--box", "1000000000000000",
-            ],
-            "Unable to allocate 14.2 PiB for an array with shape (1999999999999999,) and data type int64",
-        ),
+        (["excision", "--builtin", "rn:2", "--radius", "1", "--box", "3.5"], "argument --box: invalid int value: '3.5'"),
+        (["run", "--builtin", "rn:2", "--no-such-flag"], "unrecognized arguments: --no-such-flag"),
         (["simplex", "verify", "--dim", "2", "--samples", "0"], "--samples: expected at least 1, got 0"),
         (["simplex", "verify", "--dim", "2", "--samples", "-3"], "--samples: expected at least 1, got -3"),
         (
@@ -953,7 +978,7 @@ def test_bad_cover_is_one_error_line(capsys, tmp_path, cover, message):
         "zinf-cap-above-m", "zinf-cap-negative", "sweep-zinf-caps-above-m", "sweep-zinf-0", "sweep-zinf-negative",
         "sweep-zinf-ko-period", "sweep-wedge-ko-period",
         "excision-radius-1/0", "excision-s-3/0", "excision-weights-2/0", "excision-dinf-weights",
-        "excision-d1-weights", "excision-rn-x", "excision-huge-box", "simplex-samples-0",
+        "excision-d1-weights", "excision-rn-x", "excision-box-3.5", "run-no-such-flag", "simplex-samples-0",
         "simplex-samples-negative", "caps-1/0", "caps-1..2..3", "caps-empty-range", "caps-0..3",
     ],
 )
@@ -976,19 +1001,13 @@ def test_calls_in_one_process_share_no_state(capsys):
         (["--format", "json", "--verbose", "--period", "8", "sweep", "--builtin", "zinf:3", "--caps", "1..2"], 1),
         (["--format", "json", "run", "--builtin", "rn:2", "--cap", "1"], 1),
         (verbose_simplex + ["--seed", "7"], 0),
-        (["run", "--builtin", "rn:2", "--no-such-flag"], 2),
-        (["--format", "xml", "run", "--builtin", "rn:2"], 2),
+        (["run", "--builtin", "rn:2", "--no-such-flag"], 1),
+        (["--format", "xml", "run", "--builtin", "rn:2"], 1),
         (["--seed", "5"] + verbose_simplex, 0),
         (verbose_simplex, 0),
     ]
     for argv, code in calls:
-        if code == 2:
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == 2
-            capsys.readouterr()
-        else:
-            assert run_cli(capsys, *argv)[0] == code, argv
+        assert run_cli(capsys, *argv)[0] == code, argv
         assert run_cli(capsys, "run", "--builtin", "rn:2") == (0, plain, ""), argv
     # simplex --seed defaults to SUPPRESS: without it the global --seed (default 0) holds
     for argv, seed in ((verbose_simplex + ["--seed", "7"], 7), (["--seed", "5"] + verbose_simplex, 5), (verbose_simplex, 0)):

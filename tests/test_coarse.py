@@ -444,13 +444,13 @@ def test_cover_excision_matches_brute_force_oracle():
             opened += kinds.count(False)
     # the draw reaches both verdicts and disjoint members, and under the
     # 1-metrics both subsets the farthest-point bound settles and subsets
-    # it leaves to the grid
+    # it leaves to the search
     assert failed and empty and settled and opened
 
 
 def test_cover_excision_matches_oracle_on_odd_and_even_splits():
-    # masks fold their axes as two half-grids: 2 + 2, 3 + 2 and 3 + 3 here;
-    # members within [-2, 2] and S <= 1 keep failing subsets common
+    # four to six axes give the search long paths to prune and backtrack
+    # along; members within [-2, 2] and S <= 1 keep failing subsets common
     rng = random.Random(4056)
     verdicts = set()
     for dim in (4, 5, 6):
@@ -467,8 +467,8 @@ def test_cover_excision_matches_oracle_on_odd_and_even_splits():
 
 
 def test_dinf_intervals_match_brute_force_oracle():
-    # the sup-metric decides each subset on per-axis intervals; the oracle
-    # walks every grid point.  Fractional R and S, inner <= 5 - dim.
+    # under the sup-metric the search never backtracks; the oracle walks
+    # every grid point.  Fractional R and S, inner <= 5 - dim.
     rng = random.Random(1993)
     dinf = Metric("dinf")
     late = no_target = apart = 0
@@ -509,7 +509,7 @@ def test_dinf_intervals_exact_far_past_int64():
 
 def test_cover_excision_exact_past_int64():
     # a weight of 2**-62 scales the other coordinate by 2**62 * 3/2, so the
-    # distances leave int64 and the check runs on exact object arrays
+    # distances leave int64, and the search stays exact on Python integers
     cover = [
         LatticeBox(((None, -1), (0, None))),
         BlockySpace.of(Factor.FULL, Factor.NONPOS),
@@ -548,8 +548,8 @@ def test_cover_excision_witnesses_on_window_edges():
 
 
 def test_cover_excision_sums_exact_at_dtype_boundary():
-    # scale 255 puts the cut at 254: one clipped coordinate fits uint8, and
-    # the sum of two must not wrap back below the cut
+    # scale 255 puts the R cut at 254, one below the cost of a unit gap, so
+    # only the members' own points are within R and every subset passes
     cover = [BlockySpace.of(Factor.ZERO, Factor.ZERO), BlockySpace.of(Factor.NONNEG, Factor.ZERO)]
     results = _agrees_with_oracle(cover, Fraction(254, 255), Fraction(1, 255), Metric("d1"), 2)
     assert all(r.ok for r in results.values())

@@ -9,8 +9,8 @@ example can ask for an oversized computation.
 
 Each argument example picks a subcommand and a few of its flags, with values
 drawn from a small pool of good and bad ones.  The good values stay small:
-builtin parameters at most 4 (at most 2 for excision, whose grid grows with
-the dimension), radii at most 3, ``--box`` at most 12, ``--dim`` at most 4
+builtin parameters at most 4 (at most 2 for excision, whose search grows
+with the dimension), radii at most 3, ``--box`` at most 12, ``--dim`` at most 4
 and ``--samples`` at most 20.
 """
 
@@ -160,10 +160,7 @@ def test_argument_vectors_exit_cleanly(tmp_path_factory, data):
     out, err = io.StringIO(), io.StringIO()
     # an exception escaping main would end the real CLI in a traceback
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse refuses a malformed vector with exit 2
-            code = exc.code
+        code = main(argv)  # a malformed vector is an input error, not an exit from argparse
     assert code in (0, 1, 2), (argv, code)
     lines = err.getvalue().splitlines()
     if code == 1:

@@ -45,11 +45,11 @@ CASES = {
         "--radius", "5/3", "--s", "7/3", "--box", "8",
     ],
     "excision-disjoint-rays": ["excision", "--custom", "disjoint-rays", "--radius", "6", "--s", "4"],
-    # FAIL witnesses on the odd and even half-grid splits (57 of 63 and all 127 subsets fail)
+    # FAIL witnesses in five and six dimensions (57 of 63 and all 127 subsets fail)
     "excision-rn5-d1-fail": ["excision", "--builtin", "rn:5", "--metric", "d1", "--radius", "2", "--s", "3", "--box", "8"],
     "excision-rn6-dinf-fail": ["excision", "--builtin", "rn:6", "--metric", "dinf", "--radius", "3", "--s", "2", "--box", "6"],
     # S = 17 sits just below the farthest-point bound of rn:6 (S = 18 passes), so
-    # three subsets fail and the grid decides the subsets the bound leaves open
+    # three subsets fail and the search decides the subsets the bound leaves open
     "excision-rn6-d1-tight": ["excision", "--builtin", "rn:6", "--metric", "d1", "--radius", "3", "--s", "17", "--box", "21"],
     # Smith forms with their transforms: an offender step, a full divisibility
     # chain, a rank drop and the empty shapes
