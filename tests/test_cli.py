@@ -400,6 +400,26 @@ def test_excision_sums_peak_allocation(capsys, argv, verdict):
     assert peak < 0.5 * 10**6, peak
 
 
+@pytest.mark.parametrize("argv", [SETTLED, TIGHT], ids=["settled", "tight"])
+def test_excision_imports_numpy_only_for_a_grid(argv):
+    # no excision builds a grid any more: whether the farthest-point bound
+    # settles every subset (the default S = n R) or leaves some open for the
+    # search (S = 17), numpy is never imported
+    script = (
+        "import contextlib, io, sys\n"
+        "from coarsek.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(sys.argv[1:])\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, "excision", *argv],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "False\n"
+
+
 def test_excision_goldens_run_without_numpy():
     # every subset is decided by a search on Python integers, so with numpy
     # unimportable each excision golden still prints its pinned bytes
