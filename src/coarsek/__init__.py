@@ -33,14 +33,12 @@ from .coarse import (
     BlockySpace,
     Factor,
     Metric,
-    WedgeCoverPiece,
     block_decomposition,
     check_excision,
     classify,
     intersect,
     roe_k_theory,
     rn_mv_input,
-    wedge_cover,
     wedge_mv_input,
     zinf_block_family,
     zinf_mv_input,

@@ -5,6 +5,11 @@ the K-theory of the p-th subquotient in degree p+q) and a Mayer-Vietoris
 decomposition (cell (p, q) is the direct sum over all (p+1)-fold index
 sets J of the K-theory of the J-fold intersection).
 
+Both inputs are plain tables: an ideal chain lists every subquotient's
+groups, and a Mayer-Vietoris input maps index sets to the K-theory of
+their intersection, a set it leaves out having none.  The readers in
+``jsonio`` check a file for completeness; the builders trust their input.
+
 Differentials on the first page default to zero and that default is
 marked loudly in every report: the engine never fabricates maps.  Both
 builders go through ``pages.first_page``, so user d1 matrices act on the
@@ -16,22 +21,14 @@ generators) and are induced onto the canonical cell groups from there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Callable, Iterable, Mapping, Sequence
+from itertools import groupby
+from typing import Callable, Mapping, Sequence
 
 from .abelian import FgAbGroup, IntMatrix
 from .pages import Grading, Page, SpectralRun, first_page, run_to_infinity
 
 
 class AssemblyError(Exception):
-    pass
-
-
-class MissingCell(AssemblyError):
-    pass
-
-
-class MissingIntersection(AssemblyError):
     pass
 
 
@@ -48,23 +45,13 @@ class IdealChainInput:
     """K-data of the successive subquotients of a chain of ideals.
 
     ``groups[(p, s)]`` is the degree-s K-group of the p-th subquotient,
-    for 0 <= p <= length and s modulo the grading period.  Cells the user
-    left out raise MissingCell unless ``default_zero`` is set.
+    for every 0 <= p <= length and every s modulo the grading period.
     """
 
     length: int
     grading: Grading = Grading(2)
     groups: Mapping[tuple[int, int], FgAbGroup] = field(default_factory=dict)
     d1: Mapping[tuple[int, int], IntMatrix] | None = None
-    default_zero: bool = False
-
-    def group_at(self, p: int, s: int) -> FgAbGroup:
-        g = self.groups.get((p, s % self.grading.period))
-        if g is None:
-            if self.default_zero:
-                return FgAbGroup.zero()
-            raise MissingCell(f"no K-group declared at (p={p}, s={s % self.grading.period})")
-        return g
 
 
 @dataclass(frozen=True)
@@ -72,14 +59,10 @@ class MvInput:
     """K-data of the finite intersections of a decomposition into ideals.
 
     ``intersections`` maps a sorted label tuple J to its graded K-groups
-    {q mod period: group}; ``rule`` may generate entries for index sets
-    not present in the mapping (cover generators use this).  ``cap`` caps
-    the column index p, so index sets up to size cap+1 are consulted; for
-    a finite family the natural cap is len(labels) - 1.
-
-    ``walk(top)``, when given, lists sorted index sets of sizes 1..top in
-    lexicographic order, including every set with a nonzero K-group; only
-    those are consulted.  None consults every combination.
+    {q mod period: group}; an index set it leaves out has zero K-theory.
+    ``cap`` caps the column index p, so index sets up to size cap+1 are
+    consulted and larger ones skipped; for a finite family the natural cap
+    is len(labels) - 1.
 
     ``truncated_at`` is None when every K-group beyond the caps is known
     to be zero; otherwise the run is truncated and every report says so.
@@ -88,23 +71,16 @@ class MvInput:
     labels: tuple
     cap: int
     intersections: Mapping[tuple, Mapping[int, FgAbGroup]] = field(default_factory=dict)
-    rule: Callable[[tuple], Mapping[int, FgAbGroup]] | None = None
     d1: Mapping[tuple[int, int], IntMatrix] | None = None
     grading: Grading = Grading(2)
     truncated_at: int | None = None
-    walk: Callable[[int], Iterable[tuple]] | None = None
 
     def __post_init__(self) -> None:
         if not (0 <= self.cap <= max(len(self.labels) - 1, 0)):
             raise ValueError("cap must lie in 0..len(labels)-1")
 
     def graded_for(self, j: tuple) -> Mapping[int, FgAbGroup]:
-        key = tuple(sorted(j))
-        if key in self.intersections:
-            return self.intersections[key]
-        if self.rule is not None:
-            return self.rule(key)
-        raise MissingIntersection(f"no K-data for intersection J={list(key)}")
+        return self.intersections.get(tuple(sorted(j)), {})
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +90,7 @@ class MvInput:
 def build_ideal_chain_e1(inp: IdealChainInput) -> Page:
     """Cell (p, q) carries the degree-(p+q) K-group of the p-th subquotient."""
     parts = {
-        (p, q): [inp.group_at(p, p + q)]
+        (p, q): [inp.groups[(p, (p + q) % inp.grading.period)]]
         for p in range(inp.length + 1)
         for q in range(inp.grading.period)
     }
@@ -128,22 +104,19 @@ def build_mv_e1(inp: MvInput) -> Page:
     on the sorted index sets and the order is recorded on the page, so user
     d1 matrices (acting on the concatenated summand generators) are
     unambiguous.  Zero summands have no generators, so leaving them out
-    (including every set the input's walk skips) does not move any generator.
+    (including every set the table leaves out) does not move any generator.
     """
-    ordered_labels = sorted(inp.labels)
-    walk = inp.walk or (lambda top: (j for n in range(1, top + 1) for j in combinations(ordered_labels, n)))
-    by_size: dict[int, list[tuple]] = {}
-    for j in walk(inp.cap + 1):
-        by_size.setdefault(len(j), []).append(j)
     parts: dict[tuple[int, int], list[FgAbGroup]] = {}
     summands: dict[tuple[int, int], tuple] = {}
-    for p in range(inp.cap + 1):
-        graded = [(j, inp.graded_for(j)) for j in by_size.get(p + 1, ())]
+    for size, sets in groupby(sorted(inp.intersections, key=lambda j: (len(j), j)), len):
+        if size > inp.cap + 1:
+            break
+        graded = [(j, inp.intersections[j]) for j in sets]
         for q in range(inp.grading.period):
             nonzero = [(j, g[q]) for j, g in graded if q in g and not g[q].is_zero]
             if nonzero:
-                parts[(p, q)] = [g for _, g in nonzero]
-                summands[(p, q)] = tuple(j for j, _ in nonzero)
+                parts[(size - 1, q)] = [g for _, g in nonzero]
+                summands[(size - 1, q)] = tuple(j for j, _ in nonzero)
     if inp.truncated_at is None and inp.cap < len(inp.labels) - 1:
         if any(p == inp.cap for p, _ in parts):
             raise CapTooSmall(

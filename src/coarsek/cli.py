@@ -276,7 +276,7 @@ def _cmd_sweep(args) -> int:
     if args.builtin == "wedge:countable":
         family = lambda c: _parse_builtin(f"wedge:countable:{c}", (), args.period)  # noqa: E731
     elif args.builtin.startswith("zinf:"):
-        # one input at the top cap: each smaller cap shares its cover and walk
+        # one input at the top cap: each smaller cap shares its table
         top = _parse_builtin(args.builtin, caps, args.period)
         family = lambda c: replace(top, cap=c)  # noqa: E731
     else:

@@ -4,7 +4,9 @@ Blocky subsets of Z^n are products of four per-coordinate constraints
 (zero, nonnegative ray, nonpositive ray, full line).  The module decides
 flasqueness syntactically (a half-ray factor admits a shift to infinity),
 looks up the K-theory of the Roe algebra for the shapes in the grammar,
-generates the covers behind the worked examples, and verifies coarse
+tabulates the nonzero K-data of the covers behind the worked examples
+(the index sets whose meet is not flasque, found in one depth-first walk
+per cover; a wedge of rays is a table of its double rays), and verifies coarse
 excisiveness exhaustively on finite lattice boxes, with one integer
 search per subset of a cover inside the box its members' neighbourhoods
 share; the farthest point of that box from the members' intersection
@@ -22,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import floor, lcm
 from operator import sub
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .abelian import FgAbGroup
 from .assembly import MvInput
@@ -111,31 +113,6 @@ def classify(space: BlockySpace) -> SpaceClass:
 
 
 # ---------------------------------------------------------------------------
-# wedge covers
-
-
-@dataclass(frozen=True)
-class WedgeCoverPiece:
-    """Cover piece of a wedge of rays: the base ray, or base plus one ray."""
-
-    label: int
-    kind: str  # "base_ray" | "double_ray"
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("base_ray", "double_ray"):
-            raise UnknownSpace(f"unknown wedge piece kind {self.kind!r}")
-
-
-def wedge_cover(k: int) -> list[WedgeCoverPiece]:
-    """Pieces Y_0 .. Y_{k-1}; any two distinct pieces meet in the base ray."""
-    if k < 1:
-        raise ValueError("wedge cover needs at least one ray")
-    return [WedgeCoverPiece(0, "base_ray")] + [
-        WedgeCoverPiece(b, "double_ray") for b in range(1, k)
-    ]
-
-
-# ---------------------------------------------------------------------------
 # K-theory lookup (grading period 2)
 
 
@@ -143,22 +120,18 @@ _Z = FgAbGroup.free(1)
 _0 = FgAbGroup.zero()
 
 
-def roe_k_theory(space) -> dict[int, FgAbGroup]:
-    """Period-2 graded K-theory of the Roe algebra of a grammar shape.
+def roe_k_theory(space: BlockySpace) -> dict[int, FgAbGroup]:
+    """Period-2 graded K-theory of the Roe algebra of a blocky space.
 
     Flasque spaces have vanishing K-theory; a product of k lines carries Z
-    in degree k mod 2; a double ray is coarsely a line.
+    in degree k mod 2.
     """
-    if isinstance(space, BlockySpace):
-        cls = classify(space)
-        if cls.flasque:
-            return {0: _0, 1: _0}
-        return {cls.lines % 2: _Z, (cls.lines + 1) % 2: _0}
-    if isinstance(space, WedgeCoverPiece):
-        if space.kind == "base_ray":
-            return {0: _0, 1: _0}
-        return {0: _0, 1: _Z}
-    raise UnknownSpace(f"no K-theory rule for {space!r}")
+    if not isinstance(space, BlockySpace):
+        raise UnknownSpace(f"no K-theory rule for {space!r}")
+    cls = classify(space)
+    if cls.flasque:
+        return {0: _0, 1: _0}
+    return {cls.lines % 2: _Z, (cls.lines + 1) % 2: _0}
 
 
 # ---------------------------------------------------------------------------
@@ -198,19 +171,14 @@ def zinf_block_family(m: int) -> list[BlockySpace]:
     ]
 
 
-def _blocky_rule(spaces: Sequence[BlockySpace]) -> Callable[[tuple], dict[int, FgAbGroup]]:
-    """K-data rule of a blocky cover: the K-theory of the meet of J."""
-    return lambda j: roe_k_theory(intersect([spaces[i] for i in j]))
+def _blocky_mv_input(spaces: Sequence[BlockySpace], cap: int) -> MvInput:
+    """Input of a blocky cover: the K-theory of every index set of size
+    <= cap + 1 whose meet is not flasque (has no ray factor).
 
-
-def _blocky_walk(spaces: Sequence[BlockySpace], depth: int = 0) -> Callable[[int], Iterator[tuple]]:
-    """Depth-first walk yielding, in lexicographic order, the index sets of
-    size <= top whose meet is not flasque (has no ray factor).
-
-    A ray is fixed only by a later ``zero`` or opposite ray, so a level stops
-    once the running meet holds a ray that no label from there on can fix.
-    The sets are listed once, to size ``depth`` or the first larger top asked
-    for; a smaller top filters that list by size, which keeps the order.
+    A depth-first walk over the sorted labels carries the running meet.  A
+    ray is fixed only by a later ``zero`` or opposite ray, so a level stops
+    once the meet holds a ray that no label from there on can fix.  Copies
+    at smaller caps (``dataclasses.replace``) share the table.
     """
     rays = (Factor.NONNEG, Factor.NONPOS)
     # fixable[i]: the (coordinate, ray) pairs that some label >= i meets to zero
@@ -218,35 +186,21 @@ def _blocky_walk(spaces: Sequence[BlockySpace], depth: int = 0) -> Callable[[int
     for i in range(len(spaces) - 1, -1, -1):
         fix = {(c, r) for c, f in enumerate(spaces[i].factors) for r in rays if f not in (r, Factor.FULL)}
         fixable[i] = fixable[i + 1] | fix
+    table: dict[tuple, dict[int, FgAbGroup]] = {}
 
-    def below(j: tuple, factors: tuple, top: int) -> Iterator[tuple]:
+    def below(j: tuple, factors: tuple) -> None:
         held = {(c, f) for c, f in enumerate(factors) if f in rays}
         if j and not held:
-            yield j
-        if len(j) == top:
+            table[j] = roe_k_theory(BlockySpace(factors))
+        if len(j) == cap + 1:
             return
         for i in range(j[-1] + 1 if j else 0, len(spaces)):
             if not held <= fixable[i]:
                 return
-            yield from below(j + (i,), tuple(map(meet, factors, spaces[i].factors)), top)
+            below(j + (i,), tuple(map(meet, factors, spaces[i].factors)))
 
-    listed: list[tuple] = []
-    listed_to = 0  # listed holds every set of size <= listed_to
-
-    def walk(top: int) -> Iterator[tuple]:
-        nonlocal listed, listed_to
-        if top > listed_to:
-            listed_to = max(top, depth)
-            listed = list(below((), (Factor.FULL,) * spaces[0].dim, listed_to))
-        return (j for j in listed if len(j) <= top)
-
-    return walk
-
-
-def _blocky_mv_input(spaces: Sequence[BlockySpace], cap: int) -> MvInput:
-    """Input of a blocky cover whose walk lists its index sets once, to size
-    cap + 1; copies at smaller caps (``dataclasses.replace``) share it."""
-    return MvInput(tuple(range(len(spaces))), cap, rule=_blocky_rule(spaces), walk=_blocky_walk(spaces, cap + 1))
+    below((), (Factor.FULL,) * spaces[0].dim)
+    return MvInput(tuple(range(len(spaces))), cap, table)
 
 
 def rn_mv_input(n: int) -> MvInput:
@@ -261,27 +215,19 @@ def zinf_mv_input(m: int, cap: int) -> MvInput:
 
 
 def wedge_mv_input(k: int, truncated: bool = False) -> MvInput:
-    """Input for a wedge of k rays covered by base-plus-one-ray pieces.
+    """Input for a wedge of k rays covered by the base ray and k - 1
+    base-plus-one-ray pieces.
 
-    With ``truncated`` the input is marked as a finite prefix of the
-    countable wedge; the first-page column keeps growing with k, so the
-    answer is only exact for the finite wedge.
+    A double ray is coarsely a line, so each of those pieces carries Z in
+    degree 1; the base ray, and every meet of two or more pieces (the base
+    ray again), is flasque.  With ``truncated`` the input is marked as a
+    finite prefix of the countable wedge; the first-page column keeps
+    growing with k, so the answer is only exact for the finite wedge.
     """
-    pieces = wedge_cover(k)
-
-    def rule(j: tuple) -> dict[int, FgAbGroup]:
-        if len(j) == 1:
-            return roe_k_theory(pieces[j[0]])
-        return roe_k_theory(WedgeCoverPiece(0, "base_ray"))
-
-    # every |J| >= 2 meets in the flasque base ray, so only singletons count
-    return MvInput(
-        labels=tuple(range(k)),
-        cap=k - 1,
-        rule=rule,
-        truncated_at=k if truncated else None,
-        walk=lambda top: ((i,) for i in range(k)),
-    )
+    if k < 1:
+        raise ValueError("wedge cover needs at least one ray")
+    table = {(b,): {0: _0, 1: _Z} for b in range(1, k)}
+    return MvInput(tuple(range(k)), k - 1, table, truncated_at=k if truncated else None)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ byte-identically.
 from __future__ import annotations
 
 import json
+from itertools import combinations
 from typing import Any
 
 from .abelian import CountablyInfinite, FgAbGroup, IncompatibleShapes, IntMatrix
@@ -163,8 +164,14 @@ def mv_from_json(obj: Any, default_period: int = 2) -> MvInput:
         for q, g in _get(item, "k", dict, at).items():
             deg = _degree(q, f"{at}.k") % grading.period
             _add(graded, deg, group_from_json(g, f"{at}.k.{q}"), f"{at}.k.{q}")
-        _add(inter, tuple(sorted(_labels(_need(item, "J", at), f"{at}.J"))), graded, f"{at}.J")
-    return MvInput(
+        j = _labels(_need(item, "J", at), f"{at}.J")
+        if not j:
+            raise SchemaError(f"{at}.J: expected at least one label, got []")
+        for x in j:
+            if x not in labels:
+                raise SchemaError(f"{at}.J: {x!r} is not one of the labels {list(labels)}")
+        _add(inter, tuple(sorted(j)), graded, f"{at}.J")
+    inp = MvInput(
         labels=labels,
         cap=_get(obj, "cap", int, default=len(labels) - 1),
         intersections=inter,
@@ -172,6 +179,12 @@ def mv_from_json(obj: Any, default_period: int = 2) -> MvInput:
         grading=grading,
         truncated_at=truncated_at,
     )
+    # a file says nothing about which sets vanish, so it lists every one
+    for n in range(1, inp.cap + 2):
+        for j in combinations(sorted(labels), n):
+            if j not in inter:
+                raise SchemaError(f"no K-data for intersection J={list(j)}")
+    return inp
 
 
 def ideal_chain_from_json(obj: Any, default_period: int = 2) -> IdealChainInput:
@@ -185,13 +198,14 @@ def ideal_chain_from_json(obj: Any, default_period: int = 2) -> IdealChainInput:
             raise SchemaError(f"{at}.p: {p} lies outside 0..{length}")
         key = (p, _get(item, "s", int, at) % grading.period)
         _add(groups, key, group_from_json(_need(item, "group", at), f"{at}.group"), at)
-    return IdealChainInput(
-        length=length,
-        grading=grading,
-        groups=groups,
-        d1=_d1_from_json(obj, grading.period),
-        default_zero=_get(obj, "default_zero", bool, default=False),
-    )
+    d1 = _d1_from_json(obj, grading.period)
+    default_zero = _get(obj, "default_zero", bool, default=False)
+    for p in range(length + 1):
+        for s in ((p + q) % grading.period for q in range(grading.period)):
+            if (p, s) not in groups and not default_zero:
+                raise SchemaError(f"no K-group declared at (p={p}, s={s})")
+            groups.setdefault((p, s), FgAbGroup.zero())
+    return IdealChainInput(length=length, grading=grading, groups=groups, d1=d1)
 
 
 def blocky_from_json(obj: Any, where: str = "space") -> BlockySpace:

@@ -9,8 +9,6 @@ from coarsek.abelian import FgAbGroup, IntMatrix
 from coarsek.assembly import (
     CapTooSmall,
     IdealChainInput,
-    MissingCell,
-    MissingIntersection,
     MvInput,
     assemble_target,
     build_ideal_chain_e1,
@@ -18,6 +16,7 @@ from coarsek.assembly import (
     truncation_sweep,
 )
 from coarsek.coarse import rn_mv_input, wedge_mv_input, zinf_mv_input
+from coarsek.jsonio import SchemaError, ideal_chain_from_json, mv_from_json
 from coarsek.pages import Grading, run_to_infinity
 
 from _oracles import (
@@ -57,7 +56,7 @@ def test_chain_single_nonzero_column_layout():
 
 
 def test_chain_all_zero_quotients():
-    inp = IdealChainInput(length=2, groups={}, default_zero=True)
+    inp = IdealChainInput(length=2, groups={(p, s): ZERO for p in range(3) for s in range(2)})
     page = build_ideal_chain_e1(inp)
     assert not page.cells
     assert page.d1_defaulted
@@ -75,9 +74,12 @@ def test_chain_compact_operator_type():
 
 
 def test_chain_missing_cell_rejected():
-    inp = IdealChainInput(length=1, groups={(0, 0): Z})
-    with pytest.raises(MissingCell):
-        build_ideal_chain_e1(inp)
+    # the reader checks completeness in the builder's (p, q) order
+    obj = {"length": 1, "groups": [{"p": 0, "s": 0, "group": {"free_rank": 1}}]}
+    with pytest.raises(SchemaError, match=r"^no K-group declared at \(p=0, s=1\)$"):
+        ideal_chain_from_json(obj)
+    page = build_ideal_chain_e1(ideal_chain_from_json({**obj, "default_zero": True}))
+    assert {k: page.cell_group(*k) for k in page.support() if not page.cell_group(*k).is_zero} == {(0, 0): Z}
 
 
 def test_chain_d1_maps_are_used():
@@ -132,9 +134,12 @@ def test_mv_r2_blocks_layout():
 
 
 def test_mv_missing_intersection():
-    inp = _mv([0, 1], {(0,): {0: Z}, (1,): {0: Z}})
-    with pytest.raises(MissingIntersection):
-        build_mv_e1(inp)
+    z = {"0": {"free_rank": 1}}
+    obj = {"labels": [0, 1], "intersections": [{"J": [0], "k": z}, {"J": [1], "k": z}]}
+    with pytest.raises(SchemaError, match=r"^no K-data for intersection J=\[0, 1\]$"):
+        mv_from_json(obj)
+    # a table leaves a set out to mean zero K-theory
+    assert build_mv_e1(_mv([0, 1], {(0,): {0: Z}, (1,): {0: Z}})).cell_group(1, 0).is_zero
 
 
 def test_mv_cap_too_small_on_exact_runs():

@@ -27,6 +27,11 @@ ZERO = FgAbGroup.zero()
 G8 = Grading(8)
 
 
+def _filled(groups, length):
+    """``groups`` with every subquotient group it leaves out set to zero."""
+    return {(p, s): groups.get((p, s), ZERO) for p in range(length + 1) for s in range(G8.period)}
+
+
 def run_chain_complex(ranks, boundaries):
     """Run the one-row page of a free chain complex C_p with given d_p.
 
@@ -41,7 +46,7 @@ def run_chain_complex(ranks, boundaries):
     for p, mat in boundaries.items():
         d1[(p, 0)] = mat
     inp = IdealChainInput(
-        length=len(ranks) - 1, grading=G8, groups=groups, d1=d1, default_zero=True
+        length=len(ranks) - 1, grading=G8, groups=_filled(groups, len(ranks) - 1), d1=d1
     )
     page = build_ideal_chain_e1(inp)
     run = run_to_infinity(page)
@@ -145,7 +150,7 @@ def run_pair(sub_homology, rel_homology, connecting):
     d1 = {}
     for s, mat in connecting.items():
         d1[(1, (s - 1) % 8)] = mat
-    inp = IdealChainInput(length=1, grading=G8, groups=groups, d1=d1, default_zero=True)
+    inp = IdealChainInput(length=1, grading=G8, groups=_filled(groups, 1), d1=d1)
     run = run_to_infinity(build_ideal_chain_e1(inp))
     return assemble_target(run)
 
@@ -194,7 +199,7 @@ def test_sphere_from_circle_and_two_twocells():
 
 def run_crossing_filtration(e1_groups, d1, d2_ambient):
     inp_page = build_ideal_chain_e1(
-        IdealChainInput(length=2, grading=G8, groups=e1_groups, d1=d1, default_zero=True)
+        IdealChainInput(length=2, grading=G8, groups=_filled(e1_groups, 2), d1=d1)
     )
     run = run_to_infinity(inp_page, injected_by_page={2: d2_ambient})
     return assemble_target(run), run

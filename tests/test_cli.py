@@ -587,7 +587,7 @@ def test_zinf_sweep_walks_its_cover_once(capsys, monkeypatch, m):
     calls = []
     real_meet = coarse.meet
     monkeypatch.setattr(coarse, "meet", lambda a, b: calls.append(1) or real_meet(a, b))
-    list(zinf_mv_input(m, m).walk(m + 1))
+    zinf_mv_input(m, m)
     one_walk = len(calls)
     calls.clear()
     assert run_cli(capsys, "sweep", "--builtin", f"zinf:{m}", "--caps", f"1..{m}")[0] == 0
@@ -831,6 +831,15 @@ def test_schema_errors():
         ({"kind": "page", "cap": 0, "d1": 0}, "d1: expected a list, got int"),
         ({"kind": "mv", "labels": [0], "d1": ""}, "d1: expected a list, got str"),
         ({"kind": "ideal_chain", "length": 0, "default_zero": True, "d1": {}}, "d1: expected a list, got dict"),
+        # a table counts every entry, so each J must name a nonempty set of labels
+        (
+            {"kind": "mv", "labels": [0, 1], "intersections": [{"J": [0, 7], "k": {"0": {"free_rank": 1}}}]},
+            "intersections[0].J: 7 is not one of the labels [0, 1]",
+        ),
+        (
+            {"kind": "mv", "labels": [0], "intersections": [{"J": [], "k": {}}]},
+            "intersections[0].J: expected at least one label, got []",
+        ),
     ],
     ids=[
         "mv-no-labels", "page-no-cap", "top-level-list", "cell-no-group", "bool-free-rank",
@@ -843,7 +852,8 @@ def test_schema_errors():
         "negative-ideal-chain-length", "negative-truncated-at", "int-group", "group-no-free-rank",
         "str-free-rank", "negative-free-rank", "torsion-one", "torsion-not-a-chain", "ragged-matrix",
         "matrix-entry-count", "negative-matrix-dimension", "str-matrix", "cell-outside-support",
-        "d-o-d-nonzero", "false-d1", "zero-d1", "empty-str-d1", "empty-object-d1",
+        "d-o-d-nonzero", "false-d1", "zero-d1", "empty-str-d1", "empty-object-d1", "J-outside-labels",
+        "empty-J",
     ],
 )
 def test_bad_input_is_one_error_line(capsys, tmp_path, payload, message):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from coarsek import coarse
 from coarsek.abelian import FgAbGroup
 from coarsek.coarse import (
     BlockySpace,
@@ -21,10 +22,8 @@ from coarsek.coarse import (
     Metric,
     SpaceClass,
     UnknownSpace,
-    WedgeCoverPiece,
     as_box,
-    _blocky_rule,
-    _blocky_walk,
+    _blocky_mv_input,
     block_decomposition,
     check_cover_excision,
     check_excision,
@@ -34,12 +33,11 @@ from coarsek.coarse import (
     meet,
     rn_mv_input,
     roe_k_theory,
-    wedge_cover,
     wedge_mv_input,
     zinf_block_family,
     zinf_mv_input,
 )
-from coarsek.assembly import build_mv_e1
+from coarsek.assembly import CapTooSmall, build_mv_e1
 
 from _oracles import brute_force_distance, oracle_excision, set_distance
 
@@ -146,8 +144,6 @@ def test_roe_k_theory_spec_examples():
     assert roe_k_theory(BlockySpace.of(Factor.NONPOS, Factor.FULL)) == {0: ZERO, 1: ZERO}
     line3 = BlockySpace.of(Factor.FULL, Factor.FULL, Factor.FULL)
     assert roe_k_theory(line3) == {0: ZERO, 1: Z}
-    assert roe_k_theory(WedgeCoverPiece(0, "base_ray")) == {0: ZERO, 1: ZERO}
-    assert roe_k_theory(WedgeCoverPiece(3, "double_ray")) == {0: ZERO, 1: Z}
     with pytest.raises(UnknownSpace):
         roe_k_theory("not a space")
 
@@ -192,71 +188,77 @@ def _all_index_sets_shuffled(labels, rng):
     return [tuple(j) for j in sets]
 
 
+def _nonzero(graded):
+    return {q: g for q, g in graded.items() if not g.is_zero}
+
+
 def test_builtin_rules_match_direct_intersections_in_any_query_order():
     rng = random.Random(3)
     for inp, spaces in ((rn_mv_input(5), block_decomposition(5)), (zinf_mv_input(4, 4), zinf_block_family(4))):
         for j in _all_index_sets_shuffled(inp.labels, rng):
-            assert inp.graded_for(j) == roe_k_theory(intersect([spaces[i] for i in j]))
+            assert _nonzero(inp.graded_for(j)) == _nonzero(roe_k_theory(intersect([spaces[i] for i in j])))
 
 
-def test_blocky_rule_matches_direct_intersections_on_random_covers():
-    rng = random.Random(11)
-    for _ in range(400):
+def _random_covers(rng, count):
+    for _ in range(count):
         dim = rng.randint(1, 4)
-        spaces = [BlockySpace(tuple(rng.choice(ALL_FACTORS) for _ in range(dim))) for _ in range(rng.randint(1, 8))]
-        rule = _blocky_rule(spaces)
-        for j in _all_index_sets_shuffled(range(len(spaces)), rng):
-            assert rule(tuple(sorted(j))) == roe_k_theory(intersect([spaces[i] for i in j]))
-        # the walk lists exactly the non-flasque meets, lexicographically
-        top = rng.randint(1, len(spaces))
-        expected = sorted(
-            j
-            for size in range(1, top + 1)
+        yield [BlockySpace(tuple(rng.choice(ALL_FACTORS) for _ in range(dim))) for _ in range(rng.randint(1, 8))]
+
+
+def test_blocky_table_matches_brute_force_on_random_covers():
+    # the table holds exactly the non-flasque meets up to size cap + 1
+    for spaces in _random_covers(random.Random(11), 300):
+        meets = {
+            j: intersect([spaces[i] for i in j])
+            for size in range(1, len(spaces) + 1)
             for j in combinations(range(len(spaces)), size)
-            if not classify(intersect([spaces[i] for i in j])).flasque
-        )
-        assert list(_blocky_walk(spaces)(top)) == expected
-    for k in range(1, 9):
-        inp = wedge_mv_input(k)
-        walked = set(inp.walk(k))
-        for size in range(1, k + 1):
-            for j in combinations(inp.labels, size):
-                if any(not g.is_zero for g in inp.graded_for(j).values()):
-                    assert j in walked
+        }
+        for cap in range(len(spaces)):
+            expected = {j: roe_k_theory(m) for j, m in meets.items() if len(j) <= cap + 1 and not classify(m).flasque}
+            assert _blocky_mv_input(spaces, cap).intersections == expected
+
+
+def _first_page_or_refusal(inp):
+    try:
+        return build_mv_e1(inp)
+    except CapTooSmall as exc:
+        return str(exc)
 
 
 def test_blocky_walk_answers_every_top_from_one_listing():
-    # a walk listed to one depth filters that list for smaller tops and
-    # lists again, deeper, for a larger one
-    rng = random.Random(5)
-    for _ in range(100):
-        dim = rng.randint(1, 4)
-        spaces = [BlockySpace(tuple(rng.choice(ALL_FACTORS) for _ in range(dim))) for _ in range(rng.randint(1, 8))]
-        walk = _blocky_walk(spaces, rng.randint(1, len(spaces)))
-        for top in rng.sample(range(1, len(spaces) + 1), len(spaces)):
-            assert list(walk(top)) == list(_blocky_walk(spaces)(top))
+    # one walk's table, cut down to a smaller cap, builds the page (or the
+    # refusal) of an input walked fresh at that cap
+    for spaces in _random_covers(random.Random(5), 150):
+        top = _blocky_mv_input(spaces, len(spaces) - 1)
+        for cap in range(len(spaces)):
+            fresh = _first_page_or_refusal(_blocky_mv_input(spaces, cap))
+            assert _first_page_or_refusal(dataclasses.replace(top, cap=cap)) == fresh
 
 
 @pytest.mark.parametrize(
-    "inp", [rn_mv_input(12), wedge_mv_input(15), zinf_mv_input(11, 10)], ids=["rn12", "wedge15", "zinf11"]
+    "build",
+    [lambda: rn_mv_input(12), lambda: wedge_mv_input(15), lambda: zinf_mv_input(11, 10)],
+    ids=["rn12", "wedge15", "zinf11"],
 )
-def test_builtin_first_page_asks_the_rule_at_most_once_per_label(inp):
+def test_builtin_first_page_asks_the_rule_at_most_once_per_label(monkeypatch, build):
+    # the K-theory rule is asked at most once per table entry, while the
+    # input is built, and never by the first page
     calls = []
-
-    def counted(j):
-        calls.append(j)
-        return inp.rule(j)
-
-    build_mv_e1(dataclasses.replace(inp, rule=counted))
-    assert len(calls) <= len(inp.labels)
+    real = coarse.roe_k_theory
+    monkeypatch.setattr(coarse, "roe_k_theory", lambda space: calls.append(space) or real(space))
+    inp = build()
+    asked = len(calls)
+    build_mv_e1(inp)
+    assert len(calls) == asked <= len(inp.intersections) <= len(inp.labels)
 
 
 def test_wedge_cover_pieces():
-    pieces = wedge_cover(2)
-    assert [(p.label, p.kind) for p in pieces] == [(0, "base_ray"), (1, "double_ray")]
-    assert wedge_cover(1) == [WedgeCoverPiece(0, "base_ray")]
-    with pytest.raises(ValueError):
-        wedge_cover(0)
+    # a double ray is coarsely a line; the base ray and every meet are flasque
+    line = roe_k_theory(BlockySpace.of(Factor.FULL))
+    for k in range(1, 9):
+        assert wedge_mv_input(k).intersections == {(b,): line for b in range(1, k)}
+    with pytest.raises(ValueError, match="wedge cover needs at least one ray"):
+        wedge_mv_input(0)
 
 
 def test_wedge_truncation_first_column():
