@@ -33,6 +33,21 @@ class InfiniteRankArithmetic(AbelianError):
     """Nonzero arithmetic was requested through a countable-rank group."""
 
 
+def decimal_str(n: int) -> str:
+    """``int.__repr__(n)``, also past the interpreter's digit limit, which
+    stays as it is: such an int is split by a power of ten into halves.
+
+    >>> decimal_str(-10**30 - 7)
+    '-1000000000000000000000000000007'
+    """
+    try:
+        return int.__repr__(n)
+    except ValueError:
+        half = n.bit_length() * 3 // 20  # about half the digits
+        high, low = divmod(abs(n), 10**half)
+        return ("-" if n < 0 else "") + decimal_str(high) + decimal_str(low).rjust(half, "0")
+
+
 # ---------------------------------------------------------------------------
 # integer matrices
 
@@ -433,7 +448,7 @@ class FgAbGroup:
 
     @classmethod
     def zero(cls) -> "FgAbGroup":
-        return cls(0, ())
+        return _ZERO
 
     @classmethod
     def free(cls, rank: int) -> "FgAbGroup":
@@ -515,8 +530,11 @@ class FgAbGroup:
             parts.append("Z")
         elif self.free_rank > 1:
             parts.append(f"Z^{self.free_rank}")
-        parts.extend(f"Z/{d}" for d in self.torsion)
+        parts.extend(f"Z/{decimal_str(d)}" for d in self.torsion)
         return " + ".join(parts)
+
+
+_ZERO = FgAbGroup(0, ())  # frozen, so every caller can share it
 
 
 def cokernel(a: IntMatrix) -> FgAbGroup:

@@ -19,7 +19,7 @@ from math import floor
 from typing import Sequence
 
 from . import jsonio
-from .abelian import AbelianError, smith_normal_form
+from .abelian import AbelianError, decimal_str, smith_normal_form
 from .assembly import (
     AssemblyError,
     assemble_target,
@@ -129,6 +129,17 @@ def _cmd_run(args) -> int:
     return 2 if report.any_ambiguous else 0
 
 
+def _ints_repr(value) -> str:
+    """``repr`` of an int, or of a tuple or nested lists of ints, with every
+    int in full past the interpreter's digit limit."""
+    if isinstance(value, int):
+        return decimal_str(value)
+    inner = ", ".join(map(_ints_repr, value))
+    if isinstance(value, list):
+        return f"[{inner}]"
+    return f"({inner},)" if len(value) == 1 else f"({inner})"
+
+
 def _cmd_snf(args) -> int:
     try:
         obj = json.loads(args.matrix)
@@ -151,9 +162,9 @@ def _cmd_snf(args) -> int:
             )
         )
     else:
-        print(f"D = diag{result.diagonal}")
-        print(f"U = {result.U.to_rows()}")
-        print(f"V = {result.V.to_rows()}")
+        print(f"D = diag{_ints_repr(result.diagonal)}")
+        print(f"U = {_ints_repr(result.U.to_rows())}")
+        print(f"V = {_ints_repr(result.V.to_rows())}")
         print(f"certificate: U*A*V == D and |det U| == |det V| == 1: {result.check()}")
     return 0
 

@@ -175,31 +175,39 @@ def _blocky_mv_input(spaces: Sequence[BlockySpace], cap: int) -> MvInput:
     """Input of a blocky cover: the K-theory of every index set of size
     <= cap + 1 whose meet is not flasque (has no ray factor).
 
+    Each piece is two bit masks: pos, the coordinates whose factor allows
+    the + side (nonneg, full), and neg, those allowing the - side; a meet
+    ands the masks, and its rays are pos & ~neg and neg & ~pos.
     A depth-first walk over the sorted labels carries the running meet.  A
-    ray is fixed only by a later ``zero`` or opposite ray, so a level stops
+    ray is fixed only by a later label lacking its side, so a level stops
     once the meet holds a ray that no label from there on can fix.  Copies
     at smaller caps (``dataclasses.replace``) share the table.
     """
-    rays = (Factor.NONNEG, Factor.NONPOS)
-    # fixable[i]: the (coordinate, ray) pairs that some label >= i meets to zero
-    fixable = [frozenset()] * (len(spaces) + 1)
+    dim = spaces[0].dim
+    full = (1 << dim) - 1
+    sides = [
+        tuple(sum(1 << c for c, f in enumerate(s.factors) if f in (ray, Factor.FULL)) for ray in (Factor.NONNEG, Factor.NONPOS))
+        for s in spaces
+    ]
+    # fixable[i]: the coordinates where some label >= i lacks the + side, and those where one lacks the - side
+    fixable = [(0, 0)] * (len(spaces) + 1)
     for i in range(len(spaces) - 1, -1, -1):
-        fix = {(c, r) for c, f in enumerate(spaces[i].factors) for r in rays if f not in (r, Factor.FULL)}
-        fixable[i] = fixable[i + 1] | fix
+        fixable[i] = (fixable[i + 1][0] | full ^ sides[i][0], fixable[i + 1][1] | full ^ sides[i][1])
     table: dict[tuple, dict[int, FgAbGroup]] = {}
 
-    def below(j: tuple, factors: tuple) -> None:
-        held = {(c, f) for c, f in enumerate(factors) if f in rays}
-        if j and not held:
+    def below(j: tuple, pos: int, neg: int) -> None:
+        up, down = pos & ~neg, neg & ~pos
+        if j and not up | down:
+            factors = tuple(Factor.FULL if pos >> c & 1 else Factor.ZERO for c in range(dim))
             table[j] = roe_k_theory(BlockySpace(factors))
         if len(j) == cap + 1:
             return
         for i in range(j[-1] + 1 if j else 0, len(spaces)):
-            if not held <= fixable[i]:
+            if up & ~fixable[i][0] or down & ~fixable[i][1]:
                 return
-            below(j + (i,), tuple(map(meet, factors, spaces[i].factors)))
+            below(j + (i,), pos & sides[i][0], neg & sides[i][1])
 
-    below((), (Factor.FULL,) * spaces[0].dim)
+    below((), full, full)
     return MvInput(tuple(range(len(spaces))), cap, table)
 
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 from itertools import combinations
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
-from .abelian import CountablyInfinite, FgAbGroup, IncompatibleShapes, IntMatrix
+from .abelian import CountablyInfinite, FgAbGroup, IncompatibleShapes, IntMatrix, decimal_str
 from .assembly import DegreeReport, FiltrationReport, IdealChainInput, MvInput, SweepReport
 from .coarse import BlockySpace, Factor
 from .pages import Grading, Page, first_page
@@ -317,4 +318,37 @@ def sweep_to_table(sweep: SweepReport, verbose: bool = False) -> str:
 
 
 def dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
+    """``json.dumps(obj, sort_keys=True, indent=2)`` in one recursive pass (an
+    indent keeps the standard encoder off its C path); ints print in full
+    past the interpreter's digit limit, other scalars go to ``json.dumps``."""
+    out: list[str] = []
+    append = out.append
+
+    def write(value: Any, indent: str) -> None:
+        if isinstance(value, str):
+            append(encode_basestring_ascii(value))
+        elif value is None or value is True or value is False:
+            append("null" if value is None else "true" if value else "false")
+        elif isinstance(value, int):
+            append(decimal_str(value))
+        elif not isinstance(value, (list, tuple, dict)):
+            append(json.dumps(value))
+        elif isinstance(value, dict):
+            inner = indent + "  "
+            sep = "{\n" + inner
+            for key in sorted(value):
+                append(sep + encode_basestring_ascii(key) + ": ")
+                write(value[key], inner)
+                sep = ",\n" + inner
+            append("\n" + indent + "}" if value else "{}")
+        else:
+            inner = indent + "  "
+            sep = "[\n" + inner
+            for item in value:
+                append(sep)
+                write(item, inner)
+                sep = ",\n" + inner
+            append("\n" + indent + "]" if value else "[]")
+
+    write(obj, "")
+    return "".join(out)

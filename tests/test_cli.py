@@ -7,9 +7,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarsek import coarse, jsonio
-from coarsek.abelian import CountablyInfinite, FgAbGroup, IntMatrix
+from coarsek.abelian import CountablyInfinite, FgAbGroup, IntMatrix, smith_normal_form
 from coarsek.assembly import truncation_sweep
 from coarsek.cli import main
 from coarsek.coarse import zinf_mv_input
@@ -584,14 +586,11 @@ def test_zinf_sweep_matches_a_fresh_input_at_every_cap(capsys, m):
 
 @pytest.mark.parametrize("m", (4, 10))
 def test_zinf_sweep_walks_its_cover_once(capsys, monkeypatch, m):
-    calls = []
-    real_meet = coarse.meet
-    monkeypatch.setattr(coarse, "meet", lambda a, b: calls.append(1) or real_meet(a, b))
-    zinf_mv_input(m, m)
-    one_walk = len(calls)
-    calls.clear()
+    builds = []
+    real_build = coarse._blocky_mv_input
+    monkeypatch.setattr(coarse, "_blocky_mv_input", lambda *a: builds.append(a) or real_build(*a))
     assert run_cli(capsys, "sweep", "--builtin", f"zinf:{m}", "--caps", f"1..{m}")[0] == 0
-    assert len(calls) == one_walk > 0
+    assert len(builds) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -629,6 +628,60 @@ def test_page_round_trip():
         assert back.cell_group(1, 0) == page.cell_group(1, 0)
         assert back.cell_group(0, 0) == page.cell_group(0, 0) == target
         assert back.diffs[(1, 0)].matrix == page.diffs[(1, 0)].matrix == d1
+
+
+_JSON_SCALARS = (
+    st.text(alphabet=st.characters(max_codepoint=0x1F600))  # non-ASCII, quotes and control characters
+    | st.integers(min_value=-(2**700), max_value=2**700)
+    | st.booleans()
+    | st.none()
+    | st.floats()  # nan and inf included
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_JSON_VALUES)
+def test_dumps_matches_the_standard_encoder(value):
+    assert jsonio.dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_ints_past_the_digit_limit_print_in_full(capsys):
+    # D = diag(1, 2**1100 * 3**700) has 666 digits, past a limit of 640; the
+    # entries of the input are below it, so only the output needs the digits
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no integer string digit limit in this interpreter")
+    product = 2**1100 * 3**700
+    matrix = json.dumps([[2**1100, 0], [0, 3**700]])
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        table = run_cli(capsys, "snf", "--matrix", matrix)
+        as_json = run_cli(capsys, "--format", "json", "snf", "--matrix", matrix)
+        group = str(FgAbGroup(0, (product,)))
+        assert sys.get_int_max_str_digits() == 640
+        sys.set_int_max_str_digits(0)  # no limit, so the expected text comes from repr and json
+        result = smith_normal_form(IntMatrix.from_rows(json.loads(matrix)))
+        payload = {name: jsonio.matrix_to_json(getattr(result, name)) for name in "DUV"}
+        expected_json = json.dumps({**payload, "certificate_ok": True}, sort_keys=True, indent=2)
+        expected_rows = f"U = {result.U.to_rows()}\nV = {result.V.to_rows()}\n"
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert result.diagonal == (1, product)
+    assert group == f"Z/{result.diagonal[1]!r}"
+    assert table[0] == 0, table[2]
+    assert table[1] == (
+        f"D = diag{result.diagonal!r}\n{expected_rows}"
+        "certificate: U*A*V == D and |det U| == |det V| == 1: True\n"
+    )
+    assert as_json[0] == 0, as_json[2]
+    assert as_json[1] == expected_json + "\n"
 
 
 def test_schema_errors():

@@ -218,6 +218,13 @@ def test_blocky_table_matches_brute_force_on_random_covers():
             assert _blocky_mv_input(spaces, cap).intersections == expected
 
 
+def test_blocky_table_at_sizes_brute_force_cannot_reach():
+    # rn:40 has 2**41 - 1 index sets and one non-flasque meet: all 41 blocks
+    # meet in the origin; no meet of the zinf:30 family loses every ray
+    assert rn_mv_input(40).intersections == {tuple(range(41)): {0: Z, 1: ZERO}}
+    assert zinf_mv_input(30, 30).intersections == {}
+
+
 def _first_page_or_refusal(inp):
     try:
         return build_mv_e1(inp)
