@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -84,15 +85,32 @@ def _parse_builtin(name: str, caps: Sequence[int], period: int):
     )
 
 
+def _parse_json(text: str, source: str):
+    """``text`` parsed as JSON; each way parsing can fail is one CliError
+    that names ``source`` and, past a limit of the interpreter, the limit."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CliError(f"malformed JSON in {source} at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise CliError(
+            f"JSON in {source} nests deeper than the parser allows (recursion limit {sys.getrecursionlimit()})"
+        ) from None
+    except ValueError:  # json turns every other integer literal into an int
+        raise CliError(
+            f"JSON in {source} has an integer past the interpreter's limit of {sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        return json.loads(text), text
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliError(f"malformed JSON in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return _parse_json(text, path), text
 
 
 def _cmd_run(args) -> int:
@@ -141,11 +159,7 @@ def _ints_repr(value) -> str:
 
 
 def _cmd_snf(args) -> int:
-    try:
-        obj = json.loads(args.matrix)
-    except json.JSONDecodeError as exc:
-        raise CliError(f"malformed matrix JSON at column {exc.colno}: {exc.msg}") from exc
-    matrix = jsonio.matrix_from_json(obj)
+    matrix = jsonio.matrix_from_json(_parse_json(args.matrix, "--matrix"))
     if args.verbose:
         print("input:")
         print(args.matrix)
@@ -354,10 +368,18 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except (CliError, SchemaError, AbelianError, AssemblyError, CoarseError, PageError, ValueError,
             MemoryError) as exc:  # MemoryError: an input too large to allocate
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout: what is still buffered goes to devnull,
+        # so the flush at exit cannot fail again (the SIGPIPE note of the
+        # signal module's docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -12,6 +12,14 @@ search per subset of a cover inside the box its members' neighbourhoods
 share; the farthest point of that box from the members' intersection
 settles most subsets before the search takes a step.
 
+The search sees every set as a product of finite integer intervals.  An
+unbounded end becomes -far or far, where far = inner + 1 + the largest
+|finite end| of the cover and [-inner, inner] is the grid's range on
+each axis.  That is exact: every finite end lies strictly between -far
+and far, so a meet picks the same finite ends as before and is empty
+exactly when it was; and a grid point lies strictly inside -far and far,
+so its gap to each set, and to each meet, is what it was.
+
 Z^n stands in for R^n throughout: the two are coarsely equivalent, and
 coarse equivalence preserves the K-theory being tracked.
 """
@@ -24,7 +32,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import floor, lcm
 from operator import sub
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .abelian import FgAbGroup
 from .assembly import MvInput
@@ -325,120 +333,6 @@ class ExcisionResult:
     points_checked: int
 
 
-def _first_violation(
-    boxes: Sequence[LatticeBox], radius: Fraction, s_radius: Fraction, metric: Metric, inner: int
-) -> Callable[[tuple[int, ...]], tuple[int, ...] | None]:
-    """First violating grid point of a subset, found by a depth-first search
-    inside its members' shared window.
-
-    Distances are integers scaled by the lcm of every denominator in play,
-    so axis i weighs f_i and the cuts are r_cut and s_cut.  A point within
-    R of a box has every coordinate gap at most floor(R / w_i), so each
-    member's neighbourhood lies in its near-box, built once per call, and
-    every candidate of a subset lies in the intersection A of its members'
-    near-boxes.  A point of A is at most g_i = max(0, M_lo - A_lo,
-    A_hi - M_hi) from the members' meet M on axis i, and rest[i] combines
-    f_k g_k over the axes k >= i; ``combine`` takes the sum of distances
-    under a 1-metric and their max under the sup-metric.
-
-    The search fixes x_1, then x_2, and so on, lowest value first.  On axis
-    i it keeps a value only when every member can still be within R, and
-    the distance to M can still pass S given rest[i + 1]; ``spare(cut, u)``
-    is the largest contribution that keeps a distance u within the cut.
-    Every value inside M's interval looks the same to the later axes, so
-    only the first one is tried.  An empty meet leaves no target: every
-    point within R of the members violates.  At the root the test is the
-    window's farthest point, which settles most subsets at once; the first
-    leaf reached is the lexicographically first violation.
-    """
-    dim = boxes[0].dim
-    weights = metric.weights or (Fraction(1),) * dim
-    grid = LatticeBox(((-inner, inner),) * dim)
-
-    def near(box: LatticeBox, gaps: Sequence[int]) -> LatticeBox:
-        """Grid points within per-axis ``gaps`` of a nonempty box."""
-        widened = (
-            (None if lo is None else lo - g, None if hi is None else hi + g)
-            for (lo, hi), g in zip(box.intervals, gaps)
-        )
-        return LatticeBox(tuple(widened)).intersect(grid)
-
-    reach = [radius * w.denominator // w.numerator for w in weights]  # floor(R / w_i)
-    members = [None if b.is_empty else near(b, reach) for b in boxes]  # an empty member is near nothing
-    scale = lcm(radius.denominator, s_radius.denominator, *(w.denominator for w in weights))
-    factors = [int(w * scale) for w in weights]
-    r_cut, s_cut = int(radius * scale), int(s_radius * scale)
-    # combine folds an iterable of distances, so the farthest-point test is one call
-    if metric.kind == "dinf":
-        combine, spare = max, lambda cut, u: cut if u <= cut else -1
-    else:
-        combine, spare = sum, sub
-    # (A, M) of each subset seen so far; None once A is empty
-    windows: dict = {(): (grid, LatticeBox(((None, None),) * dim))}
-
-    def window(subset: tuple[int, ...]) -> tuple[LatticeBox, LatticeBox] | None:
-        """(A, M) of a subset, grown one member at a time from its longest known prefix."""
-        known = len(subset)
-        while subset[:known] not in windows:  # in size order only the subset itself is new
-            known -= 1
-        found = windows[subset[:known]]
-        for k in range(known, len(subset)):
-            j = subset[k]
-            inside = None if found is None or members[j] is None else found[0].intersect(members[j])
-            found = windows[subset[: k + 1]] = None if inside is None or inside.is_empty else (inside, found[1].intersect(boxes[j]))
-        return found
-
-    def first(subset: tuple[int, ...]) -> tuple[int, ...] | None:
-        found = window(subset)
-        if found is None:
-            return None
-        inside, meet = found
-        far = [
-            f * max(0, 0 if c is None else c - a, 0 if d is None else b - d)
-            for f, (a, b), (c, d) in zip(factors, inside.intervals, meet.intervals)
-        ]
-        if meet.is_empty:
-            got = s_cut + 1  # no target: every distance to it passes S
-        elif combine(far) <= s_cut:  # the farthest point of A is within S of M
-            return None
-        else:
-            got = 0
-        rest = [combine(far[i:]) for i in range(dim)] + [0]
-        sides = list(zip(*(boxes[j].intervals for j in subset)))  # sides[i]: the members' intervals on axis i
-
-        def descend(i: int, used: list[int], got: int) -> tuple[int, ...] | None:
-            if i == dim:
-                return ()
-            f, (lo, hi), (c, d) = factors[i], inside.intervals[i], meet.intervals[i]
-            for (a, b), spent in zip(sides[i], used):
-                t = spare(r_cut, spent) // f  # the largest gap to this member that stays within R
-                lo, hi = lo if a is None else max(lo, a - t), hi if b is None else min(hi, b + t)
-            u = spare(s_cut, combine((got, rest[i + 1]))) // f  # gaps to M up to u stay within S
-            first_in, last_in = lo if c is None else max(c, lo), hi if d is None else min(d, hi)
-            # drop the values within u of M; when no value can be, the rest of
-            # M's interval after its first value repeats that value's subtree
-            skip = (first_in - u, last_in + u) if u >= 0 else (first_in + 1, last_in)
-            x = lo
-            while x <= hi:
-                if skip[0] <= x <= skip[1]:
-                    x = skip[1] + 1
-                    continue
-                after = [
-                    combine((spent, f * max(0, 0 if a is None else a - x, 0 if b is None else x - b)))
-                    for (a, b), spent in zip(sides[i], used)
-                ]
-                to_meet = max(0, 0 if c is None else c - x, 0 if d is None else x - d)
-                below = descend(i + 1, after, combine((got, f * to_meet)))
-                if below is not None:
-                    return (x,) + below
-                x += 1
-            return None
-
-        return descend(0, [0] * len(subset), got)
-
-    return first
-
-
 def _check_subsets(
     cover: Sequence,
     subsets: Sequence[tuple[int, ...]],
@@ -447,15 +341,34 @@ def _check_subsets(
     metric: Metric,
     box: int,
 ) -> dict[tuple[int, ...], ExcisionResult]:
-    """Excision verdict of each subset of the cover on one lattice box.
+    """Excision verdict of each subset of the cover on one lattice box, with
+    the lexicographically first violating grid point as witness.
 
-    Every metric bounds a subset's candidates by the intersection of its
-    members' per-axis windows, and one depth-first search over the axes
-    decides the window on integers; its root passes the subset at once when
-    the window's farthest point from the members' intersection is within S
-    of it.  Points outside the window are near no member of the subset, so
-    every grid point gets its verdict and ``points_checked`` counts the
-    whole grid, while time and memory follow the windows, not the box.
+    The search runs on integer intervals (lo, hi), with unbounded ends at
+    -far and far as the module docstring says; an empty member's near-box
+    and an empty window have an interval with lo > hi.  Distances are
+    integers scaled by the lcm of every denominator in play, so axis i
+    weighs f_i and the cuts are r_cut and s_cut.  A point within
+    R of a set has every coordinate gap at most floor(R / w_i), so each
+    member's neighbourhood lies in its near-box, and every candidate of a
+    subset lies in the intersection A of its members' near-boxes, its
+    window.  A point of A is at most g_i = max(0, M_lo - A_lo, A_hi - M_hi)
+    from the members' meet M on axis i, and rest[i] combines f_k g_k over
+    the axes k >= i; ``combine`` takes the sum of distances under a
+    1-metric and their max under the sup-metric.
+
+    At the root, a subset passes at once when A is empty or when its
+    farthest point is within S of M.  Otherwise a depth-first search fixes
+    x_1, then x_2, and so on, lowest value first.  On axis i it keeps a
+    value only when every member can still be within R, and the distance
+    to M can still pass S given rest[i + 1]; ``spare(cut, u)`` is the
+    largest contribution that keeps a distance u within the cut.  Every
+    value inside M's interval looks the same to the later axes, so only the
+    first one is tried.  An empty meet leaves no target: every point within
+    R of the members violates.  Points outside the window are near no
+    member, so every grid point gets its verdict and ``points_checked``
+    counts the whole grid, while time and memory follow the windows, not
+    the box.
     """
     boxes = [as_box(space) for space in cover]
     dim = boxes[0].dim
@@ -470,8 +383,78 @@ def _check_subsets(
     if metric.kind == "weighted" and len(metric.weights) != dim:
         raise DimensionMismatch("weight count does not match dimension")
     inner = floor(Fraction(box) - s_radius)
+    weights = metric.weights or (Fraction(1),) * dim
+    scale = lcm(radius.denominator, s_radius.denominator, *(w.denominator for w in weights))
+    factors = [int(w * scale) for w in weights]
+    r_cut, s_cut = int(radius * scale), int(s_radius * scale)
+    if metric.kind == "dinf":
+        combine, spare = max, lambda cut, u: cut if u <= cut else -1
+    else:
+        combine, spare = sum, sub
 
-    first = _first_violation(boxes, radius, s_radius, metric, inner)
+    far = inner + 1 + max((abs(e) for b in boxes for end in b.intervals for e in end if e is not None), default=0)
+    sets = [[(-far if lo is None else lo, far if hi is None else hi) for lo, hi in b.intervals] for b in boxes]
+    reach = [radius * w.denominator // w.numerator for w in weights]  # floor(R / w_i)
+    near = [
+        [(max(a - g, -inner), min(b + g, inner)) for (a, b), g in zip(s, reach)]
+        if all(a <= b for a, b in s) else [(1, 0)] * dim  # an empty member is near nothing
+        for s in sets
+    ]
+    # (A, M) of each subset seen so far, each a list of (lo, hi) per axis
+    windows = {(): ([(-inner, inner)] * dim, [(-far, far)] * dim)}
+
+    def overlap(p: list, q: list) -> list:
+        return [(a if a > c else c, b if b < d else d) for (a, b), (c, d) in zip(p, q)]
+
+    def first(subset: tuple[int, ...]) -> tuple[int, ...] | None:
+        known = len(subset)
+        while subset[:known] not in windows:  # in size order only the subset itself is new
+            known -= 1
+        inside, target = windows[subset[:known]]
+        for k in range(known, len(subset)):
+            j = subset[k]
+            inside, target = windows[subset[: k + 1]] = overlap(inside, near[j]), overlap(target, sets[j])
+        if any(a > b for a, b in inside):
+            return None
+        gaps = [f * max(0, c - a, b - d) for f, (a, b), (c, d) in zip(factors, inside, target)]
+        if any(c > d for c, d in target):
+            got = s_cut + 1  # no target: every distance to it passes S
+        elif combine(gaps) <= s_cut:  # the farthest point of A is within S of M
+            return None
+        else:
+            got = 0
+        rest = [combine(gaps[i:]) for i in range(dim)] + [0]
+        sides = list(zip(*(sets[j] for j in subset)))  # sides[i]: the members' intervals on axis i
+
+        def descend(i: int, used: list[int], got: int) -> tuple[int, ...] | None:
+            if i == dim:
+                return ()
+            f, (lo, hi), (c, d) = factors[i], inside[i], target[i]
+            for (a, b), spent in zip(sides[i], used):
+                t = spare(r_cut, spent) // f  # the largest gap to this member that stays within R
+                lo, hi = lo if lo > a - t else a - t, hi if hi < b + t else b + t
+            u = spare(s_cut, combine((got, rest[i + 1]))) // f  # gaps to M up to u stay within S
+            first_in, last_in = c if c > lo else lo, d if d < hi else hi
+            # drop the values within u of M; when no value can be, the rest of
+            # M's interval after its first value repeats that value's subtree
+            skip = (first_in - u, last_in + u) if u >= 0 else (first_in + 1, last_in)
+            x = lo
+            while x <= hi:
+                if skip[0] <= x <= skip[1]:
+                    x = skip[1] + 1
+                    continue
+                after = [
+                    combine((spent, f * (a - x if x < a else x - b if x > b else 0)))
+                    for (a, b), spent in zip(sides[i], used)
+                ]
+                below = descend(i + 1, after, combine((got, f * (c - x if x < c else x - d if x > d else 0))))
+                if below is not None:
+                    return (x,) + below
+                x += 1
+            return None
+
+        return descend(0, [0] * len(subset), got)
+
     points = (2 * inner + 1) ** dim
     results = {}
     for subset in subsets:

@@ -1072,6 +1072,42 @@ def test_bad_arguments_are_one_error_line(capsys, args, message):
     assert err == f"error: {message}\n"
 
 
+def test_hostile_input_ends_without_a_traceback(tmp_path):
+    # a fresh interpreter per input, as a shell runs the program; each case
+    # must end in at most one error line, never a traceback
+    deep, digits = "[" * 100_000, "7" * 5001
+    files = {
+        "deep.json": deep.encode(),
+        "digits.json": f'{{"kind": "page", "cap": {digits}}}'.encode(),
+        "bytes.json": b"\xff\xfe{}",
+        "empty.json": b"",
+    }
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    (tmp_path / "dir.json").mkdir()
+    cases = [(["run", "--input", str(tmp_path / name)], name) for name in [*files, "dir.json"]]
+    cases += [(["snf", "--matrix", deep], "--matrix"), (["snf", "--matrix", f"[[{digits}]]"], "--matrix")]
+    path = os.pathsep.join(filter(None, [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]))
+    command = [sys.executable, "-X", "dev", "-m", "coarsek.cli"]
+    env = {**os.environ, "PYTHONPATH": path}
+    for argv, source in cases:
+        done = subprocess.run(command + argv, env=env, capture_output=True, text=True, timeout=60)
+        assert "Traceback" not in done.stderr and done.returncode == 1, (source, done.stderr)
+        assert done.stderr.count("error:") == 1 and source in done.stderr, (source, done.stderr)
+    # stdout closed after one line of 115 kB, more than a pipe holds, so a
+    # later write must find the reader gone
+    proc = subprocess.Popen(
+        command + ["excision", "--builtin", "rn:11", "--metric", "dinf", "--radius", "1"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    assert proc.stdout.readline() == "J=[0]: PASS\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) in (0, 1, 2)
+    assert "Traceback" not in err and err.count("error:") <= 1, err
+
+
 def test_calls_in_one_process_share_no_state(capsys):
     # main parses every call with one parser; no flag, default or failed
     # parse of one call may reach the next

@@ -389,13 +389,24 @@ def _agrees_with_oracle(cover, radius, s_radius, metric, box):
     return results
 
 
-def _random_member(rng, dim, span=4):
+FAR = 10**6
+
+
+def _random_member(rng, dim, span=4, extremes=False):
+    """A blocky space, or a box with ends in [-span, span] or unbounded.
+
+    With ``extremes`` a quarter of the intervals instead get an end at
+    -FAR or FAR, far outside every grid, or are empty (hi < lo), near the
+    grid or far from it."""
     if rng.random() < 0.5:
         return BlockySpace(tuple(rng.choice(ALL_FACTORS) for _ in range(dim)))
     intervals = []
     for _ in range(dim):
         lo = rng.choice((None, rng.randint(-span, span - 1)))
         hi = rng.choice((None, rng.randint(1 - span if lo is None else lo, span)))
+        if extremes and rng.random() < 0.25:
+            x = rng.choice((rng.randint(-span, span), -FAR, FAR))
+            lo, hi = rng.choice(((-FAR, hi), (lo, FAR), (FAR, None), (None, -FAR), (x, x - rng.randint(1, 3))))
         intervals.append((lo, hi))
     return LatticeBox(tuple(intervals))
 
@@ -433,17 +444,20 @@ def _settled_by_farthest_point(members, radius, s_radius, metric, box):
 
 def test_cover_excision_matches_brute_force_oracle():
     rng = random.Random(2024)
-    empty = failed = settled = opened = 0
+    empty = failed = settled = opened = far = empty_member = 0
     for _ in range(100):
         dim = rng.randint(1, 3)
-        cover = [_random_member(rng, dim) for _ in range(rng.randint(1, 3))]
+        cover = [_random_member(rng, dim, extremes=True) for _ in range(rng.randint(1, 3))]
+        boxes = [as_box(c) for c in cover]
+        far += any(abs(end or 0) == FAR for b in boxes for interval in b.intervals for end in interval)
+        empty_member += any(b.is_empty for b in boxes)
         metric = _random_metric(rng, rng.choice(("d1", "dinf", "weighted")), dim)
         radius = Fraction(rng.randint(1, 8), rng.randint(1, 4))
         s_radius = Fraction(rng.randint(1, 10), rng.randint(1, 4))
         box = floor(radius + s_radius) + 1 + rng.randint(0, 2)
         results = _agrees_with_oracle(cover, radius, s_radius, metric, box)
         failed += sum(not r.ok for r in results.values())
-        empty += any(as_box(cover[0]).intersect(as_box(c)).is_empty for c in cover)
+        empty += any(boxes[0].intersect(b).is_empty for b in boxes)
         if metric.kind != "dinf":
             kinds = [
                 _settled_by_farthest_point([as_box(cover[i]) for i in j], radius, s_radius, metric, box)
@@ -451,10 +465,10 @@ def test_cover_excision_matches_brute_force_oracle():
             ]
             settled += kinds.count(True)
             opened += kinds.count(False)
-    # the draw reaches both verdicts and disjoint members, and under the
-    # 1-metrics both subsets the farthest-point bound settles and subsets
-    # it leaves to the search
-    assert failed and empty and settled and opened
+    # the draw reaches both verdicts, disjoint members, ends far outside the
+    # grid and empty members, and under the 1-metrics both subsets the
+    # farthest-point bound settles and subsets it leaves to the search
+    assert failed and empty and far and empty_member and settled and opened
 
 
 def test_cover_excision_matches_oracle_on_odd_and_even_splits():
