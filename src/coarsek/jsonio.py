@@ -8,7 +8,6 @@ byte-identically.
 
 from __future__ import annotations
 
-import json
 from itertools import combinations
 from json.encoder import encode_basestring_ascii
 from typing import Any
@@ -319,8 +318,9 @@ def sweep_to_table(sweep: SweepReport, verbose: bool = False) -> str:
 
 def dumps(obj: Any) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` in one recursive pass (an
-    indent keeps the standard encoder off its C path); ints print in full
-    past the interpreter's digit limit, other scalars go to ``json.dumps``."""
+    indent keeps the standard encoder off its C path) for strings, None,
+    bools, ints, lists, tuples and dicts; ints print in full past the
+    interpreter's digit limit, and any other value is a TypeError."""
     out: list[str] = []
     append = out.append
 
@@ -331,8 +331,6 @@ def dumps(obj: Any) -> str:
             append("null" if value is None else "true" if value else "false")
         elif isinstance(value, int):
             append(decimal_str(value))
-        elif not isinstance(value, (list, tuple, dict)):
-            append(json.dumps(value))
         elif isinstance(value, dict):
             inner = indent + "  "
             sep = "{\n" + inner
@@ -341,7 +339,7 @@ def dumps(obj: Any) -> str:
                 write(value[key], inner)
                 sep = ",\n" + inner
             append("\n" + indent + "}" if value else "{}")
-        else:
+        elif isinstance(value, (list, tuple)):
             inner = indent + "  "
             sep = "[\n" + inner
             for item in value:
@@ -349,6 +347,8 @@ def dumps(obj: Any) -> str:
                 write(item, inner)
                 sep = ",\n" + inner
             append("\n" + indent + "]" if value else "[]")
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
     write(obj, "")
     return "".join(out)

@@ -1,56 +1,35 @@
-"""Floating-point checks of the affine geometry behind the first page.
+"""Exact checks of the affine geometry behind the first page.
 
 The standard simplex splits into cake pieces (regions where a chosen set
-of barycentric coordinates is minimal).  Two affine maps are verified
-numerically: the forward/inverse pair identifying a cake piece with a
-smaller simplex, and the reparametrization that exhibits the extra
-coordinate gained by adjoining a zero ideal as a suspension coordinate.
+of barycentric coordinates is minimal).  Two affine maps are verified:
+the forward/inverse pair identifying a cake piece with a smaller simplex,
+and the reparametrization that exhibits the extra coordinate gained by
+adjoining a zero ideal as a suspension coordinate.
 
-The maps are affine with small integer data, so double precision is
-benign: membership uses tolerance 1e-9, inverse checks 1e-12.
+Both maps have rational coefficients, so every property is an identity or
+an inequality over Q, checked on Fractions by exact comparison.
+Sample points are random compositions of GRID into n + 1 parts, divided
+by GRID; t is drawn on the same grid between its two ends.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from fractions import Fraction
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-MEMBERSHIP_TOL = 1e-9
-INVERSE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class SimplexPoint:
-    """Barycentric coordinates: nonnegative, summing to 1 (up to tolerance)."""
-
-    coords: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if abs(sum(self.coords) - 1.0) > MEMBERSHIP_TOL:
-            raise ValueError("coordinates must sum to 1")
-        if any(x < -MEMBERSHIP_TOL for x in self.coords):
-            raise ValueError("coordinates must be nonnegative")
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords) - 1
+GRID = 10**6
 
 
-def _coords(x) -> tuple[float, ...]:
-    return x.coords if isinstance(x, SimplexPoint) else tuple(float(v) for v in x)
-
-
-def in_cake_piece(x, piece: Iterable[int], tol: float = MEMBERSHIP_TOL) -> bool:
+def in_cake_piece(x: Sequence, piece: Iterable[int]) -> bool:
     """Whether every coordinate indexed by the piece is minimal.
 
-    >>> in_cake_piece((1.0, 0.0, 0.0), [1])
+    >>> in_cake_piece((1, 0, 0), [1])
     True
-    >>> in_cake_piece((1.0, 0.0, 0.0), [0])
+    >>> in_cake_piece((1, 0, 0), [0])
     False
     """
-    c = _coords(x)
-    return all(c[j] <= c[i] + tol for j in piece for i in range(len(c)))
+    return all(x[j] == min(x) for j in piece)
 
 
 def cake_affine_maps(n: int) -> tuple[Callable, Callable]:
@@ -62,14 +41,12 @@ def cake_affine_maps(n: int) -> tuple[Callable, Callable]:
     if n < 1:
         raise ValueError("need n >= 1")
 
-    def f(x) -> tuple[float, ...]:
-        c = _coords(x)
-        share = c[0] / (n + 1)
-        return (share,) + tuple(c[i] + share for i in range(1, n + 1))
+    def f(x: Sequence) -> tuple:
+        share = x[0] * Fraction(1, n + 1)
+        return (share,) + tuple(v + share for v in x[1:])
 
-    def g(x) -> tuple[float, ...]:
-        c = _coords(x)
-        return ((n + 1) * c[0],) + tuple(c[i] - c[0] for i in range(1, n + 1))
+    def g(x: Sequence) -> tuple:
+        return ((n + 1) * x[0],) + tuple(v - x[0] for v in x[1:])
 
     return f, g
 
@@ -85,93 +62,63 @@ def suspension_reparam(n: int) -> Callable:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    t_lo = 1.0 / (n + 2)
+    t_lo = Fraction(1, n + 2)
 
-    def phi(y, t: float) -> tuple[float, ...]:
-        if t < t_lo - MEMBERSHIP_TOL or t > 1.0 + MEMBERSHIP_TOL:
+    def phi(y: Sequence, t: Fraction) -> tuple:
+        if not t_lo <= t <= 1:
             raise ValueError(f"t must lie in [{t_lo}, 1]")
-        c = _coords(y)
-        y_min = min(c)
-        return tuple(v - t * y_min for v in c) + ((n + 1) * t * y_min,)
+        shift = t * min(y)
+        return tuple(v - shift for v in y) + ((n + 1) * shift,)
 
     return phi
 
 
-def sample_simplex(n: int, rng: random.Random) -> tuple[float, ...]:
-    """Uniform sample of the n-simplex from normalized exponential draws."""
-    draws = [rng.expovariate(1.0) for _ in range(n + 1)]
-    total = sum(draws)
-    return tuple(d / total for d in draws)
+def sample_simplex(n: int, rng: random.Random) -> tuple[Fraction, ...]:
+    """A random point of the n-simplex: n cuts of 0..GRID, sorted, give a
+    composition of GRID into n + 1 parts, each divided by GRID."""
+    cuts = sorted(rng.randint(0, GRID) for _ in range(n))
+    return tuple(Fraction(b - a, GRID) for a, b in zip([0, *cuts], [*cuts, GRID]))
 
 
-def sample_boundary(n: int, rng: random.Random) -> tuple[float, ...]:
-    """Boundary sample: one coordinate forced to zero."""
-    point = list(sample_simplex(n, rng))
-    j = rng.randrange(n + 1)
-    removed = point[j]
-    point[j] = 0.0
-    scale = 1.0 / (1.0 - removed)
-    return tuple(v * scale if i != j else 0.0 for i, v in enumerate(point))
+def sample_boundary(n: int, rng: random.Random) -> tuple[Fraction, ...]:
+    """A random boundary point: a point of the (n-1)-simplex with a zero
+    coordinate put in at a random place."""
+    j, rest = rng.randrange(n + 1), sample_simplex(n - 1, rng)
+    return rest[:j] + (Fraction(0),) + rest[j:]
 
 
-@dataclass(frozen=True)
-class PropertyCheck:
+def sample_t(n: int, rng: random.Random) -> Fraction:
+    """A random t in [1/(n+2), 1] on the grid, both ends included."""
+    return Fraction(1, n + 2) + Fraction(n + 1, n + 2) * Fraction(rng.randint(0, GRID), GRID)
+
+
+class PropertyCheck(NamedTuple):
     name: str
     ok: bool
-    worst: float
 
 
 def verify_geometry(n: int, samples: int, seed: int) -> list[PropertyCheck]:
-    """Deterministic, seeded verification of all simplex properties."""
+    """Deterministic, seeded verification of all simplex properties, each
+    on ``samples`` points drawn one at a time (up to its first failure)."""
     rng = random.Random(seed)
     f, g = cake_affine_maps(n)
     phi = suspension_reparam(n)
-    checks: list[PropertyCheck] = []
 
-    worst = 0.0
-    for _ in range(samples):
-        x = sample_simplex(n, rng)
-        y = g(f(x))
-        worst = max(worst, max(abs(a - b) for a, b in zip(x, y)))
-    checks.append(PropertyCheck("inverse_pair", worst <= INVERSE_TOL, worst))
+    def avoids_last_piece_interior(y, t) -> bool:
+        # the new coordinate never drops below the others; it ties them
+        # exactly at t = 1/(n+2) and on the boundary
+        *rest, last = phi(y, t)
+        return last == min(rest) if t * (n + 2) == 1 or min(y) == 0 else last > min(rest)
 
-    ok = True
-    for _ in range(samples):
-        x = sample_simplex(n, rng)
-        ok = ok and in_cake_piece(f(x), [0])
-    checks.append(PropertyCheck("f_lands_in_piece_0", ok, 0.0))
-
-    worst = 0.0
-    for _ in range(samples):
-        x = sample_simplex(n, rng)
-        worst = max(worst, abs(sum(f(x)) - 1.0))
-    checks.append(PropertyCheck("f_preserves_sum", worst <= INVERSE_TOL, worst))
-
-    worst = 0.0
-    for _ in range(samples):
-        y = sample_simplex(n, rng)
-        t = 1.0 / (n + 2) + rng.random() * (1.0 - 1.0 / (n + 2))
-        worst = max(worst, abs(sum(phi(y, t)) - 1.0))
-    checks.append(PropertyCheck("phi_preserves_sum", worst <= INVERSE_TOL, worst))
-
-    worst = 0.0
-    for _ in range(samples):
-        y = sample_boundary(n, rng)
-        t = 1.0 / (n + 2) + rng.random() * (1.0 - 1.0 / (n + 2))
-        image = phi(y, t)
-        worst = max(worst, min(image))  # some coordinate must stay ~0
-    checks.append(PropertyCheck("phi_collapses_boundary", worst <= MEMBERSHIP_TOL, worst))
-
-    ok = True
-    for _ in range(samples):
-        y = sample_simplex(n, rng)
-        t = 1.0 / (n + 2) + (1e-6 + rng.random() * (1 - 1.0 / (n + 2) - 1e-6))
-        image = phi(y, t)
-        y_min = min(_coords(y))
-        # the new last coordinate never becomes the uniquely smallest
-        ok = ok and image[-1] >= y_min - t * y_min - MEMBERSHIP_TOL
-        if t > 1.0 / (n + 2) + 1e-9 and y_min > 1e-9:
-            ok = ok and image[-1] > y_min - t * y_min
-    checks.append(PropertyCheck("phi_avoids_last_piece_interior", ok, 0.0))
-
-    return checks
+    point = lambda: (sample_simplex(n, rng),)  # noqa: E731
+    point_t = lambda: (sample_simplex(n, rng), sample_t(n, rng))  # noqa: E731
+    boundary_t = lambda: (sample_boundary(n, rng), sample_t(n, rng))  # noqa: E731
+    properties = (
+        ("inverse_pair", point, lambda x: g(f(x)) == x),
+        ("f_lands_in_piece_0", point, lambda x: in_cake_piece(f(x), [0])),
+        ("f_preserves_sum", point, lambda x: sum(f(x)) == 1),
+        ("phi_preserves_sum", point_t, lambda y, t: sum(phi(y, t)) == 1),
+        ("phi_collapses_boundary", boundary_t, lambda y, t: min(phi(y, t)) == 0),
+        ("phi_avoids_last_piece_interior", point_t, avoids_last_piece_interior),
+    )
+    return [PropertyCheck(name, all(holds(*draw()) for _ in range(samples))) for name, draw, holds in properties]

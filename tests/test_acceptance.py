@@ -25,7 +25,14 @@ from coarsek.coarse import (
     zinf_mv_input,
 )
 from coarsek.pages import Grading, first_page, run_to_infinity, turn_page
-from coarsek.simplex import cake_affine_maps, in_cake_piece, sample_boundary, sample_simplex, suspension_reparam
+from coarsek.simplex import (
+    cake_affine_maps,
+    in_cake_piece,
+    sample_boundary,
+    sample_simplex,
+    sample_t,
+    suspension_reparam,
+)
 
 from _oracles import (
     cells_isomorphic,
@@ -258,21 +265,18 @@ def test_criterion_09_simplex_geometry(capsys):
         f, g = cake_affine_maps(n)
         for _ in range(1000):
             x = sample_simplex(n, rng)
-            back = g(f(x))
-            assert max(abs(a - b) for a, b in zip(x, back)) <= 1e-12
+            assert g(f(x)) == x
             assert in_cake_piece(f(x), [0])
     for n in range(1, 11):
         phi = suspension_reparam(n)
-        lo = 1.0 / (n + 2)
         for _ in range(300):
             y = sample_simplex(n, rng)
-            t = lo + rng.random() * (1 - lo)
-            assert abs(sum(phi(y, t)) - 1.0) <= 1e-12
-            yb = sample_boundary(n, rng)
-            image = phi(yb, t)
-            assert min(image) <= 1e-9 and abs(image[-1]) <= 1e-9
+            t = sample_t(n, rng)
+            assert sum(phi(y, t)) == 1
+            image = phi(sample_boundary(n, rng), t)
+            assert min(image) == image[-1] == 0
     with capsys.disabled():
-        _report(9, "g(f(x)) = x to 1e-12, f lands in piece 0, phi preserves sums and boundaries")
+        _report(9, "exactly: g(f(x)) = x, f lands in piece 0, phi preserves sums and boundaries")
 
 
 def test_criterion_10_extension_policy(capsys):

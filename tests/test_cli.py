@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarsek import coarse, jsonio
+from coarsek import coarse, jsonio, simplex
 from coarsek.abelian import CountablyInfinite, FgAbGroup, IntMatrix, smith_normal_form
 from coarsek.assembly import truncation_sweep
 from coarsek.cli import main
@@ -19,6 +20,7 @@ from coarsek.pages import Grading, first_page
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_MV = GOLDEN / "inputs" / "readme_mv.json"
+_DIGIT_LIMIT = sys.get_int_max_str_digits()
 
 def run_cli(capsys, *args):
     code = main(list(args))
@@ -525,9 +527,21 @@ def test_simplex_seed_after_subcommand(capsys):
     assert out1 == out2
 
 
-def test_metric_schema_round_trip():
-    from fractions import Fraction
+def test_simplex_verify_fails_on_a_perturbation_below_float_resolution(capsys, monkeypatch):
+    # g(f(x)) off by 10^-15 in one coordinate: the exact check must say so
+    exact = simplex.cake_affine_maps
 
+    def perturbed(n):
+        f, g = exact(n)
+        return f, lambda x: (g(x)[0] + Fraction(1, 10**15),) + g(x)[1:]
+
+    monkeypatch.setattr(simplex, "cake_affine_maps", perturbed)
+    code, out, _ = run_cli(capsys, "simplex", "verify", "--dim", "3", "--samples", "20")
+    assert code == 1
+    assert "inverse_pair: FAIL\n" in out and out.count(": pass\n") == 5
+
+
+def test_metric_schema_round_trip():
     from coarsek.coarse import Metric
 
     # the excision command reads --weights as exact fractions
@@ -635,7 +649,6 @@ _JSON_SCALARS = (
     | st.integers(min_value=-(2**700), max_value=2**700)
     | st.booleans()
     | st.none()
-    | st.floats()  # nan and inf included
 )
 _JSON_VALUES = st.recursive(
     _JSON_SCALARS,
@@ -650,6 +663,12 @@ _JSON_VALUES = st.recursive(
 @given(_JSON_VALUES)
 def test_dumps_matches_the_standard_encoder(value):
     assert jsonio.dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [0.5, Fraction(1, 2), {1, 2}, [[1, 0.5]]])
+def test_dumps_refuses_what_it_cannot_write(value):
+    with pytest.raises(TypeError):
+        jsonio.dumps(value)
 
 
 def test_ints_past_the_digit_limit_print_in_full(capsys):
@@ -1045,6 +1064,19 @@ def test_bad_cover_is_one_error_line(capsys, tmp_path, cover, message):
         (["run", "--builtin", "rn:2", "--no-such-flag"], "unrecognized arguments: --no-such-flag"),
         (["simplex", "verify", "--dim", "2", "--samples", "0"], "--samples: expected at least 1, got 0"),
         (["simplex", "verify", "--dim", "2", "--samples", "-3"], "--samples: expected at least 1, got -3"),
+        (["simplex", "verify", "--dim", "0"], "--dim: expected at least 1, got 0"),
+        (
+            ["excision", "--builtin", "rn:1", "--radius", "1" * 5001],
+            f"--radius: more than the interpreter's limit of {_DIGIT_LIMIT} digits",
+        ),
+        (
+            ["excision", "--builtin", "rn:1", "--radius", "1", "--box", "1" * 5001],
+            f"argument --box: more than the interpreter's limit of {_DIGIT_LIMIT} digits",
+        ),
+        (
+            ["simplex", "verify", "--dim", "1", "--samples", "1" * 5001],
+            f"argument --samples: more than the interpreter's limit of {_DIGIT_LIMIT} digits",
+        ),
         (
             ["sweep", "--builtin", "zinf:3", "--caps", "1/0"],
             "--caps: expected A..B or a comma list of integers, got '1/0'",
@@ -1062,7 +1094,8 @@ def test_bad_cover_is_one_error_line(capsys, tmp_path, cover, message):
         "sweep-zinf-ko-period", "sweep-wedge-ko-period",
         "excision-radius-1/0", "excision-s-3/0", "excision-weights-2/0", "excision-dinf-weights",
         "excision-d1-weights", "excision-rn-x", "excision-box-3.5", "run-no-such-flag", "simplex-samples-0",
-        "simplex-samples-negative", "caps-1/0", "caps-1..2..3", "caps-empty-range", "caps-0..3",
+        "simplex-samples-negative", "simplex-dim-0", "radius-past-digit-limit", "box-past-digit-limit",
+        "samples-past-digit-limit", "caps-1/0", "caps-1..2..3", "caps-empty-range", "caps-0..3",
     ],
 )
 def test_bad_arguments_are_one_error_line(capsys, args, message):

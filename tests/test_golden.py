@@ -1,7 +1,7 @@
 """CLI outputs pinned byte for byte on small builtins, the README inputs,
 first pages with torsion, nonzero d1 and a countable-rank cell, seeded
-chain complexes the size of the torsion benchmark's, and excision
-verdicts with their witnesses.
+chain complexes the size of the torsion benchmark's, excision verdicts
+with their witnesses, and the exact cake-piece checks.
 
 Each case runs in the table, ``--verbose`` and JSON formats and must print
 exactly ``tests/golden/<case>.<format>``.  Regenerate after a deliberate
@@ -51,6 +51,8 @@ CASES = {
     # S = 17 sits just below the farthest-point bound of rn:6 (S = 18 passes), so
     # three subsets fail and the search decides the subsets the bound leaves open
     "excision-rn6-d1-tight": ["excision", "--builtin", "rn:6", "--metric", "d1", "--radius", "3", "--s", "17", "--box", "21"],
+    # the exact cake-piece checks, with the seed after the subcommand
+    "simplex-verify-d3": ["simplex", "verify", "--dim", "3", "--samples", "50", "--seed", "5"],
     # Smith forms with their transforms: an offender step, a full divisibility
     # chain, a rank drop and the empty shapes
     **{

@@ -1,58 +1,60 @@
-"""Cake-piece membership, the affine inverse pair, and the reparametrization."""
+"""Cake-piece membership, the affine inverse pair, and the reparametrization,
+each checked exactly on Fractions."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from coarsek.simplex import (
-    INVERSE_TOL,
-    MEMBERSHIP_TOL,
-    SimplexPoint,
+    GRID,
     cake_affine_maps,
     in_cake_piece,
     sample_boundary,
     sample_simplex,
+    sample_t,
     suspension_reparam,
     verify_geometry,
 )
 
 
-def test_simplex_point_validation():
-    SimplexPoint((0.5, 0.5))
-    with pytest.raises(ValueError):
-        SimplexPoint((0.5, 0.6))
-    with pytest.raises(ValueError):
-        SimplexPoint((1.5, -0.5))
-
-
 def test_center_is_in_every_piece():
     for n in range(1, 6):
-        center = tuple(1.0 / (n + 1) for _ in range(n + 1))
+        center = (Fraction(1, n + 1),) * (n + 1)
         for j in range(n + 1):
             assert in_cake_piece(center, [j])
         assert in_cake_piece(center, range(n + 1))
 
 
 def test_vertex_membership():
-    x = (1.0, 0.0, 0.0)
+    x = (1, 0, 0)
     assert in_cake_piece(x, [1])
     assert in_cake_piece(x, [2])
     assert not in_cake_piece(x, [0])
+
+
+def test_samples_lie_on_the_grid():
+    rng = random.Random(6)
+    for n in range(1, 6):
+        for _ in range(100):
+            for x in (sample_simplex(n, rng), sample_boundary(n, rng)):
+                assert len(x) == n + 1 and sum(x) == 1 and min(x) >= 0
+                assert all((v * GRID).denominator == 1 for v in x)
+            assert 0 in sample_boundary(n, rng)
+            t = sample_t(n, rng)
+            assert Fraction(1, n + 2) <= t <= 1
+            assert ((t - Fraction(1, n + 2)) * GRID / (1 - Fraction(1, n + 2))).denominator == 1
 
 
 def test_full_index_set_pins_the_center():
     rng = random.Random(0)
     n = 3
     full = range(n + 1)
-    center = tuple(1.0 / (n + 1) for _ in range(n + 1))
+    center = (Fraction(1, n + 1),) * (n + 1)
     assert in_cake_piece(center, full)
-    hits = 0
     for _ in range(300):
         x = sample_simplex(n, rng)
-        if in_cake_piece(x, full):
-            hits += 1
-            assert max(abs(c - 1.0 / (n + 1)) for c in x) <= 1e-6
-    assert hits == 0  # random points are never exactly central
+        assert in_cake_piece(x, full) == (x == center)
 
 
 def test_inverse_pair_and_image():
@@ -63,61 +65,59 @@ def test_inverse_pair_and_image():
             x = sample_simplex(n, rng)
             fx = f(x)
             assert in_cake_piece(fx, [0])
-            assert abs(sum(fx) - 1.0) <= INVERSE_TOL
-            back = g(fx)
-            assert max(abs(a - b) for a, b in zip(x, back)) <= INVERSE_TOL
+            assert sum(fx) == 1
+            assert g(fx) == x
 
 
 def test_reparam_sum_and_boundary():
     rng = random.Random(2)
     for n in range(1, 8):
         phi = suspension_reparam(n)
-        lo = 1.0 / (n + 2)
         for _ in range(100):
             y = sample_simplex(n, rng)
-            t = lo + rng.random() * (1 - lo)
-            image = phi(y, t)
+            image = phi(y, sample_t(n, rng))
             assert len(image) == n + 2
-            assert abs(sum(image) - 1.0) <= INVERSE_TOL
+            assert sum(image) == 1
         for _ in range(100):
             y = sample_boundary(n, rng)
-            t = lo + rng.random() * (1 - lo)
-            image = phi(y, t)
-            assert min(image) <= MEMBERSHIP_TOL  # boundary goes to boundary
-            assert abs(image[-1]) <= MEMBERSHIP_TOL
+            image = phi(y, sample_t(n, rng))
+            assert image == y + (0,)  # boundary goes to boundary, unmoved
 
 
 def test_reparam_equality_at_lower_endpoint():
     rng = random.Random(3)
     for n in range(1, 6):
         phi = suspension_reparam(n)
-        t = 1.0 / (n + 2)
+        t = Fraction(1, n + 2)
         for _ in range(50):
             y = sample_simplex(n, rng)
             y_min = min(y)
             image = phi(y, t)
             # at the balance point the new coordinate equals y_min - t*y_min
-            assert abs(image[-1] - (y_min - t * y_min)) <= 1e-12
+            assert image[-1] == y_min - t * y_min == min(image[:-1])
 
 
 def test_reparam_avoids_last_piece_interior():
     rng = random.Random(4)
     n = 4
     phi = suspension_reparam(n)
-    lo = 1.0 / (n + 2)
     for _ in range(300):
         y = sample_simplex(n, rng)
-        t = lo + (1e-6 + rng.random() * (1 - lo - 1e-6))
+        t = sample_t(n, rng)
         image = phi(y, t)
         y_min = min(y)
-        if y_min > 1e-9:
+        assert image[-1] >= y_min - t * y_min
+        if t > Fraction(1, n + 2) and y_min > 0:
             assert image[-1] > y_min - t * y_min  # strictly above the balance
 
 
 def test_reparam_domain_validation():
     phi = suspension_reparam(2)
-    with pytest.raises(ValueError):
-        phi((0.3, 0.3, 0.4), 0.1)
+    y = (Fraction(3, 10), Fraction(3, 10), Fraction(2, 5))
+    for t in (Fraction(1, 4) - Fraction(1, 10**30), Fraction(1, 10), 1 + Fraction(1, 10**30)):
+        with pytest.raises(ValueError):
+            phi(y, t)
+    assert sum(phi(y, Fraction(1, 4))) == sum(phi(y, 1)) == 1
 
 
 def test_pairwise_membership_intersection():
@@ -141,3 +141,4 @@ def test_verify_geometry_deterministic():
     a = verify_geometry(3, samples=100, seed=42)
     b = verify_geometry(3, samples=100, seed=42)
     assert a == b
+
