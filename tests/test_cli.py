@@ -163,6 +163,88 @@ def test_run_countable_rank_beside_torsion(capsys, tmp_path):
         assert line in out.splitlines()
 
 
+def test_countable_cell_sums_with_finite_summands(capsys, tmp_path):
+    # Z^inf + Z/2 and Z^2 + Z/3 in one cell: the countable rank absorbs the
+    # free rank, and the torsion is renormalised to Z/6
+    payload = {
+        "kind": "mv",
+        "labels": [0, 1],
+        "intersections": [
+            {"J": [0], "k": {"0": {"free_rank": "countable", "torsion": [2]}}},
+            {"J": [1], "k": {"0": {"free_rank": 2, "torsion": [3]}}},
+            {"J": [0, 1], "k": {}},
+        ],
+    }
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "run", "--input", str(path))
+    assert (code, err) == (0, "")
+    assert "K_0 = Z^inf + Z/6" in out.splitlines()
+    code, out, err = run_cli(capsys, "--format", "json", "run", "--input", str(path))
+    assert (code, err) == (0, "")
+    degree0 = json.loads(out)["degrees"][0]
+    assert degree0["assembled"] == {"free_rank": "countable", "torsion": [6]}
+    assert degree0["pieces"][0]["group"] == {"free_rank": "countable", "torsion": [6]}
+
+
+# ---------------------------------------------------------------------------
+# wrong answers that reproduce today (ROADMAP items 1, 4 and 12); the change
+# that mends one removes its marker
+
+
+def _run_payload(capsys, tmp_path, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    return run_cli(capsys, "run", "--input", str(path))
+
+
+def _z_cells(*keys):
+    return [{"p": p, "q": q, "group": {"free_rank": 1}} for p, q in keys]
+
+
+@pytest.mark.xfail(strict=True, reason="d^r with r >= 2 is silently zero (ROADMAP item 1)")
+def test_unsupplied_d2_is_not_assumed_zero(capsys, tmp_path):
+    # a d2 (2,0) -> (0,1) of x3 is as consistent with this page as zero;
+    # today it prints K_0 = Z + Z/2, K_1 = Z with exit 0
+    payload = {
+        "kind": "page",
+        "cap": 2,
+        "cells": _z_cells((2, 0), (0, 1), (1, 0), (0, 0)),
+        "d1": [{"from": [1, 0], "matrix": [[2]]}],
+    }
+    assert _run_payload(capsys, tmp_path, payload)[0] == 2
+
+
+@pytest.mark.xfail(strict=True, reason="the true d2 of complex C cannot be expressed (ROADMAP items 1, 12)")
+def test_d2_past_a_torsion_target_is_not_assumed_zero(capsys, tmp_path):
+    # complex C's E^1: its true d2 is an isomorphism and H(C) = 0; today it
+    # prints K_0 = Z, K_1 = Z with exit 0
+    payload = {
+        "kind": "page",
+        "cap": 2,
+        "cells": [*_z_cells((2, 0), (0, 1)), {"p": 1, "q": 0, "group": {"free_rank": 0, "torsion": [2]}}],
+        "d1": [{"from": [2, 0], "matrix": [[1]]}],
+    }
+    assert _run_payload(capsys, tmp_path, payload)[0] == 2
+
+
+@pytest.mark.xfail(strict=True, reason="Ext^1(Z/3, Z/2) = 0 forces Z/6 (ROADMAP item 4)")
+def test_forced_extension_is_settled(capsys, tmp_path):
+    # today: K_0 = ambiguous extension; pieces: p=0: Z/2, p=1: Z/3, exit 2
+    payload = {
+        "kind": "ideal_chain",
+        "length": 1,
+        "default_zero": True,
+        "groups": [
+            {"p": 0, "s": 0, "group": {"free_rank": 0, "torsion": [2]}},
+            {"p": 1, "s": 0, "group": {"free_rank": 0, "torsion": [3]}},
+        ],
+    }
+    code, out, _ = _run_payload(capsys, tmp_path, payload)
+    assert code == 0
+    assert "K_0 = Z/6" in out.splitlines()
+
+
 def test_truncated_mv_input_prints_the_note(capsys, tmp_path):
     # the same nerve stopped at cap 0 is refused as exact and reported as
     # truncated once the file says so
@@ -870,6 +952,10 @@ def test_schema_errors():
             "groups[0].group.torsion: torsion must form a divisibility chain",
         ),
         (
+            {"kind": "page", "cap": 0, "cells": [{"p": 0, "q": 0, "group": {"free_rank": "countable", "torsion": [2, 3]}}]},
+            "cells[0].group.torsion: torsion must form a divisibility chain",
+        ),
+        (
             {"kind": "page", "cap": 1, "d1": [{"from": [1, 0], "matrix": [[1], [1, 2]]}]},
             "d1[0].matrix: ragged rows",
         ),
@@ -922,7 +1008,8 @@ def test_schema_errors():
         "duplicate-label", "duplicate-label-in-J", "truncated-without-truncated-at",
         "exact-with-truncated-at", "unknown-mode", "negative-page-cap",
         "negative-ideal-chain-length", "negative-truncated-at", "int-group", "group-no-free-rank",
-        "str-free-rank", "negative-free-rank", "torsion-one", "torsion-not-a-chain", "ragged-matrix",
+        "str-free-rank", "negative-free-rank", "torsion-one", "torsion-not-a-chain",
+        "countable-torsion-not-a-chain", "ragged-matrix",
         "matrix-entry-count", "negative-matrix-dimension", "str-matrix", "cell-outside-support",
         "d-o-d-nonzero", "false-d1", "zero-d1", "empty-str-d1", "empty-object-d1", "J-outside-labels",
         "empty-J",
