@@ -10,7 +10,6 @@ standard worked examples.
 """
 
 from .abelian import (
-    CountablyInfinite,
     FgAbGroup,
     GroupHom,
     IntMatrix,
@@ -44,6 +43,7 @@ from .coarse import (
     zinf_mv_input,
 )
 from .pages import (
+    CountableRank,
     Grading,
     Page,
     SpectralRun,

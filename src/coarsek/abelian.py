@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
-from math import prod
 from operator import mul
 from typing import Sequence
 
@@ -27,10 +26,6 @@ class AbelianError(Exception):
 
 class IncompatibleShapes(AbelianError):
     pass
-
-
-class InfiniteRankArithmetic(AbelianError):
-    """Nonzero arithmetic was requested through a countable-rank group."""
 
 
 def decimal_str(n: int) -> str:
@@ -160,9 +155,6 @@ class IntMatrix:
     def select_rows(self, indices: Sequence[int]) -> "IntMatrix":
         flat = tuple(self[i, j] for i in indices for j in range(self.cols))
         return IntMatrix(len(indices), self.cols, flat)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and self.entries == IntMatrix.identity(self.rows).entries
@@ -397,43 +389,21 @@ def preimage_basis(a: IntMatrix, t: IntMatrix) -> IntMatrix:
 # finitely generated abelian groups
 
 
-class _Countable:
-    """Sentinel for countably infinite free rank (reporting only)."""
-
-    _instance: "_Countable | None" = None
-
-    def __new__(cls) -> "_Countable":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "CountablyInfinite"
-
-
-CountablyInfinite = _Countable()
-
-
 @dataclass(frozen=True)
 class FgAbGroup:
     """Finitely generated abelian group in invariant-factor form.
-
-    ``free_rank`` may be the CountablyInfinite sentinel, admitted purely as
-    a reporting value: such a group (torsion allowed beside it) has no
-    generator list, so no matrix, homomorphism or page cell is built on it
-    (first pages set it aside).
 
     >>> print(FgAbGroup(1, (2, 4)))
     Z + Z/2 + Z/4
     """
 
-    free_rank: int | _Countable
+    free_rank: int
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
-        if not self.is_countable and (not isinstance(self.free_rank, int) or self.free_rank < 0):
-            raise ValueError("free_rank must be a nonnegative int or CountablyInfinite")
+        if not isinstance(self.free_rank, int) or self.free_rank < 0:
+            raise ValueError("free_rank must be a nonnegative int")
         prev = 1
         for d in self.torsion:
             if d < 2:
@@ -441,10 +411,6 @@ class FgAbGroup:
             if d % prev != 0:
                 raise ValueError("torsion must form a divisibility chain")
             prev = d
-
-    @property
-    def is_countable(self) -> bool:
-        return isinstance(self.free_rank, _Countable)
 
     @classmethod
     def zero(cls) -> "FgAbGroup":
@@ -464,15 +430,7 @@ class FgAbGroup:
 
     @property
     def gen_count(self) -> int:
-        if self.is_countable:
-            raise InfiniteRankArithmetic("countable-rank group has no finite generator list")
         return self.free_rank + len(self.torsion)
-
-    def order(self) -> int | None:
-        """Group order, or None when infinite."""
-        if self.is_countable or self.free_rank > 0:
-            return None
-        return prod(self.torsion) if self.torsion else 1
 
     def relation_matrix(self) -> IntMatrix:
         """m x k matrix whose columns generate the relation lattice."""
@@ -490,10 +448,7 @@ class FgAbGroup:
 
     def direct_sum(self, *others: "FgAbGroup") -> "FgAbGroup":
         groups = (self, *others)
-        if any(g.is_countable for g in groups):
-            rank = CountablyInfinite
-        else:
-            rank = sum(g.free_rank for g in groups)
+        rank = sum(g.free_rank for g in groups)
         merged = sorted(d for g in groups for d in g.torsion)
         if not merged:
             return FgAbGroup(rank, ())
@@ -524,9 +479,7 @@ class FgAbGroup:
         if self.is_zero:
             return "0"
         parts = []
-        if self.is_countable:
-            parts.append("Z^inf")
-        elif self.free_rank == 1:
+        if self.free_rank == 1:
             parts.append("Z")
         elif self.free_rank > 1:
             parts.append(f"Z^{self.free_rank}")
@@ -558,9 +511,7 @@ def cokernel(a: IntMatrix) -> FgAbGroup:
 class GroupHom:
     """Homomorphism of presented groups as an integer matrix.
 
-    ``matrix`` maps source generators to target generators (columns are
-    images).  Both endpoints need a finite generator list, so a
-    countable-rank endpoint raises InfiniteRankArithmetic.
+    ``matrix`` maps source generators to target generators (columns are images).
     """
 
     source: FgAbGroup
@@ -583,10 +534,6 @@ class GroupHom:
                 raise IncompatibleShapes(
                     f"column {j}: {d} times the image does not vanish in the target"
                 )
-
-    @classmethod
-    def zero(cls, source: FgAbGroup, target: FgAbGroup) -> "GroupHom":
-        return cls(source, target, IntMatrix.zeros(target.gen_count, source.gen_count))
 
     def is_zero_map(self) -> bool:
         """Zero as a homomorphism (not merely as a matrix)."""

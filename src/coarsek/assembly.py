@@ -25,7 +25,7 @@ from itertools import groupby
 from typing import Callable, Mapping, Sequence
 
 from .abelian import FgAbGroup, IntMatrix
-from .pages import Grading, Page, SpectralRun, first_page, run_to_infinity
+from .pages import CountableRank, Grading, Page, SpectralRun, first_page, run_to_infinity
 
 
 class AssemblyError(Exception):
@@ -50,7 +50,7 @@ class IdealChainInput:
 
     length: int
     grading: Grading = Grading(2)
-    groups: Mapping[tuple[int, int], FgAbGroup] = field(default_factory=dict)
+    groups: Mapping[tuple[int, int], FgAbGroup | CountableRank] = field(default_factory=dict)
     d1: Mapping[tuple[int, int], IntMatrix] | None = None
 
 
@@ -70,7 +70,7 @@ class MvInput:
 
     labels: tuple
     cap: int
-    intersections: Mapping[tuple, Mapping[int, FgAbGroup]] = field(default_factory=dict)
+    intersections: Mapping[tuple, Mapping[int, FgAbGroup | CountableRank]] = field(default_factory=dict)
     d1: Mapping[tuple[int, int], IntMatrix] | None = None
     grading: Grading = Grading(2)
     truncated_at: int | None = None
@@ -79,7 +79,7 @@ class MvInput:
         if not (0 <= self.cap <= max(len(self.labels) - 1, 0)):
             raise ValueError("cap must lie in 0..len(labels)-1")
 
-    def graded_for(self, j: tuple) -> Mapping[int, FgAbGroup]:
+    def graded_for(self, j: tuple) -> Mapping[int, FgAbGroup | CountableRank]:
         return self.intersections.get(tuple(sorted(j)), {})
 
 
@@ -106,7 +106,7 @@ def build_mv_e1(inp: MvInput) -> Page:
     unambiguous.  Zero summands have no generators, so leaving them out
     (including every set the table leaves out) does not move any generator.
     """
-    parts: dict[tuple[int, int], list[FgAbGroup]] = {}
+    parts: dict[tuple[int, int], list[FgAbGroup | CountableRank]] = {}
     summands: dict[tuple[int, int], tuple] = {}
     for size, sets in groupby(sorted(inp.intersections, key=lambda j: (len(j), j)), len):
         if size > inp.cap + 1:
@@ -135,12 +135,12 @@ class DegreeReport:
     """Diagonal pieces and, when extensions split, the assembled group."""
 
     degree: int
-    pieces: tuple[tuple[int, FgAbGroup], ...]
-    assembled: FgAbGroup | None
+    pieces: tuple[tuple[int, FgAbGroup | CountableRank], ...]
+    assembled: FgAbGroup | CountableRank | None
     ambiguous: bool
 
     @property
-    def nonzero_pieces(self) -> tuple[tuple[int, FgAbGroup], ...]:
+    def nonzero_pieces(self) -> tuple[tuple[int, FgAbGroup | CountableRank], ...]:
         return tuple((p, g) for p, g in self.pieces if not g.is_zero)
 
 
@@ -177,15 +177,15 @@ def assemble_target(run: SpectralRun) -> FiltrationReport:
     degrees = []
     for s in range(per):
         pieces = tuple((p, run.e_infinity_at(p, s - p)) for p in range(run.cap + 1))
-        assembled: FgAbGroup | None = FgAbGroup.zero()
+        assembled: FgAbGroup | CountableRank | None = FgAbGroup.zero()
         ambiguous = False
         for _, piece in pieces:
             if piece.is_zero:
                 continue
             if assembled.is_zero:
                 assembled = piece
-            elif piece.is_free:
-                assembled = assembled.direct_sum(piece)
+            elif piece.is_free:  # FgAbGroup.direct_sum takes finite groups only
+                assembled = piece.direct_sum(assembled) if isinstance(piece, CountableRank) else assembled.direct_sum(piece)
             else:
                 assembled = None
                 ambiguous = True

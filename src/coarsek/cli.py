@@ -73,8 +73,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_builtin(name: str, caps: Sequence[int], period: int):
-    """The builtin ``name``; a zinf:<m> input is built at the largest of
-    ``caps`` (m when there are none), and every cap must lie in 0..m."""
+    """The builtin ``name``; a zinf:<m> input is built at the last of the
+    sorted ``caps`` (m when there are none), and every cap must lie in 0..m."""
     if period != 2:
         raise CliError("builtin examples are complex-K lookups; they require --period 2")
     parts = name.split(":")
@@ -84,12 +84,11 @@ def _parse_builtin(name: str, caps: Sequence[int], period: int):
             return rn_mv_input(_number(parts[1], flag="--builtin"))
         if kind == "zinf" and len(parts) == 2:
             m = _number(parts[1], flag="--builtin")
-            if min(caps, default=0) < 0:
-                raise ValueError(f"cap {min(caps)} lies below 0")
-            top = zinf_mv_input(m, max(caps, default=m))  # a prefix m < 1 fails here first
-            above = [c for c in caps if c > m]
-            if above:
-                raise ValueError(f"cap {min(above)} lies above m = {m}")
+            if caps and caps[0] < 0:
+                raise ValueError(f"cap {caps[0]} lies below 0")
+            top = zinf_mv_input(m, caps[-1] if caps else m)  # a prefix m < 1 fails here first
+            if caps and caps[-1] > m:
+                raise ValueError(f"cap {next(c for c in caps if c > m)} lies above m = {m}")
             return top
         if kind == "wedge" and len(parts) == 2 and parts[1] != "countable":
             return wedge_mv_input(_number(parts[1], flag="--builtin"))
@@ -291,18 +290,19 @@ def _cmd_simplex(args) -> int:
     return 0 if all(c.ok for c in checks) else 1
 
 
-def _parse_caps(spec: str) -> list[int]:
+def _parse_caps(spec: str) -> Sequence[int]:
+    """A ``range`` for A..B, so that a long one is never listed, or a sorted list."""
     try:
         if ".." in spec:
             lo, hi = spec.split("..")
-            caps = list(range(_number(lo, flag="--caps"), _number(hi, flag="--caps") + 1))
+            caps = range(_number(lo, flag="--caps"), _number(hi, flag="--caps") + 1)
         else:
-            caps = [_number(x, flag="--caps") for x in spec.split(",")]
+            caps = sorted(_number(x, flag="--caps") for x in spec.split(","))
     except ValueError:
         raise CliError(f"--caps: expected A..B or a comma list of integers, got {spec!r}") from None
     if not caps:
         raise CliError(f"--caps: empty range {spec!r}")
-    if min(caps) < 1:
+    if caps[0] < 1:
         raise CliError(f"--caps: caps must be positive, got {spec!r}")
     return caps
 

@@ -287,12 +287,6 @@ class LatticeBox:
     def dim(self) -> int:
         return len(self.intervals)
 
-    @property
-    def is_empty(self) -> bool:
-        return any(
-            lo is not None and hi is not None and lo > hi for lo, hi in self.intervals
-        )
-
     @classmethod
     def from_blocky(cls, space: BlockySpace) -> "LatticeBox":
         table = {
@@ -302,16 +296,6 @@ class LatticeBox:
             Factor.FULL: (None, None),
         }
         return cls(tuple(table[f] for f in space.factors))
-
-    def intersect(self, other: "LatticeBox") -> "LatticeBox":
-        if self.dim != other.dim:
-            raise DimensionMismatch("boxes of different dimensions")
-        out = []
-        for (lo1, hi1), (lo2, hi2) in zip(self.intervals, other.intervals):
-            lo = lo1 if lo2 is None else (lo2 if lo1 is None else max(lo1, lo2))
-            hi = hi1 if hi2 is None else (hi2 if hi1 is None else min(hi1, hi2))
-            out.append((lo, hi))
-        return LatticeBox(tuple(out))
 
 
 def as_box(space) -> LatticeBox:

@@ -12,10 +12,10 @@ from itertools import combinations
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
-from .abelian import CountablyInfinite, FgAbGroup, IncompatibleShapes, IntMatrix, decimal_str
+from .abelian import FgAbGroup, IncompatibleShapes, IntMatrix, decimal_str
 from .assembly import DegreeReport, FiltrationReport, IdealChainInput, MvInput, SweepReport
 from .coarse import BlockySpace, Factor
-from .pages import Grading, Page, first_page
+from .pages import CountableRank, Grading, Page, first_page
 
 
 class SchemaError(ValueError):
@@ -89,20 +89,20 @@ def _labels(value: Any, where: str) -> list:
     return items
 
 
-def group_to_json(g: FgAbGroup) -> dict:
+def group_to_json(g: FgAbGroup | CountableRank) -> dict:
     return {
-        "free_rank": "countable" if g.is_countable else g.free_rank,
+        "free_rank": "countable" if isinstance(g, CountableRank) else g.free_rank,
         "torsion": list(g.torsion),
     }
 
 
-def group_from_json(obj: Any, where: str = "group") -> FgAbGroup:
+def group_from_json(obj: Any, where: str = "group") -> FgAbGroup | CountableRank:
     rank = _need(obj, "free_rank", where)
     torsion = tuple(_ints(obj.get("torsion", []), f"{where}.torsion"))
     if rank != "countable" and (type(rank) is not int or rank < 0):
         raise SchemaError(f"{where}.free_rank: expected a nonnegative integer or 'countable', got {rank!r}")
     try:
-        return FgAbGroup(CountablyInfinite if rank == "countable" else rank, torsion)
+        return CountableRank(torsion) if rank == "countable" else FgAbGroup(rank, torsion)
     except ValueError as exc:
         raise SchemaError(f"{where}.torsion: {exc}") from exc
 

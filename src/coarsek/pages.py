@@ -22,6 +22,7 @@ from .abelian import (
     IncompatibleShapes,
     IntMatrix,
     SubquotientCell,
+    decimal_str,
     preimage_basis,
     solve_columns,
     subquotient,
@@ -63,6 +64,34 @@ def _concatenated_cell(parts: Sequence[FgAbGroup]) -> SubquotientCell:
     return subquotient(eye, rels)
 
 
+@dataclass(frozen=True)
+class CountableRank:
+    """Z^inf + Z/d_1 + ... + Z/d_k, with the torsion a divisibility chain.
+
+    A report value, not a group the engine computes with: it has no
+    generator list, so no matrix or homomorphism is built on it, and
+    ``first_page`` sets a cell holding one aside in ``Page.countable``.
+    """
+
+    torsion: tuple[int, ...] = ()
+    is_zero = False
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "torsion", FgAbGroup(0, self.torsion).torsion)
+
+    @property
+    def is_free(self) -> bool:
+        return not self.torsion
+
+    def direct_sum(self, *others: "FgAbGroup | CountableRank") -> "CountableRank":
+        """The countable rank absorbs every free rank; the torsion is renormalised."""
+        parts = (FgAbGroup(0, g.torsion) for g in (self, *others))
+        return CountableRank(FgAbGroup.zero().direct_sum(*parts).torsion)
+
+    def __str__(self) -> str:
+        return " + ".join(["Z^inf", *(f"Z/{decimal_str(d)}" for d in self.torsion)])
+
+
 @dataclass
 class Page:
     """One page of the spectral sequence; treat as an immutable value.
@@ -82,7 +111,7 @@ class Page:
     d1_defaulted: bool = False
     truncated_at: int | None = None
     summands: dict[tuple[int, int], tuple] | None = None
-    countable: dict[tuple[int, int], FgAbGroup] = field(default_factory=dict)
+    countable: dict[tuple[int, int], CountableRank] = field(default_factory=dict)
 
     @property
     def period(self) -> int:
@@ -94,7 +123,7 @@ class Page:
     def source_key(self, p: int, q: int) -> tuple[int, int]:
         return p + self.r, (q - self.r + 1) % self.period
 
-    def cell_group(self, p: int, q: int) -> FgAbGroup:
+    def cell_group(self, p: int, q: int) -> FgAbGroup | CountableRank:
         key = (p, q % self.period)
         cell = self.cells.get(key)
         return cell.group if cell is not None else self.countable.get(key, FgAbGroup.zero())
@@ -108,7 +137,7 @@ class Page:
 def first_page(
     cap: int,
     grading: Grading,
-    parts: Mapping[tuple[int, int], Sequence[FgAbGroup]],
+    parts: Mapping[tuple[int, int], Sequence[FgAbGroup | CountableRank]],
     d1: Mapping[tuple[int, int], IntMatrix] | None = None,
     truncated_at: int | None = None,
     summands: dict[tuple[int, int], tuple] | None = None,
@@ -130,8 +159,8 @@ def first_page(
         nonzero = [g for g in groups if not g.is_zero]
         if nonzero and not 0 <= key[0] <= cap:
             raise PageError(f"cell {key} lies outside the support 0..{cap}")
-        if any(g.is_countable for g in nonzero):
-            page.countable[key] = FgAbGroup.zero().direct_sum(*nonzero)
+        if any(isinstance(g, CountableRank) for g in nonzero):
+            page.countable[key] = CountableRank().direct_sum(*nonzero)
         elif nonzero:
             page.cells[key] = _concatenated_cell(nonzero)
     return _install_diffs(page, d1)
@@ -234,7 +263,7 @@ class SpectralRun:
     """Record of a full run: pages 1..cap+2, the limit page, stabilization."""
 
     pages: list[Page]
-    e_infinity: dict[tuple[int, int], FgAbGroup]
+    e_infinity: dict[tuple[int, int], FgAbGroup | CountableRank]
     stabilized_at: int
     grading: Grading
     cap: int
@@ -243,7 +272,7 @@ class SpectralRun:
     def first_page(self) -> Page:
         return self.pages[0]
 
-    def e_infinity_at(self, p: int, q: int) -> FgAbGroup:
+    def e_infinity_at(self, p: int, q: int) -> FgAbGroup | CountableRank:
         return self.e_infinity.get((p, q % self.grading.period), FgAbGroup.zero())
 
 

@@ -16,7 +16,7 @@ from itertools import combinations, product
 from math import floor, gcd, prod
 
 from coarsek.abelian import FgAbGroup, GroupHom, IntMatrix
-from coarsek.coarse import DimensionMismatch, LatticeBox
+from coarsek.coarse import DimensionMismatch
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +370,24 @@ def enumerate_quotient_order(matrix: IntMatrix) -> int:
 
 
 # ---------------------------------------------------------------------------
-# lattice distances: closed form and brute force
+# lattice boxes as plain tuples of integer intervals (lo, hi), None being
+# unbounded; distances in closed form and by brute force
+
+
+def box_is_empty(box) -> bool:
+    """Whether some interval of the box has lo > hi."""
+    return any(lo is not None and hi is not None and lo > hi for lo, hi in box)
+
+
+def box_meet(*boxes) -> tuple:
+    """The intersection of boxes of one dimension: per axis the largest lo
+    and the smallest hi."""
+    meet = []
+    for column in zip(*boxes):
+        los = [lo for lo, _ in column if lo is not None]
+        his = [hi for _, hi in column if hi is not None]
+        meet.append((max(los, default=None), min(his, default=None)))
+    return tuple(meet)
 
 
 def _gap(x: int, lo: int | None, hi: int | None) -> int:
@@ -388,14 +405,14 @@ def set_distance(point, box, metric) -> Fraction | None:
     Nearest points of a product set are found coordinate by coordinate,
     so the per-coordinate gaps aggregate by sum (1-metrics) or max.
     """
-    if box.is_empty:
+    if box_is_empty(box):
         return None
-    gaps = [_gap(int(x), lo, hi) for x, (lo, hi) in zip(point, box.intervals)]
+    gaps = [_gap(int(x), lo, hi) for x, (lo, hi) in zip(point, box)]
     if metric.kind == "dinf":
         return Fraction(max(gaps, default=0))
     if metric.kind == "d1":
         return Fraction(sum(gaps))
-    if len(metric.weights) != box.dim:
+    if len(metric.weights) != len(box):
         raise DimensionMismatch("weight count does not match dimension")
     return sum((w * g for w, g in zip(metric.weights, gaps)), Fraction(0))
 
@@ -403,7 +420,7 @@ def set_distance(point, box, metric) -> Fraction | None:
 def brute_force_distance(point, box, metric, search: int) -> Fraction | None:
     """Nearest-point search over the boxed part of the set."""
     ranges = []
-    for i, (lo, hi) in enumerate(box.intervals):
+    for lo, hi in box:
         a = -search if lo is None else max(lo, -search)
         b = search if hi is None else min(hi, search)
         if a > b:
@@ -432,19 +449,27 @@ def oracle_excision(boxes, radius, s_radius, metric, box: int) -> tuple[int, ...
     """
     radius, s_radius = Fraction(radius), Fraction(s_radius)
     inner = floor(Fraction(box) - s_radius)
-    columns = []
-    for column in zip(*(b.intervals for b in boxes)):
-        los = [lo for lo, _ in column if lo is not None]
-        his = [hi for _, hi in column if hi is not None]
-        columns.append((max(los, default=None), min(his, default=None)))
-    meet = LatticeBox(tuple(columns))
-    for point in product(range(-inner, inner + 1), repeat=boxes[0].dim):
+    meet = box_meet(*boxes)
+    for point in product(range(-inner, inner + 1), repeat=len(boxes[0])):
         near = [set_distance(point, b, metric) for b in boxes]
         if all(d is not None and d <= radius for d in near):
             d = set_distance(point, meet, metric)
             if d is None or d > s_radius:
                 return point
     return None
+
+
+# ---------------------------------------------------------------------------
+# groups and maps
+
+
+def group_order(g: FgAbGroup) -> int | None:
+    """|g|, or None when g is infinite."""
+    return None if g.free_rank else prod(g.torsion)
+
+
+def zero_hom(source: FgAbGroup, target: FgAbGroup) -> GroupHom:
+    return GroupHom(source, target, IntMatrix.zeros(target.gen_count, source.gen_count))
 
 
 # ---------------------------------------------------------------------------

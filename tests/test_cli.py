@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,11 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsek import coarse, jsonio, simplex
-from coarsek.abelian import CountablyInfinite, FgAbGroup, IntMatrix, smith_normal_form
+from coarsek.abelian import FgAbGroup, IntMatrix, smith_normal_form
 from coarsek.assembly import truncation_sweep
 from coarsek.cli import main
 from coarsek.coarse import zinf_mv_input
-from coarsek.pages import Grading, first_page
+from coarsek.pages import CountableRank, Grading, first_page
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_MV = GOLDEN / "inputs" / "readme_mv.json"
@@ -689,12 +691,27 @@ def test_zinf_sweep_walks_its_cover_once(capsys, monkeypatch, m):
     assert len(builds) == 1
 
 
+def test_refused_caps_range_is_never_listed(capsys):
+    # the caps 1..3000000 as a list took 141 MB traced before the refusal;
+    # a range is read at its ends and up to the first cap above m
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        result = run_cli(capsys, "sweep", "--builtin", "zinf:3", "--caps", "1..3000000")
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (1, "", "error: bad builtin parameter in 'zinf:3': cap 4 lies above m = 3\n")
+    assert peak < 2**20 and elapsed < 1
+
+
 # ---------------------------------------------------------------------------
 # serialization round trips
 
 
 def test_group_round_trip():
-    for g in [FgAbGroup(2, (2, 4)), FgAbGroup.zero(), FgAbGroup(CountablyInfinite, ())]:
+    for g in [FgAbGroup(2, (2, 4)), FgAbGroup.zero(), CountableRank(), CountableRank((2, 4))]:
         assert jsonio.group_from_json(jsonio.group_to_json(g)) == g
 
 

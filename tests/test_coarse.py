@@ -3,7 +3,6 @@
 import dataclasses
 import random
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations, product
 from math import ceil, floor
 
@@ -39,7 +38,7 @@ from coarsek.coarse import (
 )
 from coarsek.assembly import CapTooSmall, build_mv_e1
 
-from _oracles import brute_force_distance, oracle_excision, set_distance
+from _oracles import box_is_empty, box_meet, brute_force_distance, oracle_excision, set_distance
 
 Z = FgAbGroup.free(1)
 ZERO = FgAbGroup.zero()
@@ -58,8 +57,8 @@ def test_meet_table_spec_cases():
         assert meet(f, f) == f
     # every pair agrees with intersecting the two sets as integer intervals
     for a, b in product(ALL_FACTORS, repeat=2):
-        box = LatticeBox.from_blocky(BlockySpace.of(a)).intersect(LatticeBox.from_blocky(BlockySpace.of(b)))
-        assert LatticeBox.from_blocky(BlockySpace.of(meet(a, b))) == box
+        box = box_meet(*(LatticeBox.from_blocky(BlockySpace.of(f)).intervals for f in (a, b)))
+        assert LatticeBox.from_blocky(BlockySpace.of(meet(a, b))).intervals == box
 
 
 def test_meet_is_commutative_associative_idempotent_exhaustive():
@@ -287,7 +286,7 @@ def test_set_distance_closed_form_vs_brute_force():
     for _ in range(60):
         n = 3
         space = BlockySpace(tuple(rng.choice(ALL_FACTORS) for _ in range(n)))
-        box = LatticeBox.from_blocky(space)
+        box = LatticeBox.from_blocky(space).intervals
         point = tuple(rng.randint(-8, 8) for _ in range(n))
         for metric in metrics:
             closed = set_distance(point, box, metric)
@@ -301,7 +300,7 @@ def test_metric_sandwich_pointwise():
     for _ in range(40):
         n = rng.randint(1, 3)
         space = BlockySpace(tuple(rng.choice(ALL_FACTORS) for _ in range(n)))
-        box = LatticeBox.from_blocky(space)
+        box = LatticeBox.from_blocky(space).intervals
         r = rng.randint(1, 4)
         for point in product(range(-6, 7), repeat=n):
             d1 = set_distance(point, box, Metric("d1"))
@@ -383,7 +382,7 @@ def _agrees_with_oracle(cover, radius, s_radius, metric, box):
     boxes = [as_box(space) for space in cover]
     points = (2 * floor(Fraction(box) - Fraction(s_radius)) + 1) ** boxes[0].dim
     for j, res in results.items():
-        want = oracle_excision([boxes[i] for i in j], radius, s_radius, metric, box)
+        want = oracle_excision([boxes[i].intervals for i in j], radius, s_radius, metric, box)
         assert (res.ok, res.witness, res.points_checked) == (want is None, want, points), (cover, j)
     assert check_excision(cover, range(n), radius, s_radius, metric, box) == results[tuple(range(n))]
     return results
@@ -424,7 +423,7 @@ def _settled_by_farthest_point(members, radius, s_radius, metric, box):
     member; False when the meet is empty or the farthest point of the
     window, sum_i w_i max(0, M_lo - A_lo, A_hi - M_hi), lies beyond S.
     """
-    if any(m.is_empty for m in members):
+    if any(box_is_empty(m.intervals) for m in members):
         return None
     inner = floor(box - s_radius)
     far = 0
@@ -450,14 +449,14 @@ def test_cover_excision_matches_brute_force_oracle():
         cover = [_random_member(rng, dim, extremes=True) for _ in range(rng.randint(1, 3))]
         boxes = [as_box(c) for c in cover]
         far += any(abs(end or 0) == FAR for b in boxes for interval in b.intervals for end in interval)
-        empty_member += any(b.is_empty for b in boxes)
+        empty_member += any(box_is_empty(b.intervals) for b in boxes)
         metric = _random_metric(rng, rng.choice(("d1", "dinf", "weighted")), dim)
         radius = Fraction(rng.randint(1, 8), rng.randint(1, 4))
         s_radius = Fraction(rng.randint(1, 10), rng.randint(1, 4))
         box = floor(radius + s_radius) + 1 + rng.randint(0, 2)
         results = _agrees_with_oracle(cover, radius, s_radius, metric, box)
         failed += sum(not r.ok for r in results.values())
-        empty += any(boxes[0].intersect(b).is_empty for b in boxes)
+        empty += any(box_is_empty(box_meet(boxes[0].intervals, b.intervals)) for b in boxes)
         if metric.kind != "dinf":
             kinds = [
                 _settled_by_farthest_point([as_box(cover[i]) for i in j], radius, s_radius, metric, box)
@@ -502,15 +501,15 @@ def test_dinf_intervals_match_brute_force_oracle():
         box = ceil(s_radius + rng.randint(1, 6 - dim))
         radius = (box - s_radius) * Fraction(rng.randint(1, 7), 8)
         results = _agrees_with_oracle(cover, radius, s_radius, dinf, box)
-        boxes = [as_box(space) for space in cover]
+        boxes = [as_box(space).intervals for space in cover]
         for j, res in results.items():
             members = [boxes[i] for i in j]
-            meet = reduce(LatticeBox.intersect, members)
-            if meet.is_empty and not any(m.is_empty for m in members):
+            meet = box_meet(*members)
+            if box_is_empty(meet) and not any(box_is_empty(m) for m in members):
                 no_target += not res.ok
                 apart += res.ok  # no target and still no violation: A is empty
             elif not res.ok:  # counted when the witness is within S of the meet on axis 0
-                late += set_distance(res.witness[:1], LatticeBox(meet.intervals[:1]), dinf) <= s_radius
+                late += set_distance(res.witness[:1], meet[:1], dinf) <= s_radius
     # the draw reaches escapes after the first axis, subsets without a target,
     # and subsets whose members' neighbourhoods miss each other on the grid
     assert late and no_target and apart
