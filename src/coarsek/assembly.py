@@ -137,7 +137,10 @@ class DegreeReport:
     degree: int
     pieces: tuple[tuple[int, FgAbGroup | CountableRank], ...]
     assembled: FgAbGroup | CountableRank | None
-    ambiguous: bool
+
+    @property
+    def ambiguous(self) -> bool:
+        return self.assembled is None
 
     @property
     def nonzero_pieces(self) -> tuple[tuple[int, FgAbGroup | CountableRank], ...]:
@@ -170,15 +173,14 @@ def assemble_target(run: SpectralRun) -> FiltrationReport:
 
     Each step is an extension of the piece at filtration level p by the
     group assembled so far; the extension is split only when the new piece
-    is free, so anything else yields an AmbiguousExtension marker with the
-    full piece list left to the reader.
+    is free, so anything else leaves the degree unassembled (ambiguous) with
+    the full piece list left to the reader.
     """
     per = run.grading.period
     degrees = []
     for s in range(per):
         pieces = tuple((p, run.e_infinity_at(p, s - p)) for p in range(run.cap + 1))
         assembled: FgAbGroup | CountableRank | None = FgAbGroup.zero()
-        ambiguous = False
         for _, piece in pieces:
             if piece.is_zero:
                 continue
@@ -188,9 +190,8 @@ def assemble_target(run: SpectralRun) -> FiltrationReport:
                 assembled = piece.direct_sum(assembled) if isinstance(piece, CountableRank) else assembled.direct_sum(piece)
             else:
                 assembled = None
-                ambiguous = True
                 break
-        degrees.append(DegreeReport(s, pieces, assembled, ambiguous))
+        degrees.append(DegreeReport(s, pieces, assembled))
     first = run.first_page
     return FiltrationReport(
         period=per,
@@ -261,8 +262,6 @@ def truncation_sweep(family: Callable[[int], MvInput], caps: Sequence[int]) -> S
         cell_stable[key] = _stable_from(values, caps)
     assembled_stable: dict[int, int | None] = {}
     for s in range(period or 2):
-        values = [
-            (reports[c].degree(s).assembled, reports[c].degree(s).ambiguous) for c in caps
-        ]
+        values = [reports[c].degree(s).assembled for c in caps]
         assembled_stable[s] = _stable_from(values, caps)
     return SweepReport(caps, e1_cells, reports, cell_stable, assembled_stable)

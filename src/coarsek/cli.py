@@ -342,8 +342,9 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="build a first page, run to the limit, assemble")
-    p_run.add_argument("--builtin")
-    p_run.add_argument("--input")
+    source = p_run.add_mutually_exclusive_group()
+    source.add_argument("--builtin")
+    source.add_argument("--input")
     p_run.add_argument("--cap", type=int)
     p_run.set_defaults(func=_cmd_run)
 
@@ -352,9 +353,10 @@ def _parser() -> argparse.ArgumentParser:
     p_snf.set_defaults(func=_cmd_snf)
 
     p_exc = sub.add_parser("excision", help="brute-force excisiveness check")
-    p_exc.add_argument("--builtin")
-    p_exc.add_argument("--custom", choices=("disjoint-rays",))
-    p_exc.add_argument("--cover")
+    source = p_exc.add_mutually_exclusive_group()
+    source.add_argument("--builtin")
+    source.add_argument("--custom", choices=("disjoint-rays",))
+    source.add_argument("--cover")
     p_exc.add_argument("--metric", choices=("d1", "dinf", "weighted"), default="dinf")
     p_exc.add_argument("--weights")
     p_exc.add_argument("--radius", required=True)

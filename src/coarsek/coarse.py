@@ -81,16 +81,9 @@ class BlockySpace:
 
     factors: tuple[Factor, ...]
 
-    @classmethod
-    def of(cls, *factors: Factor) -> "BlockySpace":
-        return cls(tuple(factors))
-
     @property
     def dim(self) -> int:
         return len(self.factors)
-
-    def __str__(self) -> str:
-        return "[" + ", ".join(f.value for f in self.factors) + "]"
 
 
 def intersect(spaces: Sequence[BlockySpace]) -> BlockySpace:
@@ -149,21 +142,15 @@ def roe_k_theory(space: BlockySpace) -> dict[int, FgAbGroup]:
 def block_decomposition(n: int) -> list[BlockySpace]:
     """The n+1 overlapping blocks covering Z^n.
 
-    >>> [str(b) for b in block_decomposition(1)]
-    ['[nonpos]', '[nonneg]']
+    >>> [[f.value for f in b.factors] for b in block_decomposition(1)]
+    [['nonpos'], ['nonneg']]
     """
     if n < 1:
         raise ValueError("block decomposition needs dimension >= 1")
-    blocks = []
-    for j in range(n + 1):
-        if j == 0:
-            fac = (Factor.NONPOS,) + (Factor.FULL,) * (n - 1)
-        elif j == n:
-            fac = (Factor.NONNEG,) * n
-        else:
-            fac = (Factor.NONNEG,) * j + (Factor.NONPOS,) + (Factor.FULL,) * (n - j - 1)
-        blocks.append(BlockySpace(fac))
-    return blocks
+    return [
+        BlockySpace((Factor.NONNEG,) * j + (Factor.NONPOS,) + (Factor.FULL,) * (n - j - 1))
+        for j in range(n)
+    ] + [BlockySpace((Factor.NONNEG,) * n)]
 
 
 def zinf_block_family(m: int) -> list[BlockySpace]:
@@ -481,16 +468,12 @@ def check_cover_excision(
     radius,
     metric: Metric,
     box: int,
-    s_radius=None,
+    s_radius,
 ) -> dict[tuple[int, ...], ExcisionResult]:
-    """check_excision for every nonempty subset of the cover.
-
-    ``s_radius`` is used for all subsets (defaulting to the radius itself).
-    """
+    """check_excision for every nonempty subset of the cover, at one S for all."""
     n = len(cover)
     subsets = [j for size in range(1, n + 1) for j in combinations(range(n), size)]
-    s_val = s_radius if s_radius is not None else radius
-    return _check_subsets(cover, subsets, radius, s_val, metric, box) if subsets else {}
+    return _check_subsets(cover, subsets, radius, s_radius, metric, box) if subsets else {}
 
 
 def disjoint_rays() -> list[LatticeBox]:

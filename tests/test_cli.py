@@ -1015,6 +1015,8 @@ def test_schema_errors():
             {"kind": "mv", "labels": [0], "intersections": [{"J": [], "k": {}}]},
             "intersections[0].J: expected at least one label, got []",
         ),
+        ({"kind": "page", "cap": 1, "d1": [{"from": [1], "matrix": []}]}, "d1[0].from: expected [p, q], got [1]"),
+        ({"kind": "mv", "labels": [0], "cap": 3}, "cap must lie in 0..len(labels)-1"),
     ],
     ids=[
         "mv-no-labels", "page-no-cap", "top-level-list", "cell-no-group", "bool-free-rank",
@@ -1029,7 +1031,7 @@ def test_schema_errors():
         "countable-torsion-not-a-chain", "ragged-matrix",
         "matrix-entry-count", "negative-matrix-dimension", "str-matrix", "cell-outside-support",
         "d-o-d-nonzero", "false-d1", "zero-d1", "empty-str-d1", "empty-object-d1", "J-outside-labels",
-        "empty-J",
+        "empty-J", "short-d1-from", "mv-cap-past-labels",
     ],
 )
 def test_bad_input_is_one_error_line(capsys, tmp_path, payload, message):
@@ -1095,8 +1097,9 @@ def test_degrees_reduce_modulo_the_period(capsys, tmp_path):
             [{"factors": ["nonneg", "up"]}],
             "cover[0].factors[1]: expected one of ['full', 'nonneg', 'nonpos', 'zero'], got 'up'",
         ),
+        ([{"factors": ["nonneg"]}, {"factors": ["nonpos", "full"]}], "cover sets of different dimensions"),
     ],
-    ids=["int", "empty", "str-item", "no-factors", "str-factors", "no-factor", "unknown-factor"],
+    ids=["int", "empty", "str-item", "no-factors", "str-factors", "no-factor", "unknown-factor", "mixed-dimensions"],
 )
 def test_bad_cover_is_one_error_line(capsys, tmp_path, cover, message):
     path = tmp_path / "cover.json"
@@ -1191,6 +1194,22 @@ def test_bad_cover_is_one_error_line(capsys, tmp_path, cover, message):
         ),
         (["sweep", "--builtin", "zinf:3", "--caps", "3..1"], "--caps: empty range '3..1'"),
         (["sweep", "--builtin", "zinf:3", "--caps", "0..3"], "--caps: caps must be positive, got '0..3'"),
+        (
+            ["excision", "--builtin", "rn:2", "--metric", "weighted", "--weights", "1", "--radius", "1"],
+            "weight count does not match dimension",
+        ),
+        (
+            ["excision", "--builtin", "rn:2", "--metric", "weighted", "--weights", "0,1", "--radius", "1"],
+            "weights must be strictly positive",
+        ),
+        (
+            ["run", "--builtin", "rn:1", "--input", "missing.json"],
+            "argument --input: not allowed with argument --builtin",
+        ),
+        (
+            ["excision", "--builtin", "rn:1", "--custom", "disjoint-rays", "--radius", "1"],
+            "argument --custom: not allowed with argument --builtin",
+        ),
     ],
     ids=[
         "rn-cap", "wedge-cap", "wedge-countable-cap", "input-cap", "sweep-wedge-countable-suffix",
@@ -1200,6 +1219,7 @@ def test_bad_cover_is_one_error_line(capsys, tmp_path, cover, message):
         "excision-d1-weights", "excision-rn-x", "excision-box-3.5", "run-no-such-flag", "simplex-samples-0",
         "simplex-samples-negative", "simplex-dim-0", "radius-past-digit-limit", "box-past-digit-limit",
         "samples-past-digit-limit", "caps-1/0", "caps-1..2..3", "caps-empty-range", "caps-0..3",
+        "weight-count", "weight-zero", "run-builtin-and-input", "excision-builtin-and-custom",
     ],
 )
 def test_bad_arguments_are_one_error_line(capsys, args, message):

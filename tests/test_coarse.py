@@ -57,8 +57,8 @@ def test_meet_table_spec_cases():
         assert meet(f, f) == f
     # every pair agrees with intersecting the two sets as integer intervals
     for a, b in product(ALL_FACTORS, repeat=2):
-        box = box_meet(*(LatticeBox.from_blocky(BlockySpace.of(f)).intervals for f in (a, b)))
-        assert LatticeBox.from_blocky(BlockySpace.of(meet(a, b))).intervals == box
+        box = box_meet(*(LatticeBox.from_blocky(BlockySpace((f,))).intervals for f in (a, b)))
+        assert LatticeBox.from_blocky(BlockySpace((meet(a, b),))).intervals == box
 
 
 def test_meet_is_commutative_associative_idempotent_exhaustive():
@@ -83,11 +83,11 @@ def test_intersect_is_order_independent(factors, data):
 
 
 def test_intersect_spec_examples():
-    x1 = BlockySpace.of(Factor.NONNEG, Factor.NONPOS)
-    x2 = BlockySpace.of(Factor.NONNEG, Factor.NONNEG)
-    assert intersect([x1, x2]) == BlockySpace.of(Factor.NONNEG, Factor.ZERO)
+    x1 = BlockySpace((Factor.NONNEG, Factor.NONPOS))
+    x2 = BlockySpace((Factor.NONNEG, Factor.NONNEG))
+    assert intersect([x1, x2]) == BlockySpace((Factor.NONNEG, Factor.ZERO))
     assert intersect([x1]) == x1
-    line = BlockySpace.of(Factor.FULL)
+    line = BlockySpace((Factor.FULL,))
     for mixed in ([x1, line], [line, x1], [x1, x2, line]):
         with pytest.raises(DimensionMismatch):
             intersect(mixed)
@@ -112,9 +112,9 @@ def test_proper_subfamily_intersections_are_flasque():
 
 
 def test_classify_spec_examples():
-    assert classify(BlockySpace.of(Factor.NONNEG, Factor.FULL)).flasque
-    assert classify(BlockySpace.of(Factor.ZERO, Factor.ZERO)) == SpaceClass(False, 0)
-    c = classify(BlockySpace.of(Factor.FULL, Factor.ZERO, Factor.FULL))
+    assert classify(BlockySpace((Factor.NONNEG, Factor.FULL))).flasque
+    assert classify(BlockySpace((Factor.ZERO, Factor.ZERO))) == SpaceClass(False, 0)
+    c = classify(BlockySpace((Factor.FULL, Factor.ZERO, Factor.FULL)))
     assert not c.flasque and c.lines == 2
 
 
@@ -138,10 +138,10 @@ def test_flasque_propagates_through_meets_with_half_rays():
 
 
 def test_roe_k_theory_spec_examples():
-    point = BlockySpace.of(Factor.ZERO)
+    point = BlockySpace((Factor.ZERO,))
     assert roe_k_theory(point) == {0: Z, 1: ZERO}
-    assert roe_k_theory(BlockySpace.of(Factor.NONPOS, Factor.FULL)) == {0: ZERO, 1: ZERO}
-    line3 = BlockySpace.of(Factor.FULL, Factor.FULL, Factor.FULL)
+    assert roe_k_theory(BlockySpace((Factor.NONPOS, Factor.FULL))) == {0: ZERO, 1: ZERO}
+    line3 = BlockySpace((Factor.FULL, Factor.FULL, Factor.FULL))
     assert roe_k_theory(line3) == {0: ZERO, 1: Z}
     with pytest.raises(UnknownSpace):
         roe_k_theory("not a space")
@@ -157,18 +157,18 @@ def test_block_decomposition_shapes():
         (Factor.NONNEG,),
     ]
     two = block_decomposition(2)
-    assert two[0] == BlockySpace.of(Factor.NONPOS, Factor.FULL)
-    assert two[1] == BlockySpace.of(Factor.NONNEG, Factor.NONPOS)
-    assert two[2] == BlockySpace.of(Factor.NONNEG, Factor.NONNEG)
+    assert two[0] == BlockySpace((Factor.NONPOS, Factor.FULL))
+    assert two[1] == BlockySpace((Factor.NONNEG, Factor.NONPOS))
+    assert two[2] == BlockySpace((Factor.NONNEG, Factor.NONNEG))
     with pytest.raises(ValueError):
         block_decomposition(0)
 
 
 def test_zinf_family_shapes_and_flasqueness():
     fam = zinf_block_family(2)
-    assert fam[0] == BlockySpace.of(Factor.NONPOS, Factor.FULL, Factor.FULL)
+    assert fam[0] == BlockySpace((Factor.NONPOS, Factor.FULL, Factor.FULL))
     both = intersect([fam[0], fam[1]])
-    assert both == BlockySpace.of(Factor.ZERO, Factor.NONPOS, Factor.FULL)
+    assert both == BlockySpace((Factor.ZERO, Factor.NONPOS, Factor.FULL))
     assert classify(both).flasque
     for m in range(1, 5):
         fam = zinf_block_family(m)
@@ -260,7 +260,7 @@ def test_builtin_first_page_asks_the_rule_at_most_once_per_label(monkeypatch, bu
 
 def test_wedge_cover_pieces():
     # a double ray is coarsely a line; the base ray and every meet are flasque
-    line = roe_k_theory(BlockySpace.of(Factor.FULL))
+    line = roe_k_theory(BlockySpace((Factor.FULL,)))
     for k in range(1, 9):
         assert wedge_mv_input(k).intersections == {(b,): line for b in range(1, k)}
     with pytest.raises(ValueError, match="wedge cover needs at least one ray"):
@@ -369,7 +369,7 @@ def test_excision_dinf_s_equals_r_many_covers():
 
 
 def test_check_cover_excision_all_subsets():
-    results = check_cover_excision(block_decomposition(2), 2, Metric("dinf"), 8)
+    results = check_cover_excision(block_decomposition(2), 2, Metric("dinf"), 8, s_radius=2)
     assert len(results) == 7
     assert all(r.ok for r in results.values())
 
@@ -534,7 +534,7 @@ def test_cover_excision_exact_past_int64():
     # distances leave int64, and the search stays exact on Python integers
     cover = [
         LatticeBox(((None, -1), (0, None))),
-        BlockySpace.of(Factor.FULL, Factor.NONPOS),
+        BlockySpace((Factor.FULL, Factor.NONPOS)),
         LatticeBox(((-2, 3), (-3, 2))),
     ]
     metric = Metric("weighted", (Fraction(1, 2**62), Fraction(3, 2)))
@@ -572,6 +572,6 @@ def test_cover_excision_witnesses_on_window_edges():
 def test_cover_excision_sums_exact_at_dtype_boundary():
     # scale 255 puts the R cut at 254, one below the cost of a unit gap, so
     # only the members' own points are within R and every subset passes
-    cover = [BlockySpace.of(Factor.ZERO, Factor.ZERO), BlockySpace.of(Factor.NONNEG, Factor.ZERO)]
+    cover = [BlockySpace((Factor.ZERO, Factor.ZERO)), BlockySpace((Factor.NONNEG, Factor.ZERO))]
     results = _agrees_with_oracle(cover, Fraction(254, 255), Fraction(1, 255), Metric("d1"), 2)
     assert all(r.ok for r in results.values())
