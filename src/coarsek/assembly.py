@@ -25,7 +25,7 @@ from itertools import groupby
 from typing import Callable, Mapping, Sequence
 
 from .abelian import FgAbGroup, IntMatrix
-from .pages import CountableRank, Grading, Page, SpectralRun, first_page, run_to_infinity
+from .pages import CountableRank, Page, SpectralRun, first_page, run_to_infinity
 
 
 class AssemblyError(Exception):
@@ -45,11 +45,11 @@ class IdealChainInput:
     """K-data of the successive subquotients of a chain of ideals.
 
     ``groups[(p, s)]`` is the degree-s K-group of the p-th subquotient,
-    for every 0 <= p <= length and every s modulo the grading period.
+    for every 0 <= p <= length and every s modulo ``period``.
     """
 
     length: int
-    grading: Grading = Grading(2)
+    period: int = 2
     groups: Mapping[tuple[int, int], FgAbGroup | CountableRank] = field(default_factory=dict)
     d1: Mapping[tuple[int, int], IntMatrix] | None = None
 
@@ -72,7 +72,7 @@ class MvInput:
     cap: int
     intersections: Mapping[tuple, Mapping[int, FgAbGroup | CountableRank]] = field(default_factory=dict)
     d1: Mapping[tuple[int, int], IntMatrix] | None = None
-    grading: Grading = Grading(2)
+    period: int = 2
     truncated_at: int | None = None
 
     def __post_init__(self) -> None:
@@ -90,11 +90,11 @@ class MvInput:
 def build_ideal_chain_e1(inp: IdealChainInput) -> Page:
     """Cell (p, q) carries the degree-(p+q) K-group of the p-th subquotient."""
     parts = {
-        (p, q): [inp.groups[(p, (p + q) % inp.grading.period)]]
+        (p, q): [inp.groups[(p, (p + q) % inp.period)]]
         for p in range(inp.length + 1)
-        for q in range(inp.grading.period)
+        for q in range(inp.period)
     }
-    return first_page(inp.length, inp.grading, parts, inp.d1)
+    return first_page(inp.length, inp.period, parts, inp.d1)
 
 
 def build_mv_e1(inp: MvInput) -> Page:
@@ -112,7 +112,7 @@ def build_mv_e1(inp: MvInput) -> Page:
         if size > inp.cap + 1:
             break
         graded = [(j, inp.intersections[j]) for j in sets]
-        for q in range(inp.grading.period):
+        for q in range(inp.period):
             nonzero = [(j, g[q]) for j, g in graded if q in g and not g[q].is_zero]
             if nonzero:
                 parts[(size - 1, q)] = [g for _, g in nonzero]
@@ -123,7 +123,7 @@ def build_mv_e1(inp: MvInput) -> Page:
                 f"nonzero group at the cap boundary p={inp.cap}; "
                 "raise the cap or mark the run as truncated"
             )
-    return first_page(inp.cap, inp.grading, parts, inp.d1, inp.truncated_at, summands)
+    return first_page(inp.cap, inp.period, parts, inp.d1, inp.truncated_at, summands)
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +176,8 @@ def assemble_target(run: SpectralRun) -> FiltrationReport:
     is free, so anything else leaves the degree unassembled (ambiguous) with
     the full piece list left to the reader.
     """
-    per = run.grading.period
     degrees = []
-    for s in range(per):
+    for s in range(run.period):
         pieces = tuple((p, run.e_infinity_at(p, s - p)) for p in range(run.cap + 1))
         assembled: FgAbGroup | CountableRank | None = FgAbGroup.zero()
         for _, piece in pieces:
@@ -194,7 +193,7 @@ def assemble_target(run: SpectralRun) -> FiltrationReport:
         degrees.append(DegreeReport(s, pieces, assembled))
     first = run.first_page
     return FiltrationReport(
-        period=per,
+        period=run.period,
         cap=run.cap,
         stabilized_at=run.stabilized_at,
         d1_assumed_zero=first.d1_defaulted,

@@ -98,23 +98,8 @@ def intersect(spaces: Sequence[BlockySpace]) -> BlockySpace:
     return BlockySpace(factors)
 
 
-@dataclass(frozen=True)
-class SpaceClass:
-    """Flasque, or a product of lines and points (LineLike(k))."""
-
-    flasque: bool
-    lines: int = 0
-
-
-def classify(space: BlockySpace) -> SpaceClass:
-    """A retained half-ray factor makes the whole product flasque."""
-    if any(f in (Factor.NONNEG, Factor.NONPOS) for f in space.factors):
-        return SpaceClass(True)
-    return SpaceClass(False, sum(1 for f in space.factors if f == Factor.FULL))
-
-
 # ---------------------------------------------------------------------------
-# K-theory lookup (grading period 2)
+# K-theory lookup (Bott period 2)
 
 
 _Z = FgAbGroup.free(1)
@@ -124,15 +109,15 @@ _0 = FgAbGroup.zero()
 def roe_k_theory(space: BlockySpace) -> dict[int, FgAbGroup]:
     """Period-2 graded K-theory of the Roe algebra of a blocky space.
 
-    Flasque spaces have vanishing K-theory; a product of k lines carries Z
-    in degree k mod 2.
+    A half-ray factor makes the space flasque, with zero K-theory; a
+    product of k lines and points carries Z in degree k mod 2.
     """
     if not isinstance(space, BlockySpace):
         raise UnknownSpace(f"no K-theory rule for {space!r}")
-    cls = classify(space)
-    if cls.flasque:
+    if any(f in (Factor.NONNEG, Factor.NONPOS) for f in space.factors):
         return {0: _0, 1: _0}
-    return {cls.lines % 2: _Z, (cls.lines + 1) % 2: _0}
+    lines = space.factors.count(Factor.FULL)
+    return {lines % 2: _Z, (lines + 1) % 2: _0}
 
 
 # ---------------------------------------------------------------------------

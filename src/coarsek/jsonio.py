@@ -15,7 +15,7 @@ from typing import Any
 from .abelian import FgAbGroup, IncompatibleShapes, IntMatrix, decimal_str
 from .assembly import DegreeReport, FiltrationReport, IdealChainInput, MvInput, SweepReport
 from .coarse import BlockySpace, Factor
-from .pages import CountableRank, Grading, Page, first_page
+from .pages import CountableRank, Page, first_page
 
 
 class SchemaError(ValueError):
@@ -123,6 +123,14 @@ def matrix_from_json(obj: Any, where: str = "matrix") -> IntMatrix:
     raise SchemaError(f"{where}: expected nested lists or rows/cols/entries, got {obj!r}")
 
 
+def _period(obj: Any, default: int) -> int:
+    """The Bott period: the file's own ``period`` key, else ``default``; 2 or 8."""
+    period = _get(obj, "period", int, default=default)
+    if period not in (2, 8):
+        raise SchemaError(f"period: expected 2 or 8, got {period}")
+    return period
+
+
 def _d1_from_json(obj: dict, period: int) -> dict[tuple[int, int], IntMatrix]:
     """The optional ``d1`` list (null or absent means none), q taken modulo the period."""
     out: dict[tuple[int, int], IntMatrix] = {}
@@ -139,18 +147,18 @@ def _d1_from_json(obj: dict, period: int) -> dict[tuple[int, int], IntMatrix]:
 
 def page_from_json(obj: Any, default_period: int = 2) -> Page:
     cap = _size(_need(obj, "cap"), "cap")
-    grading = Grading(_get(obj, "period", int, default=default_period))
+    period = _period(obj, default_period)
     parts: dict[tuple[int, int], list[FgAbGroup]] = {}
     for i, cell in enumerate(_get(obj, "cells", list, default=[])):
         at = f"cells[{i}]"
-        key = (_get(cell, "p", int, at), _get(cell, "q", int, at) % grading.period)
+        key = (_get(cell, "p", int, at), _get(cell, "q", int, at) % period)
         _add(parts, key, [group_from_json(_need(cell, "group", at), f"{at}.group")], at)
-    return first_page(cap, grading, parts, _d1_from_json(obj, grading.period))
+    return first_page(cap, period, parts, _d1_from_json(obj, period))
 
 
 def mv_from_json(obj: Any, default_period: int = 2) -> MvInput:
     labels = tuple(_labels(_need(obj, "labels"), "labels"))
-    grading = Grading(_get(obj, "period", int, default=default_period))
+    period = _period(obj, default_period)
     truncated_at = obj.get("truncated_at")
     if truncated_at is not None:
         _size(truncated_at, "truncated_at")
@@ -162,7 +170,7 @@ def mv_from_json(obj: Any, default_period: int = 2) -> MvInput:
         at = f"intersections[{i}]"
         graded: dict[int, FgAbGroup] = {}
         for q, g in _get(item, "k", dict, at).items():
-            deg = _degree(q, f"{at}.k") % grading.period
+            deg = _degree(q, f"{at}.k") % period
             _add(graded, deg, group_from_json(g, f"{at}.k.{q}"), f"{at}.k.{q}")
         j = _labels(_need(item, "J", at), f"{at}.J")
         if not j:
@@ -175,8 +183,8 @@ def mv_from_json(obj: Any, default_period: int = 2) -> MvInput:
         labels=labels,
         cap=_get(obj, "cap", int, default=len(labels) - 1),
         intersections=inter,
-        d1=_d1_from_json(obj, grading.period),
-        grading=grading,
+        d1=_d1_from_json(obj, period),
+        period=period,
         truncated_at=truncated_at,
     )
     # a file says nothing about which sets vanish, so it lists every one
@@ -189,23 +197,23 @@ def mv_from_json(obj: Any, default_period: int = 2) -> MvInput:
 
 def ideal_chain_from_json(obj: Any, default_period: int = 2) -> IdealChainInput:
     length = _size(_need(obj, "length"), "length")
-    grading = Grading(_get(obj, "period", int, default=default_period))
+    period = _period(obj, default_period)
     groups: dict[tuple[int, int], FgAbGroup] = {}
     for i, item in enumerate(_get(obj, "groups", list, default=[])):
         at = f"groups[{i}]"
         p = _get(item, "p", int, at)
         if not 0 <= p <= length:
             raise SchemaError(f"{at}.p: {p} lies outside 0..{length}")
-        key = (p, _get(item, "s", int, at) % grading.period)
+        key = (p, _get(item, "s", int, at) % period)
         _add(groups, key, group_from_json(_need(item, "group", at), f"{at}.group"), at)
-    d1 = _d1_from_json(obj, grading.period)
+    d1 = _d1_from_json(obj, period)
     default_zero = _get(obj, "default_zero", bool, default=False)
     for p in range(length + 1):
-        for s in ((p + q) % grading.period for q in range(grading.period)):
+        for s in ((p + q) % period for q in range(period)):
             if (p, s) not in groups and not default_zero:
                 raise SchemaError(f"no K-group declared at (p={p}, s={s})")
             groups.setdefault((p, s), FgAbGroup.zero())
-    return IdealChainInput(length=length, grading=grading, groups=groups, d1=d1)
+    return IdealChainInput(length=length, period=period, groups=groups, d1=d1)
 
 
 def blocky_from_json(obj: Any, where: str = "space") -> BlockySpace:

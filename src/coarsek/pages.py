@@ -37,17 +37,6 @@ class InducedMapIllDefined(PageError):
     pass
 
 
-@dataclass(frozen=True)
-class Grading:
-    """Bott period of the q-grading: 2 for complex K-theory, 8 for KO."""
-
-    period: int = 2
-
-    def __post_init__(self) -> None:
-        if self.period not in (2, 8):
-            raise ValueError("grading period must be 2 or 8")
-
-
 def _concatenated_cell(parts: Sequence[FgAbGroup]) -> SubquotientCell:
     """First-page cell for a direct sum of nonzero groups on the concatenated
     summand generators.  When those already are an invariant-factor basis
@@ -105,17 +94,13 @@ class Page:
 
     r: int
     cap: int
-    grading: Grading
+    period: int
     cells: dict[tuple[int, int], SubquotientCell]
     diffs: dict[tuple[int, int], GroupHom] = field(default_factory=dict)
     d1_defaulted: bool = False
     truncated_at: int | None = None
     summands: dict[tuple[int, int], tuple] | None = None
     countable: dict[tuple[int, int], CountableRank] = field(default_factory=dict)
-
-    @property
-    def period(self) -> int:
-        return self.grading.period
 
     def target_key(self, p: int, q: int) -> tuple[int, int]:
         return p - self.r, (q + self.r - 1) % self.period
@@ -136,7 +121,7 @@ class Page:
 
 def first_page(
     cap: int,
-    grading: Grading,
+    period: int,
     parts: Mapping[tuple[int, int], Sequence[FgAbGroup | CountableRank]],
     d1: Mapping[tuple[int, int], IntMatrix] | None = None,
     truncated_at: int | None = None,
@@ -152,9 +137,9 @@ def first_page(
     Countable-rank cells go to ``Page.countable``, and a d1 entry that
     touches one is refused.  ``d1_defaulted`` is set when no d1 is given.
     """
-    page = Page(1, cap, grading, {}, d1_defaulted=not d1, truncated_at=truncated_at,
+    page = Page(1, cap, period, {}, d1_defaulted=not d1, truncated_at=truncated_at,
                 summands=summands)
-    by_key = {(p, q % grading.period): groups for (p, q), groups in parts.items()}
+    by_key = {(p, q % period): groups for (p, q), groups in parts.items()}
     for key, groups in by_key.items():
         nonzero = [g for g in groups if not g.is_zero]
         if nonzero and not 0 <= key[0] <= cap:
@@ -265,7 +250,7 @@ class SpectralRun:
     pages: list[Page]
     e_infinity: dict[tuple[int, int], FgAbGroup | CountableRank]
     stabilized_at: int
-    grading: Grading
+    period: int
     cap: int
 
     @property
@@ -273,7 +258,7 @@ class SpectralRun:
         return self.pages[0]
 
     def e_infinity_at(self, p: int, q: int) -> FgAbGroup | CountableRank:
-        return self.e_infinity.get((p, q % self.grading.period), FgAbGroup.zero())
+        return self.e_infinity.get((p, q % self.period), FgAbGroup.zero())
 
 
 def run_to_infinity(
@@ -297,4 +282,4 @@ def run_to_infinity(
     live = [page.r for page in pages if not all(h.is_zero_map() for h in page.diffs.values())]
     final = pages[-1]
     e_inf = {**final.countable, **{key: cell.group for key, cell in final.cells.items()}}
-    return SpectralRun(pages, e_inf, max(live, default=0) + 1, page1.grading, page1.cap)
+    return SpectralRun(pages, e_inf, max(live, default=0) + 1, page1.period, page1.cap)

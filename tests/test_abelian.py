@@ -23,7 +23,7 @@ from coarsek.abelian import (
     snf_certificate_holds,
     solve_columns,
 )
-from coarsek.pages import CountableRank, Grading, first_page, turn_page
+from coarsek.pages import CountableRank, first_page, turn_page
 
 from _oracles import (
     _solve_in_basis,
@@ -464,7 +464,7 @@ def _middle_homology(f, g):
     """The (1, 0) cell after turning the page A -f-> B -g-> C, laid out as
     the column chain (2, 0) -> (1, 0) -> (0, 0), or None when it dies."""
     groups = {(2, 0): [f.source], (1, 0): [f.target], (0, 0): [g.target]}
-    page = first_page(2, Grading(2), groups, {(2, 0): f.matrix, (1, 0): g.matrix})
+    page = first_page(2, 2, groups, {(2, 0): f.matrix, (1, 0): g.matrix})
     return turn_page(page).cells.get((1, 0))
 
 

@@ -24,7 +24,7 @@ from coarsek.coarse import (
     wedge_mv_input,
     zinf_mv_input,
 )
-from coarsek.pages import Grading, first_page, run_to_infinity, turn_page
+from coarsek.pages import first_page, run_to_infinity, turn_page
 from coarsek.simplex import (
     cake_affine_maps,
     in_cake_piece,
@@ -146,7 +146,7 @@ def _random_page(rng, cap):
             tgt = groups.get((p - 1, q), FgAbGroup.zero())
             if not tgt.is_zero:
                 d1[(p, q)] = random_hom(rng, group, tgt).matrix
-    return first_page(cap, Grading(2), {key: [g] for key, g in groups.items()}, d1)
+    return first_page(cap, 2, {key: [g] for key, g in groups.items()}, d1)
 
 
 def test_criterion_05_collapse_bound(capsys):

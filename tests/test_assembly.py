@@ -17,7 +17,7 @@ from coarsek.assembly import (
 )
 from coarsek.coarse import rn_mv_input, wedge_mv_input, zinf_mv_input
 from coarsek.jsonio import SchemaError, ideal_chain_from_json, mv_from_json
-from coarsek.pages import Grading, run_to_infinity
+from coarsek.pages import run_to_infinity
 
 from _oracles import (
     group_order,
@@ -29,7 +29,6 @@ from _oracles import (
 
 Z = FgAbGroup.free(1)
 ZERO = FgAbGroup.zero()
-G2 = Grading(2)
 
 
 # ---------------------------------------------------------------------------

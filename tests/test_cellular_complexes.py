@@ -18,18 +18,17 @@ import pytest
 
 from coarsek.abelian import FgAbGroup, IntMatrix
 from coarsek.assembly import IdealChainInput, assemble_target, build_ideal_chain_e1
-from coarsek.pages import Grading, run_to_infinity
+from coarsek.pages import run_to_infinity
 
 from _oracles import oracle_presented_cokernel, oracle_presented_kernel, random_matrix
 
 Z = FgAbGroup.free(1)
 ZERO = FgAbGroup.zero()
-G8 = Grading(8)
 
 
 def _filled(groups, length):
     """``groups`` with every subquotient group it leaves out set to zero."""
-    return {(p, s): groups.get((p, s), ZERO) for p in range(length + 1) for s in range(G8.period)}
+    return {(p, s): groups.get((p, s), ZERO) for p in range(length + 1) for s in range(8)}
 
 
 def run_chain_complex(ranks, boundaries):
@@ -46,7 +45,7 @@ def run_chain_complex(ranks, boundaries):
     for p, mat in boundaries.items():
         d1[(p, 0)] = mat
     inp = IdealChainInput(
-        length=len(ranks) - 1, grading=G8, groups=_filled(groups, len(ranks) - 1), d1=d1
+        length=len(ranks) - 1, period=8, groups=_filled(groups, len(ranks) - 1), d1=d1
     )
     page = build_ideal_chain_e1(inp)
     run = run_to_infinity(page)
@@ -150,7 +149,7 @@ def run_pair(sub_homology, rel_homology, connecting):
     d1 = {}
     for s, mat in connecting.items():
         d1[(1, (s - 1) % 8)] = mat
-    inp = IdealChainInput(length=1, grading=G8, groups=_filled(groups, 1), d1=d1)
+    inp = IdealChainInput(length=1, period=8, groups=_filled(groups, 1), d1=d1)
     run = run_to_infinity(build_ideal_chain_e1(inp))
     return assemble_target(run)
 
@@ -199,7 +198,7 @@ def test_sphere_from_circle_and_two_twocells():
 
 def run_crossing_filtration(e1_groups, d1, d2_ambient):
     inp_page = build_ideal_chain_e1(
-        IdealChainInput(length=2, grading=G8, groups=_filled(e1_groups, 2), d1=d1)
+        IdealChainInput(length=2, period=8, groups=_filled(e1_groups, 2), d1=d1)
     )
     run = run_to_infinity(inp_page, injected_by_page={2: d2_ambient})
     return assemble_target(run), run

@@ -18,7 +18,7 @@ from coarsek.abelian import FgAbGroup, IntMatrix, smith_normal_form
 from coarsek.assembly import truncation_sweep
 from coarsek.cli import main
 from coarsek.coarse import zinf_mv_input
-from coarsek.pages import CountableRank, Grading, first_page
+from coarsek.pages import CountableRank, first_page
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_MV = GOLDEN / "inputs" / "readme_mv.json"
@@ -302,6 +302,30 @@ def test_run_ko_mode_page_input(capsys, tmp_path):
     for s in range(8):
         if s != 5:
             assert f"K_{s} = 0" in out
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"kind": "page", "cap": 0, "cells": [{"p": 0, "q": 0, "group": {"free_rank": 1}}]},
+        {"kind": "mv", "labels": [0], "intersections": [{"J": [0], "k": {"0": {"free_rank": 1}}}]},
+    ],
+    ids=["page", "mv"],
+)
+@pytest.mark.parametrize(
+    "file_period, flag, shown",
+    [(2, "8", 2), (8, "2", 8), (None, "8", 8), (None, "2", 2)],
+    ids=["file-2-over-flag-8", "file-8-over-flag-2", "flag-8-fills-in", "flag-2-fills-in"],
+)
+def test_file_period_wins_over_the_flag(capsys, tmp_path, payload, file_period, flag, shown):
+    # --period is only the default for a file that names no period of its own
+    if file_period is not None:
+        payload = {**payload, "period": file_period}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    code, out, _ = run_cli(capsys, "--period", flag, "run", "--input", str(path))
+    assert code == 0
+    assert out.splitlines()[0].startswith(f"spectral run: period={shown} ")
 
 
 def test_summand_order_recorded_in_output(capsys):
@@ -727,7 +751,7 @@ def test_page_round_trip():
     for target, column in [(FgAbGroup.free(1), [2]), (FgAbGroup(3, (4,)), [1, 2, 3, 2])]:
         d1 = IntMatrix.from_columns([column], len(column))
         groups = {(1, 0): [FgAbGroup.free(1)], (0, 0): [target]}
-        page = first_page(1, Grading(2), groups, d1={(1, 0): d1})
+        page = first_page(1, 2, groups, d1={(1, 0): d1})
         obj = {
             "period": 2,
             "cap": 1,
@@ -1017,6 +1041,13 @@ def test_schema_errors():
         ),
         ({"kind": "page", "cap": 1, "d1": [{"from": [1], "matrix": []}]}, "d1[0].from: expected [p, q], got [1]"),
         ({"kind": "mv", "labels": [0], "cap": 3}, "cap must lie in 0..len(labels)-1"),
+        # the Bott period is 2 (complex K-theory) or 8 (KO) in every kind of file
+        ({"kind": "page", "cap": 0, "period": 3}, "period: expected 2 or 8, got 3"),
+        ({"kind": "mv", "labels": [0], "period": 3}, "period: expected 2 or 8, got 3"),
+        ({"kind": "ideal_chain", "length": 0, "period": 3}, "period: expected 2 or 8, got 3"),
+        ({"kind": "page", "cap": 0, "period": 0}, "period: expected 2 or 8, got 0"),
+        ({"kind": "mv", "labels": [0], "period": 0}, "period: expected 2 or 8, got 0"),
+        ({"kind": "ideal_chain", "length": 0, "period": 0}, "period: expected 2 or 8, got 0"),
     ],
     ids=[
         "mv-no-labels", "page-no-cap", "top-level-list", "cell-no-group", "bool-free-rank",
@@ -1031,7 +1062,8 @@ def test_schema_errors():
         "countable-torsion-not-a-chain", "ragged-matrix",
         "matrix-entry-count", "negative-matrix-dimension", "str-matrix", "cell-outside-support",
         "d-o-d-nonzero", "false-d1", "zero-d1", "empty-str-d1", "empty-object-d1", "J-outside-labels",
-        "empty-J", "short-d1-from", "mv-cap-past-labels",
+        "empty-J", "short-d1-from", "mv-cap-past-labels", "page-period-3", "mv-period-3",
+        "ideal-chain-period-3", "page-period-0", "mv-period-0", "ideal-chain-period-0",
     ],
 )
 def test_bad_input_is_one_error_line(capsys, tmp_path, payload, message):

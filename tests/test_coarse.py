@@ -19,14 +19,12 @@ from coarsek.coarse import (
     Factor,
     LatticeBox,
     Metric,
-    SpaceClass,
     UnknownSpace,
     as_box,
     _blocky_mv_input,
     block_decomposition,
     check_cover_excision,
     check_excision,
-    classify,
     disjoint_rays,
     intersect,
     meet,
@@ -43,6 +41,8 @@ from _oracles import box_is_empty, box_meet, brute_force_distance, oracle_excisi
 Z = FgAbGroup.free(1)
 ZERO = FgAbGroup.zero()
 ALL_FACTORS = list(Factor)
+POINT_K = {0: Z, 1: ZERO}  # a point, or any product of an even number of lines
+FLASQUE_K = {0: ZERO, 1: ZERO}
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +100,7 @@ def test_full_block_intersection_is_point():
         blocks = block_decomposition(n)
         total = intersect(blocks)
         assert all(f == Factor.ZERO for f in total.factors)
-        assert classify(total) == SpaceClass(False, 0)
+        assert roe_k_theory(total) == POINT_K
 
 
 def test_proper_subfamily_intersections_are_flasque():
@@ -108,14 +108,14 @@ def test_proper_subfamily_intersections_are_flasque():
         blocks = block_decomposition(n)
         for size in range(1, n + 1):
             for sub in combinations(range(n + 1), size):
-                assert classify(intersect([blocks[j] for j in sub])).flasque
+                assert roe_k_theory(intersect([blocks[j] for j in sub])) == FLASQUE_K
 
 
 def test_classify_spec_examples():
-    assert classify(BlockySpace((Factor.NONNEG, Factor.FULL))).flasque
-    assert classify(BlockySpace((Factor.ZERO, Factor.ZERO))) == SpaceClass(False, 0)
-    c = classify(BlockySpace((Factor.FULL, Factor.ZERO, Factor.FULL)))
-    assert not c.flasque and c.lines == 2
+    assert roe_k_theory(BlockySpace((Factor.NONNEG, Factor.FULL))) == FLASQUE_K
+    assert roe_k_theory(BlockySpace((Factor.ZERO, Factor.ZERO))) == POINT_K
+    # two lines: not flasque, Z in the even degree
+    assert roe_k_theory(BlockySpace((Factor.FULL, Factor.ZERO, Factor.FULL))) == POINT_K
 
 
 def test_flasque_propagates_through_meets_with_half_rays():
@@ -127,9 +127,10 @@ def test_flasque_propagates_through_meets_with_half_rays():
         b = BlockySpace(tuple(rng.choice(ALL_FACTORS) for _ in range(n)))
         both = intersect([a, b])
         retains_half_ray = any(f in half_rays for f in both.factors)
-        if (classify(a).flasque or classify(b).flasque) and retains_half_ray:
-            assert classify(both).flasque
-        if classify(both).flasque:
+        a_zero, b_zero, both_zero = (roe_k_theory(x) == FLASQUE_K for x in (a, b, both))
+        if (a_zero or b_zero) and retains_half_ray:
+            assert both_zero
+        if both_zero:
             assert retains_half_ray
 
 
@@ -169,14 +170,14 @@ def test_zinf_family_shapes_and_flasqueness():
     assert fam[0] == BlockySpace((Factor.NONPOS, Factor.FULL, Factor.FULL))
     both = intersect([fam[0], fam[1]])
     assert both == BlockySpace((Factor.ZERO, Factor.NONPOS, Factor.FULL))
-    assert classify(both).flasque
+    assert roe_k_theory(both) == FLASQUE_K
     for m in range(1, 5):
         fam = zinf_block_family(m)
         for x in fam:
-            assert classify(x).flasque
+            assert roe_k_theory(x) == FLASQUE_K
         for size in range(1, m + 2):
             for sub in combinations(range(m + 1), size):
-                assert classify(intersect([fam[j] for j in sub])).flasque
+                assert roe_k_theory(intersect([fam[j] for j in sub])) == FLASQUE_K
 
 
 def _all_index_sets_shuffled(labels, rng):
@@ -213,7 +214,7 @@ def test_blocky_table_matches_brute_force_on_random_covers():
             for j in combinations(range(len(spaces)), size)
         }
         for cap in range(len(spaces)):
-            expected = {j: roe_k_theory(m) for j, m in meets.items() if len(j) <= cap + 1 and not classify(m).flasque}
+            expected = {j: roe_k_theory(m) for j, m in meets.items() if len(j) <= cap + 1 and roe_k_theory(m) != FLASQUE_K}
             assert _blocky_mv_input(spaces, cap).intersections == expected
 
 

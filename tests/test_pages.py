@@ -11,7 +11,6 @@ from coarsek.abelian import (
     IntMatrix,
 )
 from coarsek.pages import (
-    Grading,
     CountableRank,
     InducedMapIllDefined,
     PageError,
@@ -27,7 +26,7 @@ ZERO = FgAbGroup.zero()
 
 
 def _page(cap, groups, d1=None, period=2):
-    return first_page(cap, Grading(period), {key: [g] for key, g in groups.items()}, d1)
+    return first_page(cap, period, {key: [g] for key, g in groups.items()}, d1)
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +297,6 @@ def test_period_eight_bidegrees():
     run = run_to_infinity(page)
     assert run.e_infinity_at(0, 3) == FgAbGroup(0, (2,))
     assert run.e_infinity_at(0, 11) == FgAbGroup(0, (2,))  # q reduced mod 8
-
-
-def test_grading_rejects_other_periods():
-    with pytest.raises(ValueError):
-        Grading(3)
 
 
 # ---------------------------------------------------------------------------
