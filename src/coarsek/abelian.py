@@ -266,12 +266,24 @@ class SnfResult:
         return snf_certificate_holds(self.matrix, self.U, self.D, self.V, self.U_inv, self.V_inv)
 
 
+def _nearest(x: int, p: int) -> int:
+    """The integer nearest x / p, for either sign of p (halves round down)."""
+    q, r = divmod(x, p)
+    return q + 1 if 2 * abs(r) > abs(p) else q
+
+
 def smith_normal_form(a: IntMatrix) -> SnfResult:
     """Smith normal form with unimodular transforms.
 
     Returns D and the logged steps for U, V (and their inverses) with
     U @ a @ V == D, D diagonal with nonnegative entries in a divisibility
-    chain.
+    chain.  D is unique; U and V are one valid pair, not a canonical one.
+
+    Two phases.  The first diagonalises: the first smallest nonzero entry
+    of the trailing block becomes the pivot, and its column, then its row,
+    are cleared with nearest-integer quotients until no remainder is left.
+    The second walks the diagonal pairs i < j and puts (gcd, lcm) on each
+    pair whose first entry does not divide the second.
 
     >>> smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]])).diagonal
     (2, 4)
@@ -312,25 +324,40 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
             if d[k][k] < 0:
                 row_step(k, k, -1)
             p = d[k][k]
-            # Euclidean clearing; leftover remainders shrink the pivot
-            dirty = False
+            # |x| >= p for every nonzero x, so no quotient is 0 (a swap).  A
+            # remainder is smaller than p and becomes the next pivot.  Row k
+            # is cleared only once column k is: then each column step
+            # changes row k alone, and the trailing block does not fill in.
             for i in range(k + 1, m):
-                if d[i][k] != 0:
-                    row_step(i, k, -(d[i][k] // p))
-                    dirty = dirty or d[i][k] != 0
-            for j in range(k + 1, n):
-                if d[k][j] != 0:
-                    col_step(j, k, -(d[k][j] // p))
-                    dirty = dirty or d[k][j] != 0
-            if dirty:
+                if d[i][k]:
+                    row_step(i, k, -_nearest(d[i][k], p))
+            if any(d[i][k] for i in range(k + 1, m)):
                 continue
-            offenders = (i for i in range(k + 1, m) if any(x % p for x in d[i][k + 1 :]))
-            offender = p != 1 and next(offenders, None)
-            if not offender:
+            for j in range(k + 1, n):
+                if d[k][j]:
+                    col_step(j, k, -_nearest(d[k][j], p))
+            if not any(d[k][k + 1 :]):
                 break
-            row_step(k, offender, 1)
         if pivot is None:
             break
+    rank = sum(1 for k in range(min(m, n)) if d[k][k])
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            if d[j][j] % d[i][i] == 0:
+                continue
+            # (d_i, d_j) -> (gcd, lcm): add row j to row i, run Euclid on
+            # row i by column steps, then clear row j's entry under the gcd
+            row_step(i, j, 1)
+            while d[i][j]:
+                if abs(d[i][j]) < abs(d[i][i]):
+                    col_step(i, j, 0)
+                col_step(j, i, -_nearest(d[i][j], d[i][i]))
+            if d[i][i] < 0:
+                row_step(i, i, -1)
+            if d[j][i]:
+                row_step(j, i, -(d[j][i] // d[i][i]))
+            if d[j][j] < 0:
+                row_step(j, j, -1)
     return SnfResult(a, IntMatrix(m, n, tuple(chain.from_iterable(d))), tuple(row_steps), tuple(col_steps))
 
 

@@ -579,3 +579,31 @@ def oracle_presented_kernel(
 
 def random_matrix(rng: random.Random, rows: int, cols: int, lo: int = -20, hi: int = 20) -> IntMatrix:
     return IntMatrix(rows, cols, tuple(rng.randint(lo, hi) for _ in range(rows * cols)))
+
+
+def mixed_diagonal(rng: random.Random, diag, rows: int, cols: int, steps: int = 10) -> IntMatrix:
+    """The rows x cols matrix with ``diag`` on its diagonal and zeros past
+    it, mixed by ``steps`` random unimodular row and column steps (adds of
+    -2..2 times another line, swaps and negations).  Its Smith form has the
+    invariant factors of diag, whatever the mixing."""
+
+    def mix(lines: list[list[int]]) -> None:
+        i, j = rng.sample(range(len(lines)), 2)
+        kind = rng.randrange(3)
+        if kind == 0:
+            c = rng.choice([-2, -1, 1, 2])
+            lines[i] = [x + c * y for x, y in zip(lines[i], lines[j])]
+        elif kind == 1:
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            lines[i] = [-x for x in lines[i]]
+
+    data = [[diag[i] if i == j and i < len(diag) else 0 for j in range(cols)] for i in range(rows)]
+    for _ in range(steps):
+        if rng.random() < 0.5 and rows >= 2:
+            mix(data)
+        elif cols >= 2:  # a column step is a row step on the transpose
+            transposed = [list(col) for col in zip(*data)]
+            mix(transposed)
+            data = [list(row) for row in zip(*transposed)]
+    return IntMatrix.from_rows(data, cols=cols)

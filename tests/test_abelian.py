@@ -32,6 +32,7 @@ from _oracles import (
     enumerate_quotient_order,
     group_order,
     laplace_det,
+    mixed_diagonal,
     oracle_cokernel,
     oracle_homology,
     q_rank,
@@ -124,6 +125,61 @@ def test_snf_certificate_rejects_a_tampered_v():
     v = IntMatrix(3, 3, (s.V.entries[0] + 1,) + s.V.entries[1:])
     assert (s.U @ s.matrix).entries == (s.D @ s.V_inv).entries
     assert not snf_certificate_holds(s.matrix, s.U, s.D, v, s.U_inv, s.V_inv)
+
+
+def test_snf_certificate_checks_the_last_pair():
+    # 2 does not divide 3, and that pair is the last one of the diagonal
+    eye = IntMatrix.identity(3)
+    a = IntMatrix.diagonal([1, 2, 3])
+    assert not snf_certificate_holds(a, eye, a, eye, eye, eye)
+
+
+def test_snf_certificate_accepts_trailing_zeros():
+    eye = IntMatrix.identity(3)
+    a = IntMatrix.diagonal([1, 0, 0])
+    assert snf_certificate_holds(a, eye, a, eye, eye, eye)
+
+
+def _assert_snf_against_minors(a):
+    s = smith_normal_form(a)
+    assert s.check()
+    assert abs(laplace_det(s.U.to_rows())) == abs(laplace_det(s.V.to_rows())) == 1
+    rank, factors = determinantal_invariants(a.to_rows())
+    assert s.diagonal == tuple(factors) + (0,) * (len(s.diagonal) - rank)
+    return s
+
+
+def test_snf_chain_rich_diagonals_behind_unimodular_mixing():
+    # diagonal pairs that do not divide each other, in shapes up to 6x6 with
+    # zero rows or columns: the divisibility chain comes from gcd/lcm steps
+    rng = random.Random(26)
+    for _ in range(100):
+        k = rng.randint(4, 6)
+        diag = []
+        while len(diag) < k:
+            d = 2 ** rng.randint(0, 3) * 3 ** rng.randint(0, 2) * 5 ** rng.randint(0, 1) * 7 ** rng.randint(0, 1)
+            if d >= 2:
+                diag.append(d)
+        _assert_snf_against_minors(mixed_diagonal(rng, diag, rng.randint(k, 6), rng.randint(k, 6)))
+
+
+@pytest.mark.parametrize(
+    "diag, expected",
+    [
+        ((4, 6, 9), (1, 6, 36)),
+        *(((2**a, 3**b, 5**c), (1, 1, 2**a * 3**b * 5**c)) for a, b, c in [(1, 1, 1), (3, 2, 1), (7, 5, 3), (12, 1, 9)]),
+    ],
+)
+def test_snf_coprime_diagonals(diag, expected):
+    assert _assert_snf_against_minors(IntMatrix.diagonal(diag)).diagonal == expected
+
+
+def test_snf_transforms_stay_small_on_a_coprime_pair():
+    # the pair once grew an 11.2 M-bit U; (gcd, lcm) needs about 20,000 bits
+    s = smith_normal_form(IntMatrix.diagonal([2**9960, 3**6290]))
+    assert s.diagonal == (1, 2**9960 * 3**6290)
+    assert s.check()
+    assert max(abs(x).bit_length() for x in s.U.entries + s.V.entries) <= 40_000
 
 
 @settings(max_examples=80, deadline=None)

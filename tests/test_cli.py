@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsek import coarse, jsonio, simplex
-from coarsek.abelian import FgAbGroup, IntMatrix, smith_normal_form
+from coarsek.abelian import FgAbGroup, IntMatrix, decimal_str, smith_normal_form
 from coarsek.assembly import truncation_sweep
 from coarsek.cli import main
 from coarsek.coarse import zinf_mv_input
@@ -125,6 +125,24 @@ def test_run_mv_input_file_with_torsion_and_d1(capsys, tmp_path):
     assert "K_0 = Z/12" in out
     assert "K_1 = 0" in out
     assert "assumed zero" not in out
+
+
+def test_run_mv_input_with_large_coprime_torsion(capsys, tmp_path):
+    # merging the two pieces is one Smith form of diag(2^8000, 3^5000), which
+    # once ran for minutes; the product has more digits than the default limit
+    payload = {
+        "kind": "mv",
+        "labels": [0, 1],
+        "cap": 1,
+        "intersections": [
+            {"J": [0], "k": {"0": {"free_rank": 0, "torsion": [2**8000]}}},
+            {"J": [1], "k": {"0": {"free_rank": 0, "torsion": [3**5000]}}},
+            {"J": [0, 1], "k": {}},
+        ],
+    }
+    code, out, _ = _run_payload(capsys, tmp_path, payload)
+    assert code == 0
+    assert f"K_0 = Z/{decimal_str(2**8000 * 3**5000)}\n" in out
 
 
 def test_run_countable_sentinel_reported(capsys, tmp_path):

@@ -53,13 +53,15 @@ CASES = {
     "excision-rn6-d1-tight": ["excision", "--builtin", "rn:6", "--metric", "d1", "--radius", "3", "--s", "17", "--box", "21"],
     # the exact cake-piece checks, with the seed after the subcommand
     "simplex-verify-d3": ["simplex", "verify", "--dim", "3", "--samples", "50", "--seed", "5"],
-    # Smith forms with their transforms: an offender step, a full divisibility
+    # Smith forms with their transforms: a coprime pair and three pairwise
+    # non-dividing factors settled by gcd/lcm steps, a full divisibility
     # chain, a rank drop and the empty shapes
     **{
         f"snf-{name}": ["snf", "--matrix", matrix]
         for name, matrix in (
             ("2x2", "[[2,4],[6,8]]"),
             ("offender", "[[2,0],[0,3]]"),
+            ("coprime", "[[4,0,0],[0,6,0],[0,0,9]]"),
             ("chain", "[[2,4,4],[-6,6,12],[10,-4,-16]]"),
             ("rank2", "[[1,2,3,4,5],[2,4,6,8,10],[0,3,1,-2,7]]"),
             ("empty", "[]"),
