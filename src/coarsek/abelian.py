@@ -85,8 +85,7 @@ class IntMatrix:
         for col in columns:
             if len(col) != rows:
                 raise IncompatibleShapes("column of wrong height")
-        flat = tuple(int(col[i]) for i in range(rows) for col in columns)
-        return cls(rows, len(columns), flat)
+        return cls(rows, len(columns), tuple(chain.from_iterable(zip(*columns))))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -111,7 +110,7 @@ class IntMatrix:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self.entries[j :: self.cols]
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -142,6 +141,10 @@ class IntMatrix:
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise IncompatibleShapes("hstack row mismatch")
+        if not other.cols:
+            return self
+        if not self.cols:
+            return other
         flat: list[int] = []
         for i in range(self.rows):
             flat.extend(self.row(i))
@@ -149,15 +152,17 @@ class IntMatrix:
         return IntMatrix(self.rows, self.cols + other.cols, tuple(flat))
 
     def select_columns(self, indices: Sequence[int]) -> "IntMatrix":
-        flat = tuple(self[i, j] for i in range(self.rows) for j in indices)
-        return IntMatrix(self.rows, len(indices), flat)
+        picked = zip(*(self.entries[j :: self.cols] for j in indices))
+        return IntMatrix(self.rows, len(indices), tuple(chain.from_iterable(picked)))
 
     def select_rows(self, indices: Sequence[int]) -> "IntMatrix":
-        flat = tuple(self[i, j] for i in indices for j in range(self.cols))
-        return IntMatrix(len(indices), self.cols, flat)
+        return IntMatrix(len(indices), self.cols, tuple(chain.from_iterable(map(self.row, indices))))
 
     def is_identity(self) -> bool:
-        return self.rows == self.cols and self.entries == IntMatrix.identity(self.rows).entries
+        n = self.rows
+        if n != self.cols or (n and self.entries[0] != 1):
+            return False
+        return self.entries[:: n + 1].count(1) == n and self.entries.count(0) == n * n - n
 
     def __repr__(self) -> str:
         cols = "" if self.rows else f", cols={self.cols}"
@@ -175,9 +180,7 @@ def snf_certificate_holds(matrix: IntMatrix, U: IntMatrix, D: IntMatrix, V: IntM
     V @ V_inv == I, so U @ matrix == D @ V_inv is the same test."""
     if (U @ matrix).entries != (D @ V_inv).entries:
         return False
-    if (U @ U_inv).entries != IntMatrix.identity(U.rows).entries:
-        return False
-    if (V @ V_inv).entries != IntMatrix.identity(V.rows).entries:
+    if not (U @ U_inv).is_identity() or not (V @ V_inv).is_identity():
         return False
     if any(D[i, j] for i in range(D.rows) for j in range(D.cols) if i != j):
         return False
@@ -214,8 +217,9 @@ class SnfResult:
 
     The reduction logs its row steps and its column steps, both in the
     (i, j, c) form of ``_step`` (columns are never negated).  U, V and their
-    inverses are replayed from the logs when first read; ``apply_U`` and
-    ``apply_V`` replay the logs onto a right-hand side instead.
+    inverses are replayed from the logs when first read; ``apply_U``,
+    ``apply_V`` and ``apply_V_inv`` replay the logs onto a right-hand side
+    instead.
     """
 
     matrix: IntMatrix
@@ -243,6 +247,12 @@ class SnfResult:
             raise IncompatibleShapes("apply_V row mismatch")
         return _replay(y, [(j, i, c) for i, j, c in reversed(self.col_steps)])
 
+    def apply_V_inv(self, x: IntMatrix) -> IntMatrix:
+        """V_inv @ x: column step (i, j, c) is undone by row step (j, i, -c), first first."""
+        if x.rows != self.matrix.cols:
+            raise IncompatibleShapes("apply_V_inv row mismatch")
+        return _replay(x, [(j, i, -c) for i, j, c in self.col_steps])
+
     @cached_property
     def U(self) -> IntMatrix:
         return self.apply_U(IntMatrix.identity(self.matrix.rows))
@@ -258,8 +268,7 @@ class SnfResult:
 
     @cached_property
     def V_inv(self) -> IntMatrix:
-        steps = [(j, i, -c) for i, j, c in self.col_steps]
-        return _replay(IntMatrix.identity(self.matrix.cols), steps)
+        return self.apply_V_inv(IntMatrix.identity(self.matrix.cols))
 
     def check(self) -> bool:
         """Re-verify the certificate from scratch."""
@@ -368,15 +377,18 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
 def solve_columns(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     """Integer solution X of a @ X = b, or None if none exists.
 
-    When each column of a has one nonzero entry c, in a row i of its own,
-    X is read off row by row: its row for that column is b's row i over c,
-    and the rows of b no column reaches must vanish.  Otherwise, with
+    When a is the identity, X is b.  When each column of a has one nonzero
+    entry c, in a row i of its own, X is read off row by row: its row for
+    that column is b's row i over c, and the rows of b no column reaches
+    must vanish.  Otherwise, with
     U @ a @ V == D, X = V @ Y for an integer Y with D @ Y == U @ b.  Such a
     Y exists exactly when the rows of U @ b past the rank vanish and each
     row before it is divisible by its invariant factor.
     """
     if a.rows != b.rows:
         raise IncompatibleShapes("solve_columns row mismatch")
+    if a.is_identity():
+        return b
     columns = [[(i, x) for i, x in enumerate(a.entries[j :: a.cols]) if x] for j in range(a.cols)]
     pivots = [col[0] for col in columns if len(col) == 1]
     if len(pivots) == a.cols == len({i for i, _ in pivots}):
@@ -393,23 +405,6 @@ def solve_columns(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
         return None
     y = tuple(x // d for i, d in enumerate(diag) for x in ub.row(i))
     return s.apply_V(IntMatrix(a.cols, b.cols, y + (0,) * ((a.cols - rank) * b.cols)))
-
-
-def kernel_basis(a: IntMatrix) -> IntMatrix:
-    """Basis of the integer kernel {x : a @ x = 0} (cols x k)."""
-    s = smith_normal_form(a)
-    k = a.cols - s.rank
-    return s.apply_V(IntMatrix(a.cols, k, (0,) * (s.rank * k) + IntMatrix.identity(k).entries))
-
-
-def preimage_basis(a: IntMatrix, t: IntMatrix) -> IntMatrix:
-    """Basis of {x : a @ x lies in the column lattice of ``t``}.
-
-    The columns of ``t`` must be independent, as those of a relation
-    matrix are.  Then a @ x + t @ y == 0 fixes y by x, so dropping y from
-    a kernel basis of [a | t] leaves a basis; the sign of t is immaterial.
-    """
-    return kernel_basis(a.hstack(t)).select_rows(range(a.cols))
 
 
 # ---------------------------------------------------------------------------
@@ -591,32 +586,34 @@ class SubquotientCell:
     proj: IntMatrix
 
 
-def subquotient(cycles: IntMatrix, boundary_gens: IntMatrix) -> SubquotientCell:
-    """Z/B from a basis of the cycle lattice Z and generators of B inside Z.
+def subquotient(cycles: IntMatrix, boundaries: IntMatrix | SnfResult) -> SubquotientCell:
+    """Z/B from a basis of the cycle lattice Z and generators of B, given
+    by their coordinates in that basis or by the Smith form of those.
 
-    One Smith normal form of B in cycle coordinates gives the group, its
-    generators and a basis of B.
+    One Smith normal form of the coordinates gives the group, its
+    generators and a basis of B.  When the coordinates are the identity,
+    B = Z and the cell dies without one.
 
     >>> print(subquotient(IntMatrix.identity(2), IntMatrix.from_rows([[2], [4]])).group)
     Z + Z/2
     """
-    expressed = solve_columns(cycles, boundary_gens)
-    if expressed is None:
-        raise AbelianError("boundary lattice is not contained in the cycle lattice")
-    if expressed.is_identity():  # B = Z: the cell dies, and no Smith form is needed
-        m, n = cycles.rows, cycles.cols
-        return SubquotientCell(cycles, cycles, FgAbGroup.zero(), IntMatrix.zeros(m, 0), IntMatrix.zeros(0, n))
-    s = smith_normal_form(expressed)
+    s = boundaries
+    if isinstance(s, IntMatrix):
+        if s.is_identity():
+            m, n = cycles.rows, cycles.cols
+            return SubquotientCell(cycles, cycles, FgAbGroup.zero(), IntMatrix.zeros(m, 0), IntMatrix.zeros(0, n))
+        s = smith_normal_form(s)
     diag = s.diagonal
     free = [i for i in range(cycles.cols) if i >= len(diag) or diag[i] == 0]
     torsion = [i for i, d in enumerate(diag) if d >= 2]
     sel = free + torsion
-    bounds = [[x * d for x in s.U_inv.column(i)] for i, d in enumerate(diag) if d]
+    lifted = cycles @ s.U_inv  # Z's basis in which B is diag(d_i) e_i
+    bounds = [[x * d for x in lifted.column(i)] for i, d in enumerate(diag) if d]
     return SubquotientCell(
         cycles,
-        cycles @ IntMatrix.from_columns(bounds, cycles.cols),
+        IntMatrix.from_columns(bounds, cycles.rows),
         FgAbGroup(len(free), tuple(diag[i] for i in torsion)),
-        cycles @ s.U_inv.select_columns(sel),
+        lifted.select_columns(sel),
         s.U.select_rows(sel),
     )
 

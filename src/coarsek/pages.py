@@ -14,16 +14,19 @@ differential beyond page cap+1 exits the support, so E^{cap+2} = E^infty.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping, Sequence
+from functools import cache
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .abelian import (
+    AbelianError,
     FgAbGroup,
     GroupHom,
     IncompatibleShapes,
     IntMatrix,
+    SnfResult,
     SubquotientCell,
     decimal_str,
-    preimage_basis,
+    smith_normal_form,
     solve_columns,
     subquotient,
 )
@@ -207,11 +210,45 @@ def _induce_hom(matrix: IntMatrix, src: SubquotientCell, tgt: SubquotientCell, n
     return GroupHom(src.group, tgt.group, IntMatrix.from_columns(cols, tgt.group.gen_count))
 
 
+def _cut_cycles(
+    out_h: GroupHom, cell: SubquotientCell, coords: IntMatrix, factor: Callable[[IntMatrix], SnfResult]
+) -> tuple[IntMatrix, IntMatrix]:
+    """The cycles of ``cell`` that ``out_h`` kills, and ``coords`` (boundary
+    coordinates in the basis ``cell.cycles``) in their basis.
+
+    phi = out_h.matrix @ cell.proj acts on cycle coordinates.  One Smith
+    form U @ [phi | R] @ V == D, with R the target's relation matrix, gives
+    both.  R's columns d_i e_{f+i} are independent, so phi @ y + R @ w == 0
+    fixes w by y: the trailing columns of V, cut to phi's columns, are a
+    basis K of {y : phi @ y in R's lattice}.  A boundary y has w_i =
+    -(phi @ y)_{f+i} / d_i, and V_inv @ [y; w] is zero in its first rank
+    rows and holds y's coordinates in K below them; anything else there
+    means y is not in the new cycles.
+    """
+    phi = out_h.matrix @ cell.proj
+    target = out_h.target
+    s = factor(phi.hstack(target.relation_matrix()))
+    n, rank, k = s.matrix.cols, s.rank, coords.cols
+    trailing = (0,) * (rank * (n - rank)) + IntMatrix.identity(n - rank).entries
+    kernel = s.apply_V(IntMatrix(n, n - rank, trailing)).select_rows(range(phi.cols))
+    w: tuple[int, ...] = ()
+    if target.torsion:
+        image = phi @ coords
+        w = tuple(-(x // d) for i, d in enumerate(target.torsion) for x in image.row(target.free_rank + i))
+    lifted = s.apply_V_inv(IntMatrix(n, k, coords.entries + w)).entries
+    if any(lifted[: rank * k]):
+        raise AbelianError("boundary lattice is not contained in the cycle lattice")
+    return cell.cycles @ kernel, IntMatrix(n - rank, k, lifted[rank * k :])
+
+
 def turn_page(page: Page, injected: Mapping[tuple[int, int], IntMatrix] | None = None) -> Page:
     """Homology of every cell under the current differentials.
 
     A cell whose maps in and out are zero has E^{r+1} = E^r and passes
-    through as the same object, without a new Smith normal form.
+    through as the same object, without a new Smith normal form.  Within
+    the turn no matrix is factored twice, so a differential out of a cell
+    whose generators are its cycles, into a free cell with no boundaries,
+    is factored once for both ends.
 
     The next page's differentials default to zero; ``injected`` is the
     documented escape hatch for supplying a d^{r+1} as a matrix on
@@ -219,24 +256,24 @@ def turn_page(page: Page, injected: Mapping[tuple[int, int], IntMatrix] | None =
     invents higher differentials).  It is installed with the checks of
     d1, and a nonzero d o d raises InducedMapIllDefined.
     """
+    factor = cache(smith_normal_form)
+    live = {key: h for key, h in page.diffs.items() if not h.is_zero_map()}
     new_cells: dict[tuple[int, int], SubquotientCell] = {}
     for (p, q), cell in page.cells.items():
-        out_h = page.diffs.get((p, q))
-        in_h = page.diffs.get(page.source_key(p, q))
-        out_live = out_h is not None and not out_h.is_zero_map()
-        in_live = in_h is not None and not in_h.is_zero_map()
-        if not (out_live or in_live):
+        out_h = live.get((p, q))
+        in_h = live.get(page.source_key(p, q))
+        if out_h is None and in_h is None:
             new_cells[(p, q)] = cell
             continue
-        cycle_gens = cell.cycles
-        if out_live:
-            phi = out_h.matrix @ cell.proj
-            pullback = preimage_basis(phi, out_h.target.relation_matrix())
-            cycle_gens = cell.cycles @ pullback
         boundary_gens = cell.boundaries
-        if in_live:
+        if in_h is not None:
             boundary_gens = cell.boundaries.hstack(cell.gens @ in_h.matrix)
-        new_cell = subquotient(cycle_gens, boundary_gens)
+        cycles, coords = cell.cycles, solve_columns(cell.cycles, boundary_gens)
+        if coords is None:
+            raise AbelianError("boundary lattice is not contained in the cycle lattice")
+        if out_h is not None:
+            cycles, coords = _cut_cycles(out_h, cell, coords, factor)
+        new_cell = subquotient(cycles, coords if coords.is_identity() else factor(coords))
         if not new_cell.group.is_zero:
             new_cells[(p, q)] = new_cell
 

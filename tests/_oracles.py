@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import floor, gcd, prod
 
-from coarsek.abelian import FgAbGroup, GroupHom, IntMatrix
+from coarsek.abelian import FgAbGroup, GroupHom, IntMatrix, smith_normal_form
 from coarsek.coarse import DimensionMismatch
 
 
@@ -158,6 +158,30 @@ def hermite_kernel(rows: list[list[int]]) -> list[list[int]]:
         if all(h[i][j] == 0 for i in range(m)):
             out.append([w[i][j] for i in range(n)])
     return out
+
+
+# ---------------------------------------------------------------------------
+# kernels read off the library's Smith form (the one exception to the rule
+# above: these pin down what a Smith form's V says, and are checked
+# against brute force in tests/test_abelian.py)
+
+
+def kernel_basis(a: IntMatrix) -> IntMatrix:
+    """Basis of the integer kernel {x : a @ x = 0} (cols x k): the
+    trailing columns of V."""
+    s = smith_normal_form(a)
+    k = a.cols - s.rank
+    return s.apply_V(IntMatrix(a.cols, k, (0,) * (s.rank * k) + IntMatrix.identity(k).entries))
+
+
+def preimage_basis(a: IntMatrix, t: IntMatrix) -> IntMatrix:
+    """Basis of {x : a @ x lies in the column lattice of ``t``}.
+
+    The columns of ``t`` must be independent, as those of a relation
+    matrix are.  Then a @ x + t @ y == 0 fixes y by x, so dropping y from
+    a kernel basis of [a | t] leaves a basis; the sign of t is immaterial.
+    """
+    return kernel_basis(a.hstack(t)).select_rows(range(a.cols))
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,10 @@ from coarsek.abelian import (
     IncompatibleShapes,
     IntMatrix,
     cokernel,
-    kernel_basis,
-    preimage_basis,
     smith_normal_form,
     snf_certificate_holds,
     solve_columns,
+    subquotient,
 )
 from coarsek.pages import CountableRank, first_page, turn_page
 
@@ -31,10 +30,12 @@ from _oracles import (
     determinantal_invariants,
     enumerate_quotient_order,
     group_order,
+    kernel_basis,
     laplace_det,
     mixed_diagonal,
     oracle_cokernel,
     oracle_homology,
+    preimage_basis,
     q_rank,
     random_group,
     random_hom,
@@ -195,6 +196,7 @@ def test_snf_replayed_transforms(m, n, k, data):
     # applying the logged steps directly agrees with the built transforms
     assert s.apply_U(b) == s.U @ b
     assert s.apply_V(y) == s.V @ y
+    assert s.apply_V_inv(y) == s.V_inv @ y
     assert s.U @ s.U_inv == IntMatrix.identity(m)
     assert s.V @ s.V_inv == IntMatrix.identity(n)
     basis = kernel_basis(a)
@@ -328,6 +330,29 @@ def test_identity_products_return_the_other_operand():
         IntMatrix.identity(3) @ IntMatrix.zeros(2, 2)
 
 
+def test_slicing_helpers_match_indexing():
+    rng = random.Random(72)
+    for m, n in product(range(5), repeat=2):
+        a = random_matrix(rng, m, n, -9, 9)
+        columns = [tuple(a[i, j] for i in range(m)) for j in range(n)]
+        assert [a.column(j) for j in range(n)] == columns
+        assert IntMatrix.from_columns(columns, m) == a
+        rows = [rng.randrange(m) for _ in range(rng.randint(0, 4))] if m else []
+        cols = [rng.randrange(n) for _ in range(rng.randint(0, 4))] if n else []
+        assert a.select_rows(rows).to_rows() == [[a[i, j] for j in range(n)] for i in rows]
+        assert a.select_columns(cols).to_rows() == [[a[i, j] for j in cols] for i in range(m)]
+
+
+def test_is_identity_on_near_identities():
+    rng = random.Random(73)
+    for _ in range(500):
+        m, n = rng.randint(0, 3), rng.randint(0, 3)
+        a = IntMatrix(m, n, tuple(rng.choice((0, 0, 1, 1, -1, 2)) for _ in range(m * n)))
+        assert a.is_identity() == (m == n and a.to_rows() == IntMatrix.identity(n).to_rows())
+    assert IntMatrix.identity(0).is_identity() and IntMatrix.identity(4).is_identity()
+    assert not IntMatrix.zeros(0, 2).is_identity()
+
+
 def test_repr_round_trips_with_shape():
     for m in (IntMatrix.zeros(0, 3), IntMatrix.from_rows([[1, -2], [0, 3]])):
         assert eval(repr(m)) == m
@@ -375,6 +400,21 @@ def test_cokernel_against_minor_gcds_random():
     for _ in range(200):
         a = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), -9, 9)
         assert cokernel(a) == oracle_cokernel(a)
+
+
+def test_subquotient_takes_coordinates_or_their_smith_form():
+    rng = random.Random(74)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        cycles = mixed_diagonal(rng, [1] * n, n + rng.randint(0, 2), n)
+        coords = random_matrix(rng, n, rng.randint(0, 4), -6, 6)
+        cell = subquotient(cycles, coords)
+        assert subquotient(cycles, smith_normal_form(coords)) == cell
+        assert cell.group == oracle_cokernel(coords)
+        # the cell's boundaries and cycles @ coords span one lattice
+        assert solve_columns(cell.boundaries, cycles @ coords) is not None
+        assert solve_columns(cycles @ coords, cell.boundaries) is not None
+        assert subquotient(cycles, IntMatrix.identity(n)).group.is_zero
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 """Page checks, turning, stabilization, and the escape hatch."""
 
+import json
 import random
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from coarsek import abelian, jsonio, pages
 from coarsek.abelian import (
+    AbelianError,
     FgAbGroup,
     GroupHom,
     IncompatibleShapes,
@@ -19,7 +24,20 @@ from coarsek.pages import (
     turn_page,
 )
 
-from _oracles import cells_isomorphic, oracle_homology, random_group, random_hom, zero_hom
+from _oracles import (
+    _solve_in_basis,
+    apply,
+    cells_isomorphic,
+    hermite_kernel,
+    oracle_hom_kernel,
+    oracle_homology,
+    oracle_presented_cokernel,
+    oracle_presented_kernel,
+    random_group,
+    random_hom,
+    random_hom_presented,
+    zero_hom,
+)
 
 Z = FgAbGroup.free(1)
 ZERO = FgAbGroup.zero()
@@ -137,6 +155,170 @@ def test_turn_page_exactness_witnesses():
     assert cell.gens.cols == 1 and cell.gens.column(0)[0] % 2 == 1
     proj = GroupHom(Z, FgAbGroup(0, (2,)), IntMatrix.from_rows([[1]]))
     assert (1, 0) not in turn_page(_chain_page(two, proj)).cells
+
+
+# ---------------------------------------------------------------------------
+# cutting the cycles: torsion targets and cycle bases other than the identity
+
+
+def _lands_on_torsion(page, key):
+    """Whether the differential at ``key`` sends a boundary generator of its
+    source cell onto a nonzero multiple of a torsion generator of its
+    target; turning the page then lifts that boundary with w != 0."""
+    h, cell = page.diffs[key], page.cells[key]
+    basis = [list(cell.cycles.column(j)) for j in range(cell.cycles.cols)]
+    for j in range(cell.boundaries.cols):
+        y = _solve_in_basis(basis, list(cell.boundaries.column(j)))
+        if any(apply(h.matrix, apply(cell.proj, y))[h.target.free_rank :]):
+            return True
+    return False
+
+
+def _stack(top, bottom):
+    return IntMatrix(top.rows + bottom.rows, top.cols, top.entries + bottom.entries)
+
+
+def _orders(groups):
+    return tuple(d for g in groups for d in g.generator_orders())
+
+
+def test_d1_into_torsion_cells_matches_oracles():
+    # A -f-> B -g-> C with torsion in B and C: the boundaries of A and B
+    # often land on torsion of the next cell
+    rng = random.Random(12)
+    chains = lifted = 0
+    while chains < 150:
+        a = random_group(rng)
+        b, c = (random_group(rng, max_torsion=2) for _ in range(2))
+        if not (b.torsion and c.torsion):
+            continue
+        f, g = random_hom(rng, a, b), random_hom(rng, b, c)
+        if not g.compose(f).is_zero_map():
+            continue
+        chains += 1
+        page = _chain_page(f, g)
+        lifted += sum(_lands_on_torsion(page, key) for key, h in page.diffs.items() if not h.is_zero_map())
+        nxt = turn_page(page)
+        assert nxt.cell_group(2, 0) == oracle_presented_kernel(f.matrix, a.generator_orders(), b.generator_orders())
+        assert nxt.cell_group(1, 0) == oracle_homology(f, g)
+        assert nxt.cell_group(0, 0) == oracle_presented_cokernel(g.matrix, c.generator_orders())
+    assert lifted >= 50
+
+
+def test_d1_between_summed_cells_matches_presented_oracles():
+    # cells of two summands whose concatenated generators are no
+    # invariant-factor basis: their cycles are the identity but their
+    # generators and projections are not
+    rng = random.Random(13)
+    reached = lifted = 0
+    for _ in range(150):
+        src = [random_group(rng) for _ in range(2)]
+        tgt = [random_group(rng, max_rank=1, max_torsion=2) for _ in range(2)]
+        d1 = random_hom_presented(rng, _orders(src), _orders(tgt))
+        page = first_page(1, 2, {(1, 0): src, (0, 0): tgt}, {(1, 0): d1})
+        if page.diffs and not page.diffs[(1, 0)].is_zero_map():
+            reached += not page.cells[(1, 0)].proj.is_identity()
+            lifted += _lands_on_torsion(page, (1, 0))
+        nxt = turn_page(page)
+        assert nxt.cell_group(1, 0) == oracle_presented_kernel(d1, _orders(src), _orders(tgt))
+        assert nxt.cell_group(0, 0) == oracle_presented_cokernel(d1, _orders(tgt))
+    assert reached >= 20 and lifted >= 20
+
+
+def _oracle_cycles(matrix, tgt_orders):
+    """Columns spanning {x : matrix @ x lies in the relations}, by the
+    Hermite oracle."""
+    if not matrix.rows:
+        return IntMatrix.identity(matrix.cols)
+    rows = [list(matrix.row(i)) + [-o if i == k else 0 for k, o in enumerate(tgt_orders) if o]
+            for i in range(matrix.rows)]
+    kernel = [col[: matrix.cols] for col in hermite_kernel(rows)]
+    return IntMatrix.from_columns(kernel, matrix.cols)
+
+
+def test_injected_d2_out_of_cut_cycles_matches_oracles():
+    # d1: (2, 0) -> (1, 0) leaves (2, 0) a cycle basis other than the
+    # identity on page 2; a d2 from there into the torsion cell (0, 1),
+    # given as a map of the first-page presentations, is always installable
+    rng = random.Random(14)
+    cut = lifted = 0
+    for _ in range(120):
+        g2 = [random_group(rng) for _ in range(rng.randint(1, 2))]
+        g1 = [random_group(rng)]
+        g0 = [FgAbGroup(rng.randint(0, 1), random_group(rng, max_rank=0, max_torsion=2).torsion or (4,))]
+        d1 = random_hom_presented(rng, _orders(g2), _orders(g1))
+        d2 = random_hom_presented(rng, _orders(g2), _orders(g0))
+        page1 = first_page(2, 2, {(2, 0): g2, (1, 0): g1, (0, 1): g0}, {(2, 0): d1})
+        run = run_to_infinity(page1, {2: {(2, 0): d2}})
+        page2 = run.pages[1]
+        if (2, 0) in page2.diffs and not page2.diffs[(2, 0)].is_zero_map():
+            cut += not page2.cells[(2, 0)].cycles.is_identity()
+            lifted += _lands_on_torsion(page2, (2, 0))
+        cycles = _oracle_cycles(d1, _orders(g1))
+        assert page2.cell_group(2, 0) == oracle_presented_kernel(d1, _orders(g2), _orders(g1))
+        assert run.e_infinity_at(2, 0) == oracle_presented_kernel(_stack(d1, d2), _orders(g2), _orders(g1 + g0))
+        assert run.e_infinity_at(1, 0) == oracle_presented_cokernel(d1, _orders(g1))
+        assert run.e_infinity_at(0, 1) == oracle_presented_cokernel(d2 @ cycles, _orders(g0))
+    assert cut >= 30 and lifted >= 10
+
+
+def test_injected_d2_into_cut_cycles_matches_oracles():
+    # d1: (1, 0) -> (0, 0) leaves (1, 0) a cycle basis other than the
+    # identity on page 2; a d2 from (3, 1) lifts a random map of page-2
+    # groups to first-page coordinates through the two cells' bases
+    rng = random.Random(15)
+    cut = 0
+    for _ in range(120):
+        g3, g1, g0 = random_group(rng), random_group(rng), random_group(rng)
+        g = random_hom(rng, g1, g0)
+        page1 = first_page(3, 2, {(3, 1): [g3], (1, 0): [g1], (0, 0): [g0]}, {(1, 0): g.matrix})
+        page2 = turn_page(page1)
+        src, tgt = page2.cells.get((3, 1)), page2.cells.get((1, 0))
+        if not (src and tgt):
+            continue
+        lift = tgt.gens @ random_hom(rng, src.group, tgt.group).matrix @ src.proj
+        page3 = turn_page(turn_page(page1, {(3, 1): lift}))
+        f = GroupHom(g3, g1, lift)
+        cut += not tgt.cycles.is_identity() and not f.is_zero_map()
+        assert page3.cell_group(3, 1) == oracle_hom_kernel(f)
+        assert page3.cell_group(1, 0) == oracle_homology(f, g)
+        assert page3.cell_group(0, 0) == oracle_presented_cokernel(g.matrix, g0.generator_orders())
+    assert cut >= 30
+
+
+def test_boundary_outside_the_new_cycles_raises():
+    # pages whose d o d != 0 slipped past the checks of _install_diffs: the
+    # boundary 1 of the middle Z is not among its new cycles (0 into Z, 4Z
+    # into Z/4)
+    for end in (Z, FgAbGroup(0, (4,))):
+        page = _page(2, {(2, 0): Z, (1, 0): Z, (0, 0): end}, d1={(1, 0): IntMatrix.from_rows([[1]])})
+        bad = replace(page, diffs={**page.diffs, (2, 0): GroupHom(Z, Z, IntMatrix.from_rows([[1]]))})
+        with pytest.raises(AbelianError, match="^boundary lattice is not contained in the cycle lattice$"):
+            turn_page(bad)
+
+
+def test_turn_factors_each_live_differential_once(monkeypatch):
+    obj = json.loads((Path(__file__).parent / "golden" / "inputs" / "bench_page.json").read_text())
+    page1 = jsonio.page_from_json(obj)
+    keys = []
+    real = abelian.smith_normal_form
+
+    def counting(a):
+        keys.append((a.rows, a.cols, a.entries))
+        return real(a)
+
+    for mod in (abelian, pages):
+        monkeypatch.setattr(mod, "smith_normal_form", counting)
+    turn_page(page1)
+    assert len(keys) == len(set(keys))
+    live = [(key, h) for key, h in page1.diffs.items() if not h.is_zero_map()]
+    assert len(live) >= 4
+    for key, h in live:
+        # the cut at the source and the boundaries at the free target are
+        # one matrix, factored once
+        phi = h.matrix @ page1.cells[key].proj
+        assert h.target.is_free and phi == h.matrix
+        assert keys.count((phi.rows, phi.cols, phi.entries)) == 1
 
 
 # ---------------------------------------------------------------------------
