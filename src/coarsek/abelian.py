@@ -371,43 +371,6 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
 
 
 # ---------------------------------------------------------------------------
-# lattice helpers (column lattices in Z^m)
-
-
-def solve_columns(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
-    """Integer solution X of a @ X = b, or None if none exists.
-
-    When a is the identity, X is b.  When each column of a has one nonzero
-    entry c, in a row i of its own, X is read off row by row: its row for
-    that column is b's row i over c, and the rows of b no column reaches
-    must vanish.  Otherwise, with
-    U @ a @ V == D, X = V @ Y for an integer Y with D @ Y == U @ b.  Such a
-    Y exists exactly when the rows of U @ b past the rank vanish and each
-    row before it is divisible by its invariant factor.
-    """
-    if a.rows != b.rows:
-        raise IncompatibleShapes("solve_columns row mismatch")
-    if a.is_identity():
-        return b
-    columns = [[(i, x) for i, x in enumerate(a.entries[j :: a.cols]) if x] for j in range(a.cols)]
-    pivots = [col[0] for col in columns if len(col) == 1]
-    if len(pivots) == a.cols == len({i for i, _ in pivots}):
-        rows = [(b.row(i), c) for i, c in pivots]
-        unreached = set(range(b.rows)).difference(i for i, _ in pivots)
-        if any(x for i in unreached for x in b.row(i)) or any(x % c for row, c in rows for x in row):
-            return None
-        return IntMatrix(a.cols, b.cols, tuple(x // c for row, c in rows for x in row))
-    s = smith_normal_form(a)
-    rank = s.rank
-    diag = s.diagonal[:rank]
-    ub = s.apply_U(b)
-    if any(x % diag[i] if i < rank else x for i in range(ub.rows) for x in ub.row(i)):
-        return None
-    y = tuple(x // d for i, d in enumerate(diag) for x in ub.row(i))
-    return s.apply_V(IntMatrix(a.cols, b.cols, y + (0,) * ((a.cols - rank) * b.cols)))
-
-
-# ---------------------------------------------------------------------------
 # finitely generated abelian groups
 
 
@@ -477,6 +440,10 @@ class FgAbGroup:
         # concatenated torsion is rarely a chain; renormalize through SNF
         result = cokernel(IntMatrix.diagonal(merged))
         return FgAbGroup(rank, result.torsion)
+
+    def columns_vanish(self, matrix: IntMatrix) -> bool:
+        """Whether every column of ``matrix`` (generator coordinates) is the zero element."""
+        return all(self.element_in_relations(matrix.column(j)) for j in range(matrix.cols))
 
     def element_in_relations(self, vec: Sequence[int]) -> bool:
         """Whether vec (generator coordinates) is the zero element."""
@@ -559,61 +526,53 @@ class GroupHom:
 
     def is_zero_map(self) -> bool:
         """Zero as a homomorphism (not merely as a matrix)."""
-        return all(self.target.element_in_relations(self.matrix.column(j)) for j in range(self.matrix.cols))
-
-    def compose(self, first: "GroupHom") -> "GroupHom":
-        """self after first."""
-        if first.target != self.source:
-            raise IncompatibleShapes("composition endpoint mismatch")
-        return GroupHom(first.source, self.target, self.matrix @ first.matrix)
+        return self.target.columns_vanish(self.matrix)
 
 
 @dataclass(frozen=True)
 class SubquotientCell:
-    """A subquotient Z/B of Z^m, the cycles over the boundaries.
+    """A subquotient Z/B, the cycles over the boundaries, written in a
+    basis of the cycle lattice Z.
 
-    ``cycles`` (m x rank Z) and ``boundaries`` (m x rank B) are lattice
-    bases with B inside Z.  ``gens`` (m x n) lifts the n generators of
-    ``group`` to cycles, and ``proj`` (n x rank Z) takes cycle-basis
-    coordinates to them.  On a page, Z^m is the generator lattice of the
-    cell's first-page ancestor.
+    ``boundaries`` (k x rank B) is a basis of B in the coordinates of that
+    basis (k = rank Z).  ``gens`` (k x n) gives the n generators of
+    ``group`` in those coordinates, and ``proj`` (n x k) takes coordinates
+    to generator coordinates: ``proj @ gens`` is the identity, and x lies
+    in B exactly when ``proj @ x`` is zero in ``group``.
     """
 
-    cycles: IntMatrix
     boundaries: IntMatrix
     group: FgAbGroup
     gens: IntMatrix
     proj: IntMatrix
 
 
-def subquotient(cycles: IntMatrix, boundaries: IntMatrix | SnfResult) -> SubquotientCell:
-    """Z/B from a basis of the cycle lattice Z and generators of B, given
-    by their coordinates in that basis or by the Smith form of those.
+def subquotient(boundaries: IntMatrix | SnfResult) -> SubquotientCell:
+    """Z/B from generators of B, given by their coordinates in a basis of
+    the cycle lattice Z or by the Smith form of those; the cell keeps that
+    basis.
 
     One Smith normal form of the coordinates gives the group, its
     generators and a basis of B.  When the coordinates are the identity,
     B = Z and the cell dies without one.
 
-    >>> print(subquotient(IntMatrix.identity(2), IntMatrix.from_rows([[2], [4]])).group)
+    >>> print(subquotient(IntMatrix.from_rows([[2], [4]])).group)
     Z + Z/2
     """
     s = boundaries
     if isinstance(s, IntMatrix):
         if s.is_identity():
-            m, n = cycles.rows, cycles.cols
-            return SubquotientCell(cycles, cycles, FgAbGroup.zero(), IntMatrix.zeros(m, 0), IntMatrix.zeros(0, n))
+            return SubquotientCell(s, FgAbGroup.zero(), IntMatrix.zeros(s.rows, 0), IntMatrix.zeros(0, s.rows))
         s = smith_normal_form(s)
-    diag = s.diagonal
-    free = [i for i in range(cycles.cols) if i >= len(diag) or diag[i] == 0]
+    diag, k = s.diagonal, s.matrix.rows
+    free = [i for i in range(k) if i >= len(diag) or diag[i] == 0]
     torsion = [i for i, d in enumerate(diag) if d >= 2]
     sel = free + torsion
-    lifted = cycles @ s.U_inv  # Z's basis in which B is diag(d_i) e_i
-    bounds = [[x * d for x in lifted.column(i)] for i, d in enumerate(diag) if d]
+    basis = s.U_inv  # Z's basis in which B is diag(d_i) e_i
+    bounds = [[x * d for x in basis.column(i)] for i, d in enumerate(diag) if d]
     return SubquotientCell(
-        cycles,
-        IntMatrix.from_columns(bounds, cycles.rows),
+        IntMatrix.from_columns(bounds, k),
         FgAbGroup(len(free), tuple(diag[i] for i in torsion)),
-        lifted.select_columns(sel),
+        basis.select_columns(sel),
         s.U.select_rows(sel),
     )
-

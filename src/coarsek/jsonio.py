@@ -179,9 +179,13 @@ def mv_from_json(obj: Any, default_period: int = 2) -> MvInput:
             if x not in labels:
                 raise SchemaError(f"{at}.J: {x!r} is not one of the labels {list(labels)}")
         _add(inter, tuple(sorted(j)), graded, f"{at}.J")
+    top = max(len(labels) - 1, 0)
+    cap = _get(obj, "cap", int, default=top)
+    if not 0 <= cap <= top:
+        raise SchemaError(f"cap: expected 0..{top}, got {cap}")
     inp = MvInput(
         labels=labels,
-        cap=_get(obj, "cap", int, default=len(labels) - 1),
+        cap=cap,
         intersections=inter,
         d1=_d1_from_json(obj, period),
         period=period,

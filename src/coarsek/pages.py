@@ -2,10 +2,10 @@
 
 A page stores cells E_{p,q} for 0 <= p <= cap and q taken modulo the Bott
 period, together with differentials of bidegree (-r, r-1).  Every cell is
-kept as an honest subquotient Z/B of its first-page ancestor: the cycle
-and boundary sublattices live in the ancestor's generator lattice, so
-turning pages is plain lattice arithmetic and higher maps can be induced
-on representatives.
+kept as a subquotient Z/B written in a basis of its own cycle lattice Z:
+on page 1 the concatenated summand generators, after that the basis its
+last cut left.  Turning a page reads boundary coordinates straight off
+the cells, so it is plain lattice arithmetic with no solving.
 
 Because all nonzero groups sit in the half plane p >= 0, every
 differential beyond page cap+1 exits the support, so E^{cap+2} = E^infty.
@@ -27,7 +27,6 @@ from .abelian import (
     SubquotientCell,
     decimal_str,
     smith_normal_form,
-    solve_columns,
     subquotient,
 )
 
@@ -42,8 +41,9 @@ class InducedMapIllDefined(PageError):
 
 def _concatenated_cell(parts: Sequence[FgAbGroup]) -> SubquotientCell:
     """First-page cell for a direct sum of nonzero groups on the concatenated
-    summand generators.  When those already are an invariant-factor basis
-    of the sum (always so for one summand), they are the cell's generators."""
+    summand generators, which are its cycle basis.  When they already are
+    an invariant-factor basis of the sum (always so for one summand), they
+    are the cell's generators."""
     orders = [d for g in parts for d in g.generator_orders()]
     m = len(orders)
     eye = IntMatrix.identity(m)
@@ -52,8 +52,8 @@ def _concatenated_cell(parts: Sequence[FgAbGroup]) -> SubquotientCell:
     )
     total = FgAbGroup.zero().direct_sum(*parts)
     if total.generator_orders() == tuple(orders):
-        return SubquotientCell(eye, rels, total, eye, eye)
-    return subquotient(eye, rels)
+        return SubquotientCell(rels, total, eye, eye)
+    return subquotient(rels)
 
 
 @dataclass(frozen=True)
@@ -155,17 +155,17 @@ def first_page(
 
 
 def _install_diffs(page: Page, matrices: Mapping[tuple[int, int], IntMatrix] | None) -> Page:
-    """Induce page.r's differentials from matrices on first-page coordinates.
+    """Install page.r's differentials from matrices.
 
-    Each entry's source column must lie in the support, neither end may
-    be a countable-rank cell, and the matrix needs a column per first-page
-    generator of the source and a row per first-page generator of the
-    target.  On page 1 an absent cell has none; on later pages a matrix
-    with a dead end is the zero map and is skipped.  The induced map must
-    carry cycles into cycles and boundaries into boundaries, and be well
-    defined on the cell groups.  Last, each composite d o d must vanish,
-    so that the page has homology.
+    Each entry's source column must lie in the support, and neither end
+    may be a countable-rank cell.  A d1 acts on first-page coordinates: a
+    column per concatenated summand generator of the source, a row per one
+    of the target, and none for an absent cell.  A later d^r acts on the
+    generators of the E^r cell groups, and is skipped when it has a dead
+    end.  Last, each d o d, as the product of the two matrices, must be
+    zero in the group it lands in, so that the page has homology.
     """
+    first = page.r == 1
     for (p, q), matrix in (matrices or {}).items():
         key = (p, q % page.period)
         tkey = page.target_key(*key)
@@ -175,62 +175,66 @@ def _install_diffs(page: Page, matrices: Mapping[tuple[int, int], IntMatrix] | N
         if key in page.countable or tkey in page.countable:
             raise InducedMapIllDefined(f"{name} touches a countable-rank cell")
         src, tgt = page.cells.get(key), page.cells.get(tkey)
-        if page.r > 1 and not (src and tgt):
+        if not first and not (src and tgt):
             continue
-        shape = (tgt.cycles.rows if tgt else 0, src.cycles.rows if src else 0)
+        shape = tuple(0 if c is None else c.gens.rows if first else c.gens.cols for c in (tgt, src))
         if (matrix.rows, matrix.cols) != shape:
+            basis = "concatenated summand" if first else f"E^{page.r}"
             raise IncompatibleShapes(
-                f"{name}: expected {shape[0]}x{shape[1]} on concatenated summand "
-                f"generators, got {matrix.rows}x{matrix.cols}"
+                f"{name}: expected {shape[0]}x{shape[1]} on {basis} generators, got {matrix.rows}x{matrix.cols}"
             )
         if src and tgt:
-            page.diffs[key] = _induce_hom(matrix, src, tgt, name)
+            page.diffs[key] = _induce_hom(matrix, src, tgt, name, first)
     for key in sorted(page.diffs):
         tkey = page.target_key(*key)
-        if tkey in page.diffs and not page.diffs[tkey].compose(page.diffs[key]).is_zero_map():
-            raise InducedMapIllDefined(f"d{page.r} at {key}: d o d != 0 through {tkey}")
+        if tkey in page.diffs:
+            d_s, d_t = page.diffs[key], page.diffs[tkey]
+            if not d_t.target.columns_vanish(d_t.matrix @ d_s.matrix):
+                raise InducedMapIllDefined(f"d{page.r} at {key}: d o d != 0 through {tkey}")
     return page
 
 
-def _induce_hom(matrix: IntMatrix, src: SubquotientCell, tgt: SubquotientCell, name: str) -> GroupHom:
-    """Induce a map of subquotients from an ambient-coordinate matrix.
+def _induce_hom(matrix: IntMatrix, src: SubquotientCell, tgt: SubquotientCell, name: str, first: bool) -> GroupHom:
+    """The map of cell groups that ``matrix`` gives, if it is well defined.
 
-    The source cycles are spanned by the source boundaries and generators,
-    so once boundaries go into boundaries, solving for the generators'
-    images in the target's cycle basis checks every cycle; ``tgt.proj``
-    then gives their generator coordinates.
+    A later d^r is its matrix.  A d1 acts on first-page coordinates, where
+    every vector is a cycle and x is a boundary exactly when
+    ``tgt.proj @ x`` is zero in the target group.  So d1 is well defined
+    once each source boundary goes to zero there, and
+    ``tgt.proj @ matrix @ src.gens`` holds the generators' images.
     """
-    if solve_columns(tgt.boundaries, matrix @ src.boundaries) is None:
-        raise InducedMapIllDefined(f"{name}: boundaries are not carried into boundaries")
-    images = solve_columns(tgt.cycles, matrix @ src.gens)
-    if images is None:
-        raise InducedMapIllDefined(f"{name}: cycles are not carried into cycles")
-    coords = tgt.proj @ images
-    cols = [tgt.group.reduce_element(coords.column(j)) for j in range(coords.cols)]
-    return GroupHom(src.group, tgt.group, IntMatrix.from_columns(cols, tgt.group.gen_count))
+    if first:
+        to_group = tgt.proj @ matrix
+        if not tgt.group.columns_vanish(to_group @ src.boundaries):
+            raise InducedMapIllDefined(f"{name}: boundaries are not carried into boundaries")
+        images = to_group @ src.gens
+        cols = [tgt.group.reduce_element(images.column(j)) for j in range(images.cols)]
+        matrix = IntMatrix.from_columns(cols, tgt.group.gen_count)
+    try:
+        return GroupHom(src.group, tgt.group, matrix)
+    except IncompatibleShapes as exc:
+        raise InducedMapIllDefined(f"{name}: {exc}") from None
 
 
 def _cut_cycles(
     out_h: GroupHom, cell: SubquotientCell, coords: IntMatrix, factor: Callable[[IntMatrix], SnfResult]
-) -> tuple[IntMatrix, IntMatrix]:
-    """The cycles of ``cell`` that ``out_h`` kills, and ``coords`` (boundary
-    coordinates in the basis ``cell.cycles``) in their basis.
+) -> IntMatrix:
+    """``coords`` (boundary coordinates in the cell's cycle basis) in a
+    basis K of the cycles that ``out_h`` kills, the next page's cycle basis.
 
-    phi = out_h.matrix @ cell.proj acts on cycle coordinates.  One Smith
-    form U @ [phi | R] @ V == D, with R the target's relation matrix, gives
-    both.  R's columns d_i e_{f+i} are independent, so phi @ y + R @ w == 0
-    fixes w by y: the trailing columns of V, cut to phi's columns, are a
-    basis K of {y : phi @ y in R's lattice}.  A boundary y has w_i =
-    -(phi @ y)_{f+i} / d_i, and V_inv @ [y; w] is zero in its first rank
-    rows and holds y's coordinates in K below them; anything else there
-    means y is not in the new cycles.
+    phi = out_h.matrix @ cell.proj acts on cycle coordinates.  Take one
+    Smith form U @ [phi | R] @ V == D, with R the target's relation matrix.
+    R's columns d_i e_{f+i} are independent, so phi @ y + R @ w == 0 fixes
+    w by y: the trailing columns of V, cut to phi's columns, are K, and K
+    itself is never built.  A boundary y has w_i = -(phi @ y)_{f+i} / d_i,
+    and V_inv @ [y; w] is zero in its first rank rows and holds y's
+    coordinates in K below them; anything else there means y is not in
+    the new cycles.
     """
     phi = out_h.matrix @ cell.proj
     target = out_h.target
     s = factor(phi.hstack(target.relation_matrix()))
     n, rank, k = s.matrix.cols, s.rank, coords.cols
-    trailing = (0,) * (rank * (n - rank)) + IntMatrix.identity(n - rank).entries
-    kernel = s.apply_V(IntMatrix(n, n - rank, trailing)).select_rows(range(phi.cols))
     w: tuple[int, ...] = ()
     if target.torsion:
         image = phi @ coords
@@ -238,7 +242,7 @@ def _cut_cycles(
     lifted = s.apply_V_inv(IntMatrix(n, k, coords.entries + w)).entries
     if any(lifted[: rank * k]):
         raise AbelianError("boundary lattice is not contained in the cycle lattice")
-    return cell.cycles @ kernel, IntMatrix(n - rank, k, lifted[rank * k :])
+    return IntMatrix(n - rank, k, lifted[rank * k :])
 
 
 def turn_page(page: Page, injected: Mapping[tuple[int, int], IntMatrix] | None = None) -> Page:
@@ -247,14 +251,14 @@ def turn_page(page: Page, injected: Mapping[tuple[int, int], IntMatrix] | None =
     A cell whose maps in and out are zero has E^{r+1} = E^r and passes
     through as the same object, without a new Smith normal form.  Within
     the turn no matrix is factored twice, so a differential out of a cell
-    whose generators are its cycles, into a free cell with no boundaries,
-    is factored once for both ends.
+    whose generators are its cycle basis, into a free cell with no
+    boundaries, is factored once for both ends.
 
     The next page's differentials default to zero; ``injected`` is the
-    documented escape hatch for supplying a d^{r+1} as a matrix on
-    first-page ambient coordinates (used by tests; the engine itself never
-    invents higher differentials).  It is installed with the checks of
-    d1, and a nonzero d o d raises InducedMapIllDefined.
+    documented escape hatch for supplying d^{r+1} as matrices on the
+    generators of the E^{r+1} cell groups (used by tests; the engine itself
+    never invents higher differentials).  A map that is not well defined,
+    or a nonzero d o d, raises InducedMapIllDefined.
     """
     factor = cache(smith_normal_form)
     live = {key: h for key, h in page.diffs.items() if not h.is_zero_map()}
@@ -265,15 +269,12 @@ def turn_page(page: Page, injected: Mapping[tuple[int, int], IntMatrix] | None =
         if out_h is None and in_h is None:
             new_cells[(p, q)] = cell
             continue
-        boundary_gens = cell.boundaries
+        coords = cell.boundaries
         if in_h is not None:
-            boundary_gens = cell.boundaries.hstack(cell.gens @ in_h.matrix)
-        cycles, coords = cell.cycles, solve_columns(cell.cycles, boundary_gens)
-        if coords is None:
-            raise AbelianError("boundary lattice is not contained in the cycle lattice")
+            coords = coords.hstack(cell.gens @ in_h.matrix)
         if out_h is not None:
-            cycles, coords = _cut_cycles(out_h, cell, coords, factor)
-        new_cell = subquotient(cycles, coords if coords.is_identity() else factor(coords))
+            coords = _cut_cycles(out_h, cell, coords, factor)
+        new_cell = subquotient(coords if coords.is_identity() else factor(coords))
         if not new_cell.group.is_zero:
             new_cells[(p, q)] = new_cell
 

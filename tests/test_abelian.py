@@ -2,7 +2,6 @@
 and the homology that page turning computes from them."""
 
 import random
-from contextlib import contextmanager
 from dataclasses import replace
 from itertools import product
 
@@ -10,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarsek import abelian
 from coarsek.abelian import (
     FgAbGroup,
     GroupHom,
@@ -19,7 +17,6 @@ from coarsek.abelian import (
     cokernel,
     smith_normal_form,
     snf_certificate_holds,
-    solve_columns,
     subquotient,
 )
 from coarsek.pages import CountableRank, first_page, turn_page
@@ -30,6 +27,7 @@ from _oracles import (
     determinantal_invariants,
     enumerate_quotient_order,
     group_order,
+    hermite_columns,
     kernel_basis,
     laplace_det,
     mixed_diagonal,
@@ -202,86 +200,6 @@ def test_snf_replayed_transforms(m, n, k, data):
     basis = kernel_basis(a)
     assert (basis.rows, basis.cols) == (n, n - s.rank)
     assert not any((a @ basis).entries)
-    x = solve_columns(a, b)
-    assert x is None or a @ x == b
-    # a right-hand side in the column lattice is always solved
-    x = solve_columns(a, a @ y)
-    assert x is not None and a @ x == a @ y
-
-
-@contextmanager
-def _counting_snf():
-    """Count the Smith forms taken inside the block."""
-    calls = []
-    real = abelian.smith_normal_form
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(abelian, "smith_normal_form", lambda a: calls.append(a) or real(a))
-        yield calls
-
-
-def _draw_unimodular(data, n):
-    """Identity with a drawn list of column additions and swaps applied."""
-    w = IntMatrix.identity(n).to_rows()
-    for _ in range(data.draw(st.integers(0, 8)) if n >= 2 else 0):
-        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-        c = data.draw(st.integers(-2, 2))
-        for row in w:
-            row[i], row[j] = (row[i] + c * row[j], row[j]) if c else (row[j], row[i])
-    return IntMatrix.from_rows(w, cols=n)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 6), st.integers(0, 3), st.data())
-def test_solve_columns_single_pivot_columns(m, k, data):
-    # columns with one nonzero entry each, in distinct rows, scales ±1..±6
-    rows = data.draw(st.permutations(range(m)))[: data.draw(st.integers(0, m))]
-    n = len(rows)
-    scales = data.draw(st.lists(st.sampled_from([c for c in range(-6, 7) if c]), min_size=n, max_size=n))
-    a = IntMatrix.from_columns([[c if i == r else 0 for i in range(m)] for r, c in zip(rows, scales)], m)
-    entries = data.draw(st.lists(st.integers(-30, 30), min_size=m * k, max_size=m * k))
-    b = IntMatrix(m, k, tuple(entries))
-    solvable = data.draw(st.booleans())
-    if solvable:
-        b = a @ IntMatrix(n, k, tuple(data.draw(st.lists(st.integers(-5, 5), min_size=n * k, max_size=n * k))))
-    with _counting_snf() as calls:
-        x = solve_columns(a, b)
-    assert calls == []
-    assert a @ x == b if x is not None else not solvable
-    # the same lattice behind a unimodular W and beside a zero column takes the Smith path
-    w = _draw_unimodular(data, n)
-    with _counting_snf() as calls:
-        forced = solve_columns((a @ w).hstack(IntMatrix.zeros(m, 1)), b)
-    assert calls
-    assert (x is None) == (forced is None)
-    if x is not None:
-        # a's columns are independent, so the solution is unique
-        assert w @ forced.select_rows(range(n)) == x
-
-
-def test_solve_columns_falls_back_to_smith_form():
-    b = IntMatrix.from_rows([[4], [0]])
-    # a zero column, and two pivots in one row, keep the Smith path
-    for a in (IntMatrix.from_rows([[2, 0], [0, 0]]), IntMatrix.from_rows([[2, 4], [0, 0]])):
-        with _counting_snf() as calls:
-            x = solve_columns(a, b)
-        assert len(calls) == 1 and a @ x == b
-    with _counting_snf() as calls:
-        assert solve_columns(IntMatrix.from_rows([[2, 4], [0, 0]]), IntMatrix.from_rows([[3], [0]])) is None
-    assert len(calls) == 1
-    # identities, diagonal relation matrices, scaled permutations and no
-    # columns at all do not
-    b = IntMatrix.from_rows([[10, 0], [0, 0], [30, -6]])
-    cases = (
-        (IntMatrix.identity(3), b),
-        (IntMatrix.diagonal([2, -3, 1]), IntMatrix.from_rows([[5, 0], [0, 0], [30, -6]])),
-        (IntMatrix.from_rows([[0, -2], [0, 0], [5, 0]]), None),  # 5 does not divide -6
-        (IntMatrix.from_rows([[0, 5], [0, 0], [-2, 0]]), IntMatrix.from_rows([[-15, 3], [2, 0]])),
-        (IntMatrix.zeros(3, 0), None),
-    )
-    for a, expected in cases:
-        with _counting_snf() as calls:
-            assert solve_columns(a, b) == expected
-        assert calls == []
 
 
 def test_apply_transforms_reject_wrong_heights():
@@ -406,15 +324,22 @@ def test_subquotient_takes_coordinates_or_their_smith_form():
     rng = random.Random(74)
     for _ in range(60):
         n = rng.randint(1, 4)
-        cycles = mixed_diagonal(rng, [1] * n, n + rng.randint(0, 2), n)
         coords = random_matrix(rng, n, rng.randint(0, 4), -6, 6)
-        cell = subquotient(cycles, coords)
-        assert subquotient(cycles, smith_normal_form(coords)) == cell
+        cell = subquotient(coords)
+        assert subquotient(smith_normal_form(coords)) == cell
         assert cell.group == oracle_cokernel(coords)
-        # the cell's boundaries and cycles @ coords span one lattice
-        assert solve_columns(cell.boundaries, cycles @ coords) is not None
-        assert solve_columns(cycles @ coords, cell.boundaries) is not None
-        assert subquotient(cycles, IntMatrix.identity(n)).group.is_zero
+        assert (cell.proj @ cell.gens).is_identity()
+        # the cell's boundaries and coords span one lattice, which proj
+        # takes to zero; _solve_in_basis raises on a vector outside a basis
+        bounds = [list(cell.boundaries.column(j)) for j in range(cell.boundaries.cols)]
+        h, _ = hermite_columns(coords.to_rows())
+        spanning = [col for col in map(list, zip(*h)) if any(col)]
+        for j in range(coords.cols):
+            _solve_in_basis(bounds, list(coords.column(j)))
+        for col in bounds:
+            _solve_in_basis(spanning, col)
+        assert cell.group.columns_vanish(cell.proj @ cell.boundaries)
+        assert subquotient(IntMatrix.identity(n)).group.is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -572,18 +497,8 @@ def _random_composable_pair(rng):
             f = random_hom(rng, a, b)
         except Exception:
             continue
-        if g.compose(f).is_zero_map():
+        if GroupHom(a, c, g.matrix @ f.matrix).is_zero_map():
             return f, g
-
-
-def test_homology_lift_consists_of_cycles():
-    rng = random.Random(3)
-    for _ in range(50):
-        f, g = _random_composable_pair(rng)
-        cell = _middle_homology(f, g)
-        for j in range(cell.gens.cols if cell else 0):
-            image = apply(g.matrix, cell.gens.column(j))
-            assert g.target.element_in_relations(image)
 
 
 def test_homology_matches_independent_oracle_on_200_pairs():

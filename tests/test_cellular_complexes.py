@@ -16,11 +16,17 @@ import random
 
 import pytest
 
-from coarsek.abelian import FgAbGroup, IntMatrix
+from coarsek.abelian import FgAbGroup, GroupHom, IntMatrix
 from coarsek.assembly import IdealChainInput, assemble_target, build_ideal_chain_e1
 from coarsek.pages import run_to_infinity
 
-from _oracles import oracle_presented_cokernel, oracle_presented_kernel, random_matrix
+from _oracles import (
+    oracle_hom_cokernel,
+    oracle_hom_kernel,
+    oracle_presented_cokernel,
+    oracle_presented_kernel,
+    random_matrix,
+)
 
 Z = FgAbGroup.free(1)
 ZERO = FgAbGroup.zero()
@@ -196,11 +202,12 @@ def test_sphere_from_circle_and_two_twocells():
 # hand-computed homology of the total complex
 
 
-def run_crossing_filtration(e1_groups, d1, d2_ambient):
+def run_crossing_filtration(e1_groups, d1, d2):
+    """``d2`` acts on the generators of the E^2 cell groups."""
     inp_page = build_ideal_chain_e1(
         IdealChainInput(length=2, period=8, groups=_filled(e1_groups, 2), d1=d1)
     )
-    run = run_to_infinity(inp_page, injected_by_page={2: d2_ambient})
+    run = run_to_infinity(inp_page, injected_by_page={2: d2})
     return assemble_target(run), run
 
 
@@ -230,12 +237,16 @@ def test_mixed_first_and_second_differentials():
     # two 1-chains at level 2: one boundary crosses a single level (a first
     # differential), the other crosses both (a second differential); the
     # total complex has H_0 = Z/2 and H_1 = 0.  Degrees: both 0-chains sit
-    # at s = 0 (levels 0 and 1), the 1-chains at s = 1 (level 2).
+    # at s = 0 (levels 0 and 1), the 1-chains at s = 1 (level 2).  On E^2
+    # the second 1-chain generates (2, 7), up to sign, and d2 sends it to
+    # twice the level-0 chain.
     groups = {(0, 0): Z, (1, 0): Z, (2, 1): FgAbGroup.free(2)}
     d1 = {(2, 7): IntMatrix.from_rows([[1, 0]])}
-    d2 = {(2, 7): IntMatrix.from_rows([[0, 2]])}
-    report, run = run_crossing_filtration(groups, d1, d2)
-    assert run.e_infinity_at(2, 7).is_zero
+    d2 = GroupHom(Z, Z, IntMatrix.from_rows([[2]]))
+    report, run = run_crossing_filtration(groups, d1, {(2, 7): d2.matrix})
+    assert (run.pages[1].cell_group(2, 7), run.pages[1].cell_group(0, 0)) == (Z, Z)
+    assert run.e_infinity_at(2, 7) == oracle_hom_kernel(d2) == ZERO
     assert run.e_infinity_at(1, 7).is_zero
+    assert run.e_infinity_at(0, 0) == oracle_hom_cokernel(d2)
     assert report.degree(0).assembled == FgAbGroup(0, (2,))
     assert report.degree(1).assembled == ZERO

@@ -1058,7 +1058,9 @@ def test_schema_errors():
             "intersections[0].J: expected at least one label, got []",
         ),
         ({"kind": "page", "cap": 1, "d1": [{"from": [1], "matrix": []}]}, "d1[0].from: expected [p, q], got [1]"),
-        ({"kind": "mv", "labels": [0], "cap": 3}, "cap must lie in 0..len(labels)-1"),
+        ({"kind": "mv", "labels": [0], "cap": 3}, "cap: expected 0..0, got 3"),
+        ({"kind": "mv", "labels": [0], "cap": -1}, "cap: expected 0..0, got -1"),
+        ({"kind": "mv", "labels": [], "cap": 1}, "cap: expected 0..0, got 1"),
         # the Bott period is 2 (complex K-theory) or 8 (KO) in every kind of file
         ({"kind": "page", "cap": 0, "period": 3}, "period: expected 2 or 8, got 3"),
         ({"kind": "mv", "labels": [0], "period": 3}, "period: expected 2 or 8, got 3"),
@@ -1080,7 +1082,8 @@ def test_schema_errors():
         "countable-torsion-not-a-chain", "ragged-matrix",
         "matrix-entry-count", "negative-matrix-dimension", "str-matrix", "cell-outside-support",
         "d-o-d-nonzero", "false-d1", "zero-d1", "empty-str-d1", "empty-object-d1", "J-outside-labels",
-        "empty-J", "short-d1-from", "mv-cap-past-labels", "page-period-3", "mv-period-3",
+        "empty-J", "short-d1-from", "mv-cap-past-labels", "mv-negative-cap",
+        "mv-cap-past-empty-labels", "page-period-3", "mv-period-3",
         "ideal-chain-period-3", "page-period-0", "mv-period-0", "ideal-chain-period-0",
     ],
 )
@@ -1091,6 +1094,16 @@ def test_bad_input_is_one_error_line(capsys, tmp_path, payload, message):
     assert code == 1
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_mv_without_labels_runs_at_cap_zero(capsys, tmp_path):
+    # the default cap is the largest the labels allow, and no less than 0
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"kind": "mv", "labels": []}))
+    code, out, err = run_cli(capsys, "run", "--input", str(path))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "spectral run: period=2 cap=0 stabilized at page 1"
+    assert out.splitlines()[-2:] == ["K_0 = 0", "K_1 = 0"]
 
 
 def test_degrees_reduce_modulo_the_period(capsys, tmp_path):

@@ -15,6 +15,7 @@ from coarsek.abelian import (
     IncompatibleShapes,
     IntMatrix,
 )
+from coarsek.assembly import assemble_target
 from coarsek.pages import (
     CountableRank,
     InducedMapIllDefined,
@@ -25,10 +26,9 @@ from coarsek.pages import (
 )
 
 from _oracles import (
-    _solve_in_basis,
     apply,
     cells_isomorphic,
-    hermite_kernel,
+    oracle_hom_cokernel,
     oracle_hom_kernel,
     oracle_homology,
     oracle_presented_cokernel,
@@ -126,7 +126,7 @@ def test_turn_page_matches_homology_oracle_on_random_complexes():
         a, b, c = (random_group(rng) for _ in range(3))
         f = random_hom(rng, a, b)
         g = random_hom(rng, b, c)
-        if not g.compose(f).is_zero_map():
+        if not GroupHom(a, c, g.matrix @ f.matrix).is_zero_map():
             continue
         pairs += 1
         nxt = turn_page(_chain_page(f, g))
@@ -166,16 +166,10 @@ def _lands_on_torsion(page, key):
     source cell onto a nonzero multiple of a torsion generator of its
     target; turning the page then lifts that boundary with w != 0."""
     h, cell = page.diffs[key], page.cells[key]
-    basis = [list(cell.cycles.column(j)) for j in range(cell.cycles.cols)]
     for j in range(cell.boundaries.cols):
-        y = _solve_in_basis(basis, list(cell.boundaries.column(j)))
-        if any(apply(h.matrix, apply(cell.proj, y))[h.target.free_rank :]):
+        if any(apply(h.matrix, apply(cell.proj, cell.boundaries.column(j)))[h.target.free_rank :]):
             return True
     return False
-
-
-def _stack(top, bottom):
-    return IntMatrix(top.rows + bottom.rows, top.cols, top.entries + bottom.entries)
 
 
 def _orders(groups):
@@ -193,7 +187,7 @@ def test_d1_into_torsion_cells_matches_oracles():
         if not (b.torsion and c.torsion):
             continue
         f, g = random_hom(rng, a, b), random_hom(rng, b, c)
-        if not g.compose(f).is_zero_map():
+        if not GroupHom(a, c, g.matrix @ f.matrix).is_zero_map():
             continue
         chains += 1
         page = _chain_page(f, g)
@@ -225,21 +219,17 @@ def test_d1_between_summed_cells_matches_presented_oracles():
     assert reached >= 20 and lifted >= 20
 
 
-def _oracle_cycles(matrix, tgt_orders):
-    """Columns spanning {x : matrix @ x lies in the relations}, by the
-    Hermite oracle."""
-    if not matrix.rows:
-        return IntMatrix.identity(matrix.cols)
-    rows = [list(matrix.row(i)) + [-o if i == k else 0 for k, o in enumerate(tgt_orders) if o]
-            for i in range(matrix.rows)]
-    kernel = [col[: matrix.cols] for col in hermite_kernel(rows)]
-    return IntMatrix.from_columns(kernel, matrix.cols)
+def _check_generator_sections(pages):
+    """On every page, each cell's ``proj`` inverts its ``gens``."""
+    for page in pages:
+        for cell in page.cells.values():
+            assert (cell.proj @ cell.gens).is_identity()
 
 
 def test_injected_d2_out_of_cut_cycles_matches_oracles():
-    # d1: (2, 0) -> (1, 0) leaves (2, 0) a cycle basis other than the
-    # identity on page 2; a d2 from there into the torsion cell (0, 1),
-    # given as a map of the first-page presentations, is always installable
+    # a nonzero d1: (2, 0) -> (1, 0) cuts the cycles of (2, 0), so its
+    # page-2 cell lives in a basis of its own; a random map of the page-2
+    # groups into the torsion cell (0, 1) is a d2 from there
     rng = random.Random(14)
     cut = lifted = 0
     for _ in range(120):
@@ -247,25 +237,28 @@ def test_injected_d2_out_of_cut_cycles_matches_oracles():
         g1 = [random_group(rng)]
         g0 = [FgAbGroup(rng.randint(0, 1), random_group(rng, max_rank=0, max_torsion=2).torsion or (4,))]
         d1 = random_hom_presented(rng, _orders(g2), _orders(g1))
-        d2 = random_hom_presented(rng, _orders(g2), _orders(g0))
         page1 = first_page(2, 2, {(2, 0): g2, (1, 0): g1, (0, 1): g0}, {(2, 0): d1})
-        run = run_to_infinity(page1, {2: {(2, 0): d2}})
+        src, tgt = turn_page(page1).cells.get((2, 0)), page1.cells[(0, 1)]
+        assert (src.group if src else ZERO) == oracle_presented_kernel(d1, _orders(g2), _orders(g1))
+        if src is None:
+            continue
+        d2 = random_hom(rng, src.group, tgt.group)
+        run = run_to_infinity(page1, {2: {(2, 0): d2.matrix}})
         page2 = run.pages[1]
-        if (2, 0) in page2.diffs and not page2.diffs[(2, 0)].is_zero_map():
-            cut += not page2.cells[(2, 0)].cycles.is_identity()
+        _check_generator_sections(run.pages)
+        if not d2.is_zero_map():
+            cut += (2, 0) in page1.diffs and not page1.diffs[(2, 0)].is_zero_map()
             lifted += _lands_on_torsion(page2, (2, 0))
-        cycles = _oracle_cycles(d1, _orders(g1))
-        assert page2.cell_group(2, 0) == oracle_presented_kernel(d1, _orders(g2), _orders(g1))
-        assert run.e_infinity_at(2, 0) == oracle_presented_kernel(_stack(d1, d2), _orders(g2), _orders(g1 + g0))
+        assert page2.diffs[(2, 0)] == d2
+        assert run.e_infinity_at(2, 0) == oracle_hom_kernel(d2)
         assert run.e_infinity_at(1, 0) == oracle_presented_cokernel(d1, _orders(g1))
-        assert run.e_infinity_at(0, 1) == oracle_presented_cokernel(d2 @ cycles, _orders(g0))
+        assert run.e_infinity_at(0, 1) == oracle_hom_cokernel(d2)
     assert cut >= 30 and lifted >= 10
 
 
 def test_injected_d2_into_cut_cycles_matches_oracles():
-    # d1: (1, 0) -> (0, 0) leaves (1, 0) a cycle basis other than the
-    # identity on page 2; a d2 from (3, 1) lifts a random map of page-2
-    # groups to first-page coordinates through the two cells' bases
+    # a nonzero d1: (1, 0) -> (0, 0) cuts the cycles of (1, 0); a random
+    # map of the page-2 groups from (3, 1) into it is a d2
     rng = random.Random(15)
     cut = 0
     for _ in range(120):
@@ -274,16 +267,31 @@ def test_injected_d2_into_cut_cycles_matches_oracles():
         page1 = first_page(3, 2, {(3, 1): [g3], (1, 0): [g1], (0, 0): [g0]}, {(1, 0): g.matrix})
         page2 = turn_page(page1)
         src, tgt = page2.cells.get((3, 1)), page2.cells.get((1, 0))
+        assert (tgt.group if tgt else ZERO) == oracle_hom_kernel(g)
         if not (src and tgt):
             continue
-        lift = tgt.gens @ random_hom(rng, src.group, tgt.group).matrix @ src.proj
-        page3 = turn_page(turn_page(page1, {(3, 1): lift}))
-        f = GroupHom(g3, g1, lift)
-        cut += not tgt.cycles.is_identity() and not f.is_zero_map()
-        assert page3.cell_group(3, 1) == oracle_hom_kernel(f)
-        assert page3.cell_group(1, 0) == oracle_homology(f, g)
-        assert page3.cell_group(0, 0) == oracle_presented_cokernel(g.matrix, g0.generator_orders())
+        f = random_hom(rng, src.group, tgt.group)
+        pages = [page1, turn_page(page1, {(3, 1): f.matrix})]
+        pages.append(turn_page(pages[-1]))
+        _check_generator_sections(pages)
+        cut += not g.is_zero_map() and not f.is_zero_map()
+        assert pages[2].cell_group(3, 1) == oracle_hom_kernel(f)
+        assert pages[2].cell_group(1, 0) == oracle_hom_cokernel(f)
+        assert pages[2].cell_group(0, 0) == oracle_presented_cokernel(g.matrix, g0.generator_orders())
     assert cut >= 30
+
+
+def test_d2_on_e2_generators_past_a_torsion_target():
+    # complex C's first page: d1 = [1] onto Z/2 leaves 2Z at (2, 0), whose
+    # generator is 2 in first-page coordinates; d2 = [m] on that generator
+    # gives E^inf(0, 1) = Z/m (a first-page [m] would give Z/2m)
+    page1 = first_page(2, 2, {(2, 0): [Z], (1, 0): [FgAbGroup(0, (2,))], (0, 1): [Z]},
+                       {(2, 0): IntMatrix.from_rows([[1]])})
+    for m in (1, 2, 3):
+        run = run_to_infinity(page1, {2: {(2, 0): IntMatrix.from_rows([[m]])}})
+        report = assemble_target(run)
+        assert report.degree(0).assembled == ZERO
+        assert report.degree(1).assembled == (ZERO if m == 1 else FgAbGroup(0, (m,)))
 
 
 def test_boundary_outside_the_new_cycles_raises():
@@ -420,6 +428,13 @@ def _random_valid_page(rng, cap, period=2):
     return _page(cap, groups, d1, period)
 
 
+def test_projection_inverts_generators_on_every_page():
+    for seed in (31, 41, 43):
+        rng = random.Random(seed)
+        for _ in range(20):
+            _check_generator_sections(run_to_infinity(_random_valid_page(rng, cap=rng.randint(0, 4))).pages)
+
+
 def test_cells_with_zero_maps_pass_through_unfactored(monkeypatch):
     from coarsek import pages
 
@@ -511,8 +526,8 @@ def test_injected_composition_must_vanish():
 
 
 def test_injected_d2_through_torsion_subquotient():
-    # after d1 = x2 the cell (0,0) becomes Z/2 with boundaries 2Z; an
-    # ambient unit map from a fresh Z cell at (2,1) induces Z ->> Z/2
+    # after d1 = x2 the cell (0,0) becomes Z/2 with boundaries 2Z; a unit
+    # map on E^2 generators from a fresh Z cell at (2,1) is Z ->> Z/2
     page = _page(
         2,
         {(2, 1): Z, (1, 0): Z, (0, 0): Z},
