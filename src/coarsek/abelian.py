@@ -20,7 +20,7 @@ from operator import mul
 from typing import Sequence
 
 
-class AbelianError(Exception):
+class AbelianError(ValueError):
     """Base error for this module."""
 
 

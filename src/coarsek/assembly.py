@@ -28,7 +28,7 @@ from .abelian import FgAbGroup, IntMatrix
 from .pages import CountableRank, Page, SpectralRun, first_page, run_to_infinity
 
 
-class AssemblyError(Exception):
+class AssemblyError(ValueError):
     pass
 
 

@@ -14,33 +14,12 @@ import json
 import os
 import sys
 from dataclasses import replace
-from fractions import Fraction
 from functools import cache
 from math import floor
 from typing import Callable, Sequence
 
-from . import jsonio
-from .abelian import AbelianError, decimal_str, smith_normal_form
-from .assembly import (
-    AssemblyError,
-    assemble_target,
-    build_ideal_chain_e1,
-    build_mv_e1,
-    truncation_sweep,
-)
-from .coarse import (
-    CoarseError,
-    Metric,
-    block_decomposition,
-    check_cover_excision,
-    disjoint_rays,
-    rn_mv_input,
-    wedge_mv_input,
-    zinf_mv_input,
-)
-from .jsonio import SchemaError
-from .pages import PageError, run_to_infinity
-from .simplex import verify_geometry
+from . import assembly, coarse, jsonio, pages, simplex
+from .abelian import decimal_str, smith_normal_form
 
 
 class CliError(Exception):
@@ -81,19 +60,19 @@ def _parse_builtin(name: str, caps: Sequence[int], period: int):
     kind = parts[0]
     try:
         if kind == "rn" and len(parts) == 2:
-            return rn_mv_input(_number(parts[1], flag="--builtin"))
+            return coarse.rn_mv_input(_number(parts[1], flag="--builtin"))
         if kind == "zinf" and len(parts) == 2:
             m = _number(parts[1], flag="--builtin")
             if caps and caps[0] < 0:
                 raise ValueError(f"cap {caps[0]} lies below 0")
-            top = zinf_mv_input(m, caps[-1] if caps else m)  # a prefix m < 1 fails here first
+            top = coarse.zinf_mv_input(m, caps[-1] if caps else m)  # a prefix m < 1 fails here first
             if caps and caps[-1] > m:
                 raise ValueError(f"cap {next(c for c in caps if c > m)} lies above m = {m}")
             return top
         if kind == "wedge" and len(parts) == 2 and parts[1] != "countable":
-            return wedge_mv_input(_number(parts[1], flag="--builtin"))
+            return coarse.wedge_mv_input(_number(parts[1], flag="--builtin"))
         if kind == "wedge" and len(parts) == 3 and parts[1] == "countable":
-            return wedge_mv_input(_number(parts[2], flag="--builtin"), truncated=True)
+            return coarse.wedge_mv_input(_number(parts[2], flag="--builtin"), truncated=True)
     except ValueError as exc:
         raise CliError(f"bad builtin parameter in {name!r}: {exc}") from exc
     raise CliError(
@@ -134,17 +113,17 @@ def _cmd_run(args) -> int:
         raise CliError("--cap applies only to --builtin zinf:<m>")
     if args.builtin:
         inp = _parse_builtin(args.builtin, () if args.cap is None else (args.cap,), args.period)
-        page = build_mv_e1(inp)
+        page = assembly.build_mv_e1(inp)
         raw = None
     elif args.input:
         obj, raw = _load_json(args.input)
         if not isinstance(obj, dict):
-            raise SchemaError(f"input: expected an object, got {type(obj).__name__}")
+            raise jsonio.SchemaError(f"input: expected an object, got {type(obj).__name__}")
         kind = obj.get("kind", "mv")
         if kind == "mv":
-            page = build_mv_e1(jsonio.mv_from_json(obj, args.period))
+            page = assembly.build_mv_e1(jsonio.mv_from_json(obj, args.period))
         elif kind == "ideal_chain":
-            page = build_ideal_chain_e1(jsonio.ideal_chain_from_json(obj, args.period))
+            page = assembly.build_ideal_chain_e1(jsonio.ideal_chain_from_json(obj, args.period))
         elif kind == "page":
             page = jsonio.page_from_json(obj, args.period)
         else:
@@ -154,8 +133,8 @@ def _cmd_run(args) -> int:
     if args.verbose and raw is not None:
         print("input:")
         print(raw.rstrip("\n"))
-    run = run_to_infinity(page)
-    report = assemble_target(run)
+    run = pages.run_to_infinity(page)
+    report = assembly.assemble_target(run)
     if args.format == "json":
         print(jsonio.dumps(jsonio.report_to_json(report)))
     else:
@@ -204,18 +183,20 @@ def _pick_cover(args):
         parts = args.builtin.split(":")
         if parts[0] == "rn" and len(parts) == 2:
             try:
-                return block_decomposition(_number(parts[1], flag="--builtin"))
+                return coarse.block_decomposition(_number(parts[1], flag="--builtin"))
             except ValueError as exc:
                 raise CliError(f"bad builtin parameter in {args.builtin!r}: {exc}") from exc
         raise CliError(f"unknown excision builtin {args.builtin!r}; expected rn:<n>")
     if args.custom == "disjoint-rays":
-        return disjoint_rays()
+        return coarse.disjoint_rays()
     if args.cover:
         return jsonio.cover_from_json(_load_json(args.cover)[0])
     raise CliError("excision needs --builtin rn:<n>, --custom disjoint-rays, or --cover PATH")
 
 
-def _fraction(flag: str, text: str) -> Fraction:
+def _fraction(flag: str, text: str):
+    from fractions import Fraction  # here, not at the top: only excision reads rationals
+
     try:
         return _number(text, Fraction, flag)
     except (ValueError, ZeroDivisionError):
@@ -230,9 +211,9 @@ def _cmd_excision(args) -> int:
     if args.metric == "weighted":
         if not args.weights:
             raise CliError("weighted metric needs --weights")
-        metric = Metric("weighted", tuple(_fraction("--weights", w) for w in args.weights.split(",")))
+        metric = coarse.Metric("weighted", tuple(_fraction("--weights", w) for w in args.weights.split(",")))
     else:
-        metric = Metric(args.metric)
+        metric = coarse.Metric(args.metric)
     radius = _fraction("--radius", args.radius)
     if args.s is not None:
         s_radius = _fraction("--s", args.s)
@@ -254,7 +235,7 @@ def _cmd_excision(args) -> int:
         }
         print("input:")
         print(jsonio.dumps(echo))
-    results = check_cover_excision(cover, radius, metric, box, s_radius=s_radius)
+    results = coarse.check_cover_excision(cover, radius, metric, box, s_radius=s_radius)
     all_ok = all(r.ok for r in results.values())
     if args.format == "json":
         payload = [
@@ -282,7 +263,7 @@ def _cmd_simplex(args) -> int:
     if args.verbose:
         print("input:")
         print(jsonio.dumps({"dim": args.dim, "samples": args.samples, "seed": args.seed}))
-    checks = verify_geometry(args.dim, args.samples, args.seed)
+    checks = simplex.verify_geometry(args.dim, args.samples, args.seed)
     if args.format == "json":
         print(jsonio.dumps([{"name": c.name, "ok": c.ok} for c in checks]))
     else:
@@ -319,7 +300,7 @@ def _cmd_sweep(args) -> int:
         raise CliError(
             f"unknown sweep builtin {args.builtin!r}; expected wedge:countable or zinf:<m>"
         )
-    sweep = truncation_sweep(family, caps)
+    sweep = assembly.truncation_sweep(family, caps)
     if args.format == "json":
         print(jsonio.dumps(jsonio.sweep_to_json(sweep)))
     else:
@@ -384,8 +365,9 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit
         return code
-    except (CliError, SchemaError, AbelianError, AssemblyError, CoarseError, PageError, ValueError,
-            MemoryError) as exc:  # MemoryError: an input too large to allocate
+    except (CliError, ValueError, MemoryError) as exc:
+        # each engine error is a ValueError (naming its class would run its
+        # module); MemoryError: an input too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

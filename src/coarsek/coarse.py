@@ -34,11 +34,11 @@ from math import floor, lcm
 from operator import sub
 from typing import Sequence
 
+from . import assembly
 from .abelian import FgAbGroup
-from .assembly import MvInput
 
 
-class CoarseError(Exception):
+class CoarseError(ValueError):
     pass
 
 
@@ -151,7 +151,7 @@ def zinf_block_family(m: int) -> list[BlockySpace]:
     ]
 
 
-def _blocky_mv_input(spaces: Sequence[BlockySpace], cap: int) -> MvInput:
+def _blocky_mv_input(spaces: Sequence[BlockySpace], cap: int) -> assembly.MvInput:
     """Input of a blocky cover: the K-theory of every index set of size
     <= cap + 1 whose meet is not flasque (has no ray factor).
 
@@ -188,21 +188,21 @@ def _blocky_mv_input(spaces: Sequence[BlockySpace], cap: int) -> MvInput:
             below(j + (i,), pos & sides[i][0], neg & sides[i][1])
 
     below((), full, full)
-    return MvInput(tuple(range(len(spaces))), cap, table)
+    return assembly.MvInput(tuple(range(len(spaces))), cap, table)
 
 
-def rn_mv_input(n: int) -> MvInput:
+def rn_mv_input(n: int) -> assembly.MvInput:
     """Mayer-Vietoris input for the block decomposition of Z^n."""
     return _blocky_mv_input(block_decomposition(n), n)
 
 
-def zinf_mv_input(m: int, cap: int) -> MvInput:
+def zinf_mv_input(m: int, cap: int) -> assembly.MvInput:
     """Truncated input for the countable block family; exact because every
     finite intersection is provably flasque, at any cap."""
     return _blocky_mv_input(zinf_block_family(m), min(cap, m))
 
 
-def wedge_mv_input(k: int, truncated: bool = False) -> MvInput:
+def wedge_mv_input(k: int, truncated: bool = False) -> assembly.MvInput:
     """Input for a wedge of k rays covered by the base ray and k - 1
     base-plus-one-ray pieces.
 
@@ -215,7 +215,7 @@ def wedge_mv_input(k: int, truncated: bool = False) -> MvInput:
     if k < 1:
         raise ValueError("wedge cover needs at least one ray")
     table = {(b,): {0: _0, 1: _Z} for b in range(1, k)}
-    return MvInput(tuple(range(k)), k - 1, table, truncated_at=k if truncated else None)
+    return assembly.MvInput(tuple(range(k)), k - 1, table, truncated_at=k if truncated else None)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,8 @@ from itertools import combinations
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
+from . import assembly, coarse, pages
 from .abelian import FgAbGroup, IncompatibleShapes, IntMatrix, decimal_str
-from .assembly import DegreeReport, FiltrationReport, IdealChainInput, MvInput, SweepReport
-from .coarse import BlockySpace, Factor
-from .pages import CountableRank, Page, first_page
 
 
 class SchemaError(ValueError):
@@ -40,6 +38,15 @@ def _need(obj: Any, key: str, where: str = "") -> Any:
     if key not in obj:
         raise SchemaError(f"{where}.{key}: missing" if where else f"{key}: missing")
     return obj[key]
+
+
+def _known(obj: Any, keys: tuple[str, ...], where: str = "") -> None:
+    """A SchemaError naming the path unless ``obj`` is an object with no key
+    outside ``keys``: a misspelled key would read as absent."""
+    for key in _typed(obj, dict, where or "input"):
+        if key not in keys:
+            at = f"{where}.{key}" if where else key
+            raise SchemaError(f"{at}: unknown key, expected one of {', '.join(keys)}")
 
 
 def _get(obj: Any, key: str, kind: type, where: str = "", default: Any = _REQUIRED) -> Any:
@@ -89,20 +96,21 @@ def _labels(value: Any, where: str) -> list:
     return items
 
 
-def group_to_json(g: FgAbGroup | CountableRank) -> dict:
+def group_to_json(g: FgAbGroup | pages.CountableRank) -> dict:
     return {
-        "free_rank": "countable" if isinstance(g, CountableRank) else g.free_rank,
+        "free_rank": "countable" if isinstance(g, pages.CountableRank) else g.free_rank,
         "torsion": list(g.torsion),
     }
 
 
-def group_from_json(obj: Any, where: str = "group") -> FgAbGroup | CountableRank:
+def group_from_json(obj: Any, where: str = "group") -> FgAbGroup | pages.CountableRank:
+    _known(obj, ("free_rank", "torsion"), where)
     rank = _need(obj, "free_rank", where)
     torsion = tuple(_ints(obj.get("torsion", []), f"{where}.torsion"))
     if rank != "countable" and (type(rank) is not int or rank < 0):
         raise SchemaError(f"{where}.free_rank: expected a nonnegative integer or 'countable', got {rank!r}")
     try:
-        return CountableRank(torsion) if rank == "countable" else FgAbGroup(rank, torsion)
+        return pages.CountableRank(torsion) if rank == "countable" else FgAbGroup(rank, torsion)
     except ValueError as exc:
         raise SchemaError(f"{where}.torsion: {exc}") from exc
 
@@ -116,6 +124,7 @@ def matrix_from_json(obj: Any, where: str = "matrix") -> IntMatrix:
         if isinstance(obj, list):
             return IntMatrix.from_rows([_ints(row, f"{where}[{i}]") for i, row in enumerate(obj)])
         if isinstance(obj, dict) and {"rows", "cols", "entries"} <= obj.keys():
+            _known(obj, ("rows", "cols", "entries"), where)
             rows, cols = (_get(obj, key, int, where) for key in ("rows", "cols"))
             return IntMatrix(rows, cols, tuple(_ints(obj["entries"], f"{where}.entries")))
     except IncompatibleShapes as exc:
@@ -137,6 +146,7 @@ def _d1_from_json(obj: dict, period: int) -> dict[tuple[int, int], IntMatrix]:
     d1 = obj.get("d1")
     for i, item in enumerate([] if d1 is None else _typed(d1, list, "d1")):
         at = f"d1[{i}]"
+        _known(item, ("from", "matrix"), at)
         key = _ints(_need(item, "from", at), f"{at}.from")
         if len(key) != 2:
             raise SchemaError(f"{at}.from: expected [p, q], got {key}")
@@ -145,18 +155,21 @@ def _d1_from_json(obj: dict, period: int) -> dict[tuple[int, int], IntMatrix]:
     return out
 
 
-def page_from_json(obj: Any, default_period: int = 2) -> Page:
+def page_from_json(obj: Any, default_period: int = 2) -> pages.Page:
+    _known(obj, ("kind", "period", "cap", "cells", "d1"))
     cap = _size(_need(obj, "cap"), "cap")
     period = _period(obj, default_period)
     parts: dict[tuple[int, int], list[FgAbGroup]] = {}
     for i, cell in enumerate(_get(obj, "cells", list, default=[])):
         at = f"cells[{i}]"
+        _known(cell, ("p", "q", "group"), at)
         key = (_get(cell, "p", int, at), _get(cell, "q", int, at) % period)
         _add(parts, key, [group_from_json(_need(cell, "group", at), f"{at}.group")], at)
-    return first_page(cap, period, parts, _d1_from_json(obj, period))
+    return pages.first_page(cap, period, parts, _d1_from_json(obj, period))
 
 
-def mv_from_json(obj: Any, default_period: int = 2) -> MvInput:
+def mv_from_json(obj: Any, default_period: int = 2) -> assembly.MvInput:
+    _known(obj, ("kind", "period", "labels", "cap", "mode", "truncated_at", "intersections", "d1"))
     labels = tuple(_labels(_need(obj, "labels"), "labels"))
     period = _period(obj, default_period)
     truncated_at = obj.get("truncated_at")
@@ -168,6 +181,7 @@ def mv_from_json(obj: Any, default_period: int = 2) -> MvInput:
     inter: dict[tuple, dict[int, FgAbGroup]] = {}
     for i, item in enumerate(_get(obj, "intersections", list, default=[])):
         at = f"intersections[{i}]"
+        _known(item, ("J", "k"), at)
         graded: dict[int, FgAbGroup] = {}
         for q, g in _get(item, "k", dict, at).items():
             deg = _degree(q, f"{at}.k") % period
@@ -183,7 +197,7 @@ def mv_from_json(obj: Any, default_period: int = 2) -> MvInput:
     cap = _get(obj, "cap", int, default=top)
     if not 0 <= cap <= top:
         raise SchemaError(f"cap: expected 0..{top}, got {cap}")
-    inp = MvInput(
+    inp = assembly.MvInput(
         labels=labels,
         cap=cap,
         intersections=inter,
@@ -199,12 +213,14 @@ def mv_from_json(obj: Any, default_period: int = 2) -> MvInput:
     return inp
 
 
-def ideal_chain_from_json(obj: Any, default_period: int = 2) -> IdealChainInput:
+def ideal_chain_from_json(obj: Any, default_period: int = 2) -> assembly.IdealChainInput:
+    _known(obj, ("kind", "period", "length", "default_zero", "groups", "d1"))
     length = _size(_need(obj, "length"), "length")
     period = _period(obj, default_period)
     groups: dict[tuple[int, int], FgAbGroup] = {}
     for i, item in enumerate(_get(obj, "groups", list, default=[])):
         at = f"groups[{i}]"
+        _known(item, ("p", "s", "group"), at)
         p = _get(item, "p", int, at)
         if not 0 <= p <= length:
             raise SchemaError(f"{at}.p: {p} lies outside 0..{length}")
@@ -217,28 +233,29 @@ def ideal_chain_from_json(obj: Any, default_period: int = 2) -> IdealChainInput:
             if (p, s) not in groups and not default_zero:
                 raise SchemaError(f"no K-group declared at (p={p}, s={s})")
             groups.setdefault((p, s), FgAbGroup.zero())
-    return IdealChainInput(length=length, period=period, groups=groups, d1=d1)
+    return assembly.IdealChainInput(length=length, period=period, groups=groups, d1=d1)
 
 
-def blocky_from_json(obj: Any, where: str = "space") -> BlockySpace:
-    names = {f.value: f for f in Factor}
+def blocky_from_json(obj: Any, where: str = "space") -> coarse.BlockySpace:
+    _known(obj, ("factors",), where)
+    names = {f.value: f for f in coarse.Factor}
     factors = _get(obj, "factors", list, where)
     if not factors:
         raise SchemaError(f"{where}.factors: expected at least one factor, got []")
     for i, x in enumerate(factors):
         if not isinstance(x, str) or x not in names:
             raise SchemaError(f"{where}.factors[{i}]: expected one of {sorted(names)}, got {x!r}")
-    return BlockySpace(tuple(names[x] for x in factors))
+    return coarse.BlockySpace(tuple(names[x] for x in factors))
 
 
-def cover_from_json(obj: Any) -> list[BlockySpace]:
+def cover_from_json(obj: Any) -> list[coarse.BlockySpace]:
     """An ``excision --cover`` file: a nonempty list of blocky spaces."""
     if not _typed(obj, list, "cover"):
         raise SchemaError("cover: expected at least one space, got []")
     return [blocky_from_json(item, f"cover[{i}]") for i, item in enumerate(obj)]
 
 
-def report_to_json(report: FiltrationReport) -> dict:
+def report_to_json(report: assembly.FiltrationReport) -> dict:
     payload = {
         "period": report.period,
         "cap": report.cap,
@@ -265,7 +282,7 @@ def report_to_json(report: FiltrationReport) -> dict:
     return payload
 
 
-def _degree_line(d: DegreeReport, verbose: bool) -> str:
+def _degree_line(d: assembly.DegreeReport, verbose: bool) -> str:
     if d.ambiguous:
         pieces = ", ".join(f"p={p}: {g}" for p, g in d.nonzero_pieces)
         return f"K_{d.degree} = ambiguous extension; pieces: {pieces}"
@@ -276,7 +293,7 @@ def _degree_line(d: DegreeReport, verbose: bool) -> str:
     return line
 
 
-def report_to_table(report: FiltrationReport, verbose: bool = False) -> str:
+def report_to_table(report: assembly.FiltrationReport, verbose: bool = False) -> str:
     lines = [
         f"spectral run: period={report.period} cap={report.cap} "
         f"stabilized at page {report.stabilized_at}"
@@ -295,7 +312,7 @@ def report_to_table(report: FiltrationReport, verbose: bool = False) -> str:
     return "\n".join(lines)
 
 
-def sweep_to_json(sweep: SweepReport) -> dict:
+def sweep_to_json(sweep: assembly.SweepReport) -> dict:
     return {
         "caps": list(sweep.caps),
         "reports": {str(c): report_to_json(sweep.reports[c]) for c in sweep.caps},
@@ -309,7 +326,7 @@ def sweep_to_json(sweep: SweepReport) -> dict:
     }
 
 
-def sweep_to_table(sweep: SweepReport, verbose: bool = False) -> str:
+def sweep_to_table(sweep: assembly.SweepReport, verbose: bool = False) -> str:
     lines = []
     for cap in sweep.caps:
         rep = sweep.reports[cap]

@@ -31,7 +31,7 @@ from .abelian import (
 )
 
 
-class PageError(Exception):
+class PageError(ValueError):
     pass
 
 

@@ -550,6 +550,48 @@ def test_excision_imports_numpy_only_for_a_grid(argv):
     assert done.stdout == "False\n"
 
 
+def _modules_run_by(argv):
+    """Exit code of ``main(argv)`` in a fresh interpreter, and the coarsek
+    modules it ran, with "fractions" when that was imported.  ``type`` does
+    not run a lazily registered module, and tells a run one by its class."""
+    script = (
+        "import contextlib, io, json, sys, types\n"
+        "from coarsek.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "ran = [n for n, m in sys.modules.items() if n.startswith('coarsek') and type(m) is types.ModuleType]\n"
+        "print(json.dumps([code, sorted(ran + ['fractions'] * ('fractions' in sys.modules))]))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+    )
+    code, ran = json.loads(done.stdout)
+    return code, set(ran)
+
+
+def test_snf_runs_only_cli_abelian_and_jsonio():
+    code, ran = _modules_run_by(["snf", "--matrix", "[[2,4],[6,8]]"])
+    assert code == 0
+    assert ran == {"coarsek", "coarsek.abelian", "coarsek.jsonio", "coarsek.cli"}
+
+
+@pytest.mark.parametrize(
+    "argv, skipped",
+    [
+        (["excision", "--builtin", "rn:1", "--radius", "1"], {"coarsek.assembly", "coarsek.pages"}),
+        (["run", "--input", str(GOLDEN / "inputs" / "readme_page.json")], {"coarsek.coarse", "coarsek.simplex"}),
+        (["simplex", "verify", "--dim", "2", "--samples", "5"], {"coarsek.pages"}),
+    ],
+    ids=["excision", "run-page", "simplex"],
+)
+def test_subcommands_skip_the_modules_they_do_not_read(argv, skipped):
+    code, ran = _modules_run_by(argv)
+    assert code == 0
+    assert ran.isdisjoint(skipped), ran & skipped
+
+
 def test_excision_goldens_run_without_numpy():
     # every subset is decided by a search on Python integers, so with numpy
     # unimportable each excision golden still prints its pinned bytes
@@ -1068,6 +1110,71 @@ def test_schema_errors():
         ({"kind": "page", "cap": 0, "period": 0}, "period: expected 2 or 8, got 0"),
         ({"kind": "mv", "labels": [0], "period": 0}, "period: expected 2 or 8, got 0"),
         ({"kind": "ideal_chain", "length": 0, "period": 0}, "period: expected 2 or 8, got 0"),
+        # a misspelled key would read as absent, so every object refuses a key
+        # outside its schema
+        (
+            {"kind": "page", "cap": 1, "cels": [{"p": 0, "q": 0, "group": {"free_rank": 1}}]},
+            "cels: unknown key, expected one of kind, period, cap, cells, d1",
+        ),
+        (
+            {"kind": "page", "cap": 0, "cells": [{"p": 0, "q": 0, "qq": 1, "group": {"free_rank": 1}}]},
+            "cells[0].qq: unknown key, expected one of p, q, group",
+        ),
+        (
+            {"kind": "page", "cap": 0, "cells": [{"p": 0, "q": 0, "group": {"free_rank": 1, "torsoin": [2]}}]},
+            "cells[0].group.torsoin: unknown key, expected one of free_rank, torsion",
+        ),
+        (
+            {
+                "kind": "page",
+                "cap": 1,
+                "cells": [{"p": p, "q": 0, "group": {"free_rank": 1}} for p in (0, 1)],
+                "d1": [{"from": [1, 0], "to": [0, 0], "matrix": [[1]]}],
+            },
+            "d1[0].to: unknown key, expected one of from, matrix",
+        ),
+        (
+            {
+                "kind": "page",
+                "cap": 1,
+                "cells": [{"p": p, "q": 0, "group": {"free_rank": 1}} for p in (0, 1)],
+                "d1": [{"from": [1, 0], "matrix": {"rows": 1, "cols": 1, "entries": [1], "shape": [1, 1]}}],
+            },
+            "d1[0].matrix.shape: unknown key, expected one of rows, cols, entries",
+        ),
+        (
+            {"kind": "mv", "labels": [0], "intersection": []},
+            "intersection: unknown key, expected one of kind, period, labels, cap, mode, truncated_at, intersections, d1",
+        ),
+        (
+            {"kind": "mv", "labels": [0], "intersections": [{"J": [0], "K": {}}]},
+            "intersections[0].K: unknown key, expected one of J, k",
+        ),
+        (
+            {"kind": "ideal_chain", "length": 0, "default_zero": True, "d_1": []},
+            "d_1: unknown key, expected one of kind, period, length, default_zero, groups, d1",
+        ),
+        (
+            {"kind": "ideal_chain", "length": 0, "default_zero": True, "groups": [{"p": 0, "q": 0, "group": {"free_rank": 1}}]},
+            "groups[0].q: unknown key, expected one of p, s, group",
+        ),
+        # the engine's own refusals end the same way: an AbelianError
+        # (IncompatibleShapes) and an AssemblyError (CapTooSmall); the rows
+        # cell-outside-support and d-o-d-nonzero end in a PageError, and
+        # test_bad_cover_is_one_error_line's mixed-dimensions in a CoarseError
+        (
+            {
+                "kind": "page",
+                "cap": 1,
+                "cells": [{"p": p, "q": 0, "group": {"free_rank": 1}} for p in (0, 1)],
+                "d1": [{"from": [1, 0], "matrix": [[1, 1]]}],
+            },
+            "d1 at (1, 0): expected 1x1 on concatenated summand generators, got 1x2",
+        ),
+        (
+            {"kind": "mv", "labels": [0, 1], "cap": 0, "intersections": [{"J": [0], "k": {"0": {"free_rank": 1}}}, {"J": [1], "k": {}}]},
+            "nonzero group at the cap boundary p=0; raise the cap or mark the run as truncated",
+        ),
     ],
     ids=[
         "mv-no-labels", "page-no-cap", "top-level-list", "cell-no-group", "bool-free-rank",
@@ -1085,6 +1192,9 @@ def test_schema_errors():
         "empty-J", "short-d1-from", "mv-cap-past-labels", "mv-negative-cap",
         "mv-cap-past-empty-labels", "page-period-3", "mv-period-3",
         "ideal-chain-period-3", "page-period-0", "mv-period-0", "ideal-chain-period-0",
+        "page-unknown-key", "cell-unknown-key", "group-unknown-key", "d1-item-unknown-key",
+        "matrix-unknown-key", "mv-unknown-key", "intersection-unknown-key", "ideal-chain-unknown-key",
+        "groups-item-unknown-key", "d1-wrong-shape", "mv-cap-too-small",
     ],
 )
 def test_bad_input_is_one_error_line(capsys, tmp_path, payload, message):
@@ -1161,8 +1271,12 @@ def test_degrees_reduce_modulo_the_period(capsys, tmp_path):
             "cover[0].factors[1]: expected one of ['full', 'nonneg', 'nonpos', 'zero'], got 'up'",
         ),
         ([{"factors": ["nonneg"]}, {"factors": ["nonpos", "full"]}], "cover sets of different dimensions"),
+        ([{"factors": ["nonneg"], "dim": 1}], "cover[0].dim: unknown key, expected one of factors"),
     ],
-    ids=["int", "empty", "str-item", "no-factors", "str-factors", "no-factor", "unknown-factor", "mixed-dimensions"],
+    ids=[
+        "int", "empty", "str-item", "no-factors", "str-factors", "no-factor", "unknown-factor", "mixed-dimensions",
+        "unknown-key",
+    ],
 )
 def test_bad_cover_is_one_error_line(capsys, tmp_path, cover, message):
     path = tmp_path / "cover.json"
