@@ -2,11 +2,12 @@
 
 Every finite intersection keeps a nonpositive half-ray factor and is
 flasque, so the whole first page vanishes regardless of the truncation
-prefix m <= 30 or the index-set cap.  The first-page walk proves every
-index set flasque without listing them, so m = 30 at cap 30 runs in
-milliseconds.  The CLI sweep over caps 1..30 of zinf:30 walks its cover
-once and must report K_0 and K_1 stable from cap 1.  The script exits
-nonzero if any first page is nonzero or the sweep says otherwise.
+prefix m <= 30 or the index-set cap, and the run ends on it without a
+turn.  The first-page walk proves every index set flasque without
+listing them, so m = 30 at cap 30 runs in milliseconds.  The CLI sweep
+over caps 1..30 of zinf:30 walks its cover once and must report K_0 and
+K_1 stable from cap 1.  The script exits nonzero if any first page is
+nonzero, any run turns a page, or the sweep says otherwise.
 """
 
 import contextlib
@@ -26,7 +27,7 @@ if __name__ == "__main__":
             cells = sum(1 for _ in run.first_page.cells)
             print(f"{m:>2} {cap:>4} {str(report.degree(0).assembled):>4} "
                   f"{str(report.degree(1).assembled):>4} {cells:>18}")
-            assert cells == 0, (m, cap)
+            assert cells == 0 and len(run.pages) == 1, (m, cap)
 
     argv = ["sweep", "--builtin", "zinf:30", "--caps", "1..30"]
     out = io.StringIO()

@@ -457,13 +457,6 @@ class FgAbGroup:
                 return False
         return True
 
-    def reduce_element(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """Canonical representative: torsion coordinates reduced mod d_i."""
-        out = list(int(x) for x in vec)
-        for i, d in enumerate(self.torsion):
-            out[self.free_rank + i] %= d
-        return tuple(out)
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"

@@ -176,9 +176,10 @@ def assemble_target(run: SpectralRun) -> FiltrationReport:
     is free, so anything else leaves the degree unassembled (ambiguous) with
     the full piece list left to the reader.
     """
+    first = run.first_page
     degrees = []
-    for s in range(run.period):
-        pieces = tuple((p, run.e_infinity_at(p, s - p)) for p in range(run.cap + 1))
+    for s in range(first.period):
+        pieces = tuple((p, run.e_infinity_at(p, s - p)) for p in range(first.cap + 1))
         assembled: FgAbGroup | CountableRank | None = FgAbGroup.zero()
         for _, piece in pieces:
             if piece.is_zero:
@@ -191,10 +192,9 @@ def assemble_target(run: SpectralRun) -> FiltrationReport:
                 assembled = None
                 break
         degrees.append(DegreeReport(s, pieces, assembled))
-    first = run.first_page
     return FiltrationReport(
-        period=run.period,
-        cap=run.cap,
+        period=first.period,
+        cap=first.cap,
         stabilized_at=run.stabilized_at,
         d1_assumed_zero=first.d1_defaulted,
         truncated_at=first.truncated_at,

@@ -7,8 +7,10 @@ on page 1 the concatenated summand generators, after that the basis its
 last cut left.  Turning a page reads boundary coordinates straight off
 the cells, so it is plain lattice arithmetic with no solving.
 
-Because all nonzero groups sit in the half plane p >= 0, every
-differential beyond page cap+1 exits the support, so E^{cap+2} = E^infty.
+A page keeps only its nonzero differentials, and one with none passes
+every cell on unchanged: it and every later page are E^infty.  All
+nonzero groups sit in the half plane p >= 0, so every d^r with r > cap
+exits the support.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ class Page:
     """One page of the spectral sequence; treat as an immutable value.
 
     Cells absent from ``cells`` and ``countable`` are the zero group.
-    ``diffs[(p, q)]`` is the differential leaving (p, q) for
+    ``diffs[(p, q)]`` is the nonzero differential leaving (p, q) for
     (p - r, q + r - 1 mod period).  ``countable`` holds the countable-rank
     cells, set aside by ``first_page``: no differential touches them, so
     they pass unchanged to E^infty.  Build first pages with ``first_page``.
@@ -162,8 +164,9 @@ def _install_diffs(page: Page, matrices: Mapping[tuple[int, int], IntMatrix] | N
     column per concatenated summand generator of the source, a row per one
     of the target, and none for an absent cell.  A later d^r acts on the
     generators of the E^r cell groups, and is skipped when it has a dead
-    end.  Last, each d o d, as the product of the two matrices, must be
-    zero in the group it lands in, so that the page has homology.
+    end.  A map that passes these checks is stored unless it is zero.
+    Last, each d o d, as the product of the two matrices, must be zero in
+    the group it lands in, so that the page has homology.
     """
     first = page.r == 1
     for (p, q), matrix in (matrices or {}).items():
@@ -184,7 +187,9 @@ def _install_diffs(page: Page, matrices: Mapping[tuple[int, int], IntMatrix] | N
                 f"{name}: expected {shape[0]}x{shape[1]} on {basis} generators, got {matrix.rows}x{matrix.cols}"
             )
         if src and tgt:
-            page.diffs[key] = _induce_hom(matrix, src, tgt, name, first)
+            h = _induce_hom(matrix, src, tgt, name, first)
+            if not h.is_zero_map():
+                page.diffs[key] = h
     for key in sorted(page.diffs):
         tkey = page.target_key(*key)
         if tkey in page.diffs:
@@ -201,15 +206,17 @@ def _induce_hom(matrix: IntMatrix, src: SubquotientCell, tgt: SubquotientCell, n
     every vector is a cycle and x is a boundary exactly when
     ``tgt.proj @ x`` is zero in the target group.  So d1 is well defined
     once each source boundary goes to zero there, and
-    ``tgt.proj @ matrix @ src.gens`` holds the generators' images.
+    ``tgt.proj @ matrix @ src.gens`` holds the generators' images, whose
+    torsion rows are then reduced mod their orders.
     """
     if first:
         to_group = tgt.proj @ matrix
         if not tgt.group.columns_vanish(to_group @ src.boundaries):
             raise InducedMapIllDefined(f"{name}: boundaries are not carried into boundaries")
         images = to_group @ src.gens
-        cols = [tgt.group.reduce_element(images.column(j)) for j in range(images.cols)]
-        matrix = IntMatrix.from_columns(cols, tgt.group.gen_count)
+        k, free = images.cols, tgt.group.free_rank * images.cols
+        torsion = (x % tgt.group.torsion[i // k] for i, x in enumerate(images.entries[free:]))
+        matrix = IntMatrix(images.rows, k, images.entries[:free] + tuple(torsion))
     try:
         return GroupHom(src.group, tgt.group, matrix)
     except IncompatibleShapes as exc:
@@ -248,24 +255,23 @@ def _cut_cycles(
 def turn_page(page: Page, injected: Mapping[tuple[int, int], IntMatrix] | None = None) -> Page:
     """Homology of every cell under the current differentials.
 
-    A cell whose maps in and out are zero has E^{r+1} = E^r and passes
+    A cell with no map in or out has E^{r+1} = E^r and passes
     through as the same object, without a new Smith normal form.  Within
     the turn no matrix is factored twice, so a differential out of a cell
     whose generators are its cycle basis, into a free cell with no
     boundaries, is factored once for both ends.
 
-    The next page's differentials default to zero; ``injected`` is the
+    The next page has no differentials by default; ``injected`` is the
     documented escape hatch for supplying d^{r+1} as matrices on the
     generators of the E^{r+1} cell groups (used by tests; the engine itself
     never invents higher differentials).  A map that is not well defined,
     or a nonzero d o d, raises InducedMapIllDefined.
     """
     factor = cache(smith_normal_form)
-    live = {key: h for key, h in page.diffs.items() if not h.is_zero_map()}
     new_cells: dict[tuple[int, int], SubquotientCell] = {}
     for (p, q), cell in page.cells.items():
-        out_h = live.get((p, q))
-        in_h = live.get(page.source_key(p, q))
+        out_h = page.diffs.get((p, q))
+        in_h = page.diffs.get(page.source_key(p, q))
         if out_h is None and in_h is None:
             new_cells[(p, q)] = cell
             continue
@@ -283,41 +289,39 @@ def turn_page(page: Page, injected: Mapping[tuple[int, int], IntMatrix] | None =
 
 @dataclass
 class SpectralRun:
-    """Record of a full run: pages 1..cap+2, the limit page, stabilization."""
+    """Record of a full run: pages 1, 2, ... up to the first still one, E^infty."""
 
     pages: list[Page]
-    e_infinity: dict[tuple[int, int], FgAbGroup | CountableRank]
     stabilized_at: int
-    period: int
-    cap: int
 
     @property
     def first_page(self) -> Page:
         return self.pages[0]
 
+    @property
+    def e_infinity(self) -> dict[tuple[int, int], FgAbGroup | CountableRank]:
+        final = self.pages[-1]
+        return {**final.countable, **{key: cell.group for key, cell in final.cells.items()}}
+
     def e_infinity_at(self, p: int, q: int) -> FgAbGroup | CountableRank:
-        return self.e_infinity.get((p, q % self.period), FgAbGroup.zero())
+        return self.pages[-1].cell_group(p, q)
 
 
 def run_to_infinity(
     page1: Page,
     injected_by_page: Mapping[int, Mapping[tuple[int, int], IntMatrix]] | None = None,
 ) -> SpectralRun:
-    """Iterate turn_page until every differential has exited the support.
+    """Turn pages until one has no differential and no injected page is ahead.
 
-    For support cap P that happens at page P+2 at the latest, so the last
-    computed page equals E^infty.  ``stabilized_at`` is one more than the
-    last page with a nonzero differential, or 1 when there is none: a page
-    whose maps are all zero passes every cell on unchanged.
+    That last page is E^infty: it passes every cell on unchanged, and so
+    does every page after it.  Injected maps for pages past cap+2 are
+    ignored, since every differential there exits the support.
+    ``stabilized_at`` is one more than the last page with a nonzero
+    differential, or 1 when there is none.
     """
+    injected_by_page = injected_by_page or {}
+    ahead = max((r for r in injected_by_page if r <= page1.cap + 2), default=1)
     pages = [page1]
-    last = page1.cap + 2
-    while pages[-1].r < last:
-        nxt_injected = None
-        if injected_by_page:
-            nxt_injected = injected_by_page.get(pages[-1].r + 1)
-        pages.append(turn_page(pages[-1], nxt_injected))
-    live = [page.r for page in pages if not all(h.is_zero_map() for h in page.diffs.values())]
-    final = pages[-1]
-    e_inf = {**final.countable, **{key: cell.group for key, cell in final.cells.items()}}
-    return SpectralRun(pages, e_inf, max(live, default=0) + 1, page1.period, page1.cap)
+    while pages[-1].diffs or pages[-1].r < ahead:
+        pages.append(turn_page(pages[-1], injected_by_page.get(pages[-1].r + 1)))
+    return SpectralRun(pages, max((page.r for page in pages if page.diffs), default=0) + 1)

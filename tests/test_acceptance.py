@@ -155,12 +155,14 @@ def test_criterion_05_collapse_bound(capsys):
         cap = rng.randint(0, 5)
         page = _random_page(rng, cap)
         run = run_to_infinity(page)
-        assert run.pages[-1].r == cap + 2
-        beyond = turn_page(run.pages[-1])
-        assert cells_isomorphic(run.pages[-1], beyond)
+        assert run.pages[-1].r <= cap + 2
+        beyond = [run.pages[-1]]
+        while beyond[-1].r < cap + 3:
+            beyond.append(turn_page(beyond[-1]))
+            assert cells_isomorphic(run.pages[-1], beyond[-1])
         assert run.stabilized_at <= cap + 2
     with capsys.disabled():
-        _report(5, "200 random first pages, cap <= 5: E^{P+2} = E^{P+3} cellwise")
+        _report(5, "200 random first pages, cap <= 5: each run ends by E^{P+2}, and its last page = E^{P+3} cellwise")
 
 
 def test_criterion_06_snf_properties(capsys):

@@ -9,11 +9,18 @@ output change with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and review the diff of ``tests/golden/`` before committing it.
+and review the diff of ``tests/golden/`` before committing it.  With the
+package installed,
+
+    python tests/test_golden.py --entry-point
+
+runs every case and format through the installed ``coarsek`` command
+instead, checks its exit code and compares its output byte for byte.
 """
 
 import contextlib
 import io
+import subprocess
 import sys
 from pathlib import Path
 
@@ -89,12 +96,30 @@ CASES = {
 AMBIGUOUS = {"bench-page", "bench-ideal-chain", "bench-mv"}
 
 
+def _exit_code(case: str) -> int:
+    return 2 if case in AMBIGUOUS else 0
+
+
 def _output(case: str, fmt: str) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(FORMATS[fmt] + CASES[case])
-    assert code == (2 if case in AMBIGUOUS else 0), (case, fmt, code)
+    assert code == _exit_code(case), (case, fmt, code)
     return out.getvalue()
+
+
+def _entry_point_mismatches() -> list[str]:
+    """Each case and format whose installed ``coarsek`` run exits or prints
+    otherwise than its golden file says."""
+    bad = []
+    for case in CASES:
+        for fmt in FORMATS:
+            proc = subprocess.run(["coarsek", *FORMATS[fmt], *CASES[case]], capture_output=True)
+            if proc.returncode != _exit_code(case):
+                bad.append(f"{case}.{fmt}: exit {proc.returncode}, expected {_exit_code(case)}")
+            elif proc.stdout != (GOLDEN / f"{case}.{fmt}").read_bytes():
+                bad.append(f"{case}.{fmt}: output differs from tests/golden/{case}.{fmt}")
+    return bad
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -104,6 +129,10 @@ def test_golden_output(case, fmt):
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--entry-point"]:
+        mismatches = _entry_point_mismatches()
+        print("\n".join(mismatches) or f"{len(CASES) * len(FORMATS)} entry-point goldens match")
+        sys.exit(1 if mismatches else 0)
     formats = sys.argv[1:] or list(FORMATS)
     for case in CASES:
         for fmt in formats:

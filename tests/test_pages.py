@@ -246,10 +246,11 @@ def test_injected_d2_out_of_cut_cycles_matches_oracles():
         run = run_to_infinity(page1, {2: {(2, 0): d2.matrix}})
         page2 = run.pages[1]
         _check_generator_sections(run.pages)
-        if not d2.is_zero_map():
-            cut += (2, 0) in page1.diffs and not page1.diffs[(2, 0)].is_zero_map()
+        assert ((2, 0) in page2.diffs) == (not d2.is_zero_map())
+        if (2, 0) in page2.diffs:
+            assert page2.diffs[(2, 0)] == d2
+            cut += (2, 0) in page1.diffs
             lifted += _lands_on_torsion(page2, (2, 0))
-        assert page2.diffs[(2, 0)] == d2
         assert run.e_infinity_at(2, 0) == oracle_hom_kernel(d2)
         assert run.e_infinity_at(1, 0) == oracle_presented_cokernel(d1, _orders(g1))
         assert run.e_infinity_at(0, 1) == oracle_hom_cokernel(d2)
@@ -340,6 +341,55 @@ def test_empty_page_is_valid_and_stabilizes_at_one():
         assert not run.e_infinity
 
 
+def test_a_page_with_no_differential_is_the_whole_run():
+    # a first page with no differential is E^infinity, whatever the cap
+    run = run_to_infinity(_page(100000, {(100000, 1): Z}))
+    assert len(run.pages) == 1 and run.stabilized_at == 1
+    assert run.e_infinity_at(100000, 1) == Z
+
+
+def test_run_ends_at_the_first_still_page():
+    page = _page(1, {(1, 0): Z, (0, 0): Z}, d1={(1, 0): IntMatrix.from_rows([[2]])})
+    run = run_to_infinity(page)
+    assert [pg.r for pg in run.pages] == [1, 2] and run.stabilized_at == 2
+    assert not run.pages[-1].diffs
+
+
+def test_injected_pages_up_to_cap_plus_two_keep_the_run_turning():
+    page = _page(2, {(2, 0): Z, (0, 1): Z})
+    d = IntMatrix.from_rows([[3]])
+    run = run_to_infinity(page, {2: {(2, 0): d}})
+    assert [pg.r for pg in run.pages] == [1, 2, 3] and run.stabilized_at == 3
+    # a d4 exits the support and is skipped, but page 4 = cap + 2 is still
+    # turned to; maps for later pages are ignored
+    assert [pg.r for pg in run_to_infinity(page, {4: {(2, 0): d}}).pages] == [1, 2, 3, 4]
+    assert len(run_to_infinity(page, {5: {(2, 0): d}}).pages) == 1
+
+
+def test_zero_d1_gets_every_check_but_is_not_stored():
+    # [[2]] from Z onto Z/2 is the zero map: checked, then left out
+    z2 = FgAbGroup(0, (2,))
+    groups = {(2, 0): Z, (1, 0): z2, (0, 0): Z}
+    two = IntMatrix.from_rows([[2]])
+    page = _page(2, groups, d1={(2, 0): two})
+    assert page.diffs == {} and not page.d1_defaulted
+    assert len(run_to_infinity(page).pages) == 1
+    with pytest.raises(IncompatibleShapes, match="outside the support"):
+        _page(2, groups, d1={(3, 0): two})
+    with pytest.raises(IncompatibleShapes, match="expected 1x1"):
+        _page(2, groups, d1={(2, 0): IntMatrix.from_rows([[2, 0]])})
+    # a page holding the zero map still refuses a nonzero d o d elsewhere
+    chain = {**groups, (2, 1): Z, (1, 1): Z, (0, 1): Z}
+    with pytest.raises(InducedMapIllDefined, match=r"^d1 at \(2, 1\): d o d != 0 through \(1, 1\)$"):
+        _page(2, chain, d1={(2, 0): two, (2, 1): IntMatrix.identity(1), (1, 1): IntMatrix.identity(1)})
+    # on Z/2 + Z/3 = Z/6 a row orthogonal to the generator sends it to 0 in
+    # Z, and the boundaries to nonzeros: a zero map that is not well defined
+    parts = {(1, 0): [z2, FgAbGroup(0, (3,))], (0, 0): [Z]}
+    gen = first_page(1, 2, parts).cells[(1, 0)].gens.column(0)
+    with pytest.raises(InducedMapIllDefined, match="boundaries are not carried into boundaries"):
+        first_page(1, 2, parts, {(1, 0): IntMatrix.from_rows([[gen[1], -gen[0]]])})
+
+
 def test_single_column_stabilizes_immediately():
     groups = {(3, q): FgAbGroup(1, (2,)) for q in range(2)}
     run = run_to_infinity(_page(3, groups))
@@ -387,12 +437,15 @@ def test_idempotence_after_stabilization():
 
 
 def test_stabilized_at_matches_a_cellwise_scan():
-    # scan back from the last page while a page has only zero maps and the
-    # same cells as the page after it; that is where the run stabilized
+    # turn the run's pages on to page cap+3, then scan back from the last
+    # while a page has only zero maps and the same cells as the page after
+    # it; that is where the run stabilized
     rng = random.Random(43)
     for _ in range(40):
         run = run_to_infinity(_random_valid_page(rng, cap=rng.randint(0, 4)))
-        pages = run.pages
+        pages = list(run.pages)
+        while pages[-1].r < pages[0].cap + 3:
+            pages.append(turn_page(pages[-1]))
         scan = len(pages)
         while scan > 1 and all(h.is_zero_map() for h in pages[scan - 2].diffs.values()):
             if not cells_isomorphic(pages[scan - 2], pages[scan - 1]):
