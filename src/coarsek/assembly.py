@@ -5,10 +5,11 @@ the K-theory of the p-th subquotient in degree p+q) and a Mayer-Vietoris
 decomposition (cell (p, q) is the direct sum over all (p+1)-fold index
 sets J of the K-theory of the J-fold intersection).
 
-Both inputs are plain tables: an ideal chain lists every subquotient's
-groups, and a Mayer-Vietoris input maps index sets to the K-theory of
-their intersection, a set it leaves out having none.  The readers in
-``jsonio`` check a file for completeness; the builders trust their input.
+Both inputs are plain tables that leave out what is zero: an ideal chain
+maps (p, s) to the degree-s K-group of the p-th subquotient, and a
+Mayer-Vietoris input maps index sets to the K-theory of their
+intersection.  The readers in ``jsonio`` check a file for completeness;
+the builders trust their input.
 
 Differentials on the first page default to zero and that default is
 marked loudly in every report: the engine never fabricates maps.  Both
@@ -45,7 +46,8 @@ class IdealChainInput:
     """K-data of the successive subquotients of a chain of ideals.
 
     ``groups[(p, s)]`` is the degree-s K-group of the p-th subquotient,
-    for every 0 <= p <= length and every s modulo ``period``.
+    for 0 <= p <= length and s modulo ``period``; a group it leaves out is
+    zero.
     """
 
     length: int
@@ -89,11 +91,7 @@ class MvInput:
 
 def build_ideal_chain_e1(inp: IdealChainInput) -> Page:
     """Cell (p, q) carries the degree-(p+q) K-group of the p-th subquotient."""
-    parts = {
-        (p, q): [inp.groups[(p, (p + q) % inp.period)]]
-        for p in range(inp.length + 1)
-        for q in range(inp.period)
-    }
+    parts = {(p, (s - p) % inp.period): [g] for (p, s), g in inp.groups.items()}
     return first_page(inp.length, inp.period, parts, inp.d1)
 
 
@@ -132,7 +130,8 @@ def build_mv_e1(inp: MvInput) -> Page:
 
 @dataclass(frozen=True)
 class DegreeReport:
-    """Diagonal pieces and, when extensions split, the assembled group."""
+    """Nonzero diagonal pieces by rising p and, when extensions split, the
+    assembled group."""
 
     degree: int
     pieces: tuple[tuple[int, FgAbGroup | CountableRank], ...]
@@ -141,10 +140,6 @@ class DegreeReport:
     @property
     def ambiguous(self) -> bool:
         return self.assembled is None
-
-    @property
-    def nonzero_pieces(self) -> tuple[tuple[int, FgAbGroup | CountableRank], ...]:
-        return tuple((p, g) for p, g in self.pieces if not g.is_zero)
 
 
 @dataclass(frozen=True)
@@ -174,16 +169,17 @@ def assemble_target(run: SpectralRun) -> FiltrationReport:
     Each step is an extension of the piece at filtration level p by the
     group assembled so far; the extension is split only when the new piece
     is free, so anything else leaves the degree unassembled (ambiguous) with
-    the full piece list left to the reader.
+    the full piece list left to the reader.  Only the nonzero cells of
+    E^infty are read, so the cap costs nothing on its own.
     """
     first = run.first_page
+    by_degree: list[list] = [[] for _ in range(first.period)]
+    for (p, q), piece in sorted(run.e_infinity.items()):
+        by_degree[(p + q) % first.period].append((p, piece))
     degrees = []
-    for s in range(first.period):
-        pieces = tuple((p, run.e_infinity_at(p, s - p)) for p in range(first.cap + 1))
+    for s, pieces in enumerate(by_degree):
         assembled: FgAbGroup | CountableRank | None = FgAbGroup.zero()
         for _, piece in pieces:
-            if piece.is_zero:
-                continue
             if assembled.is_zero:
                 assembled = piece
             elif piece.is_free:  # FgAbGroup.direct_sum takes finite groups only
@@ -191,7 +187,7 @@ def assemble_target(run: SpectralRun) -> FiltrationReport:
             else:
                 assembled = None
                 break
-        degrees.append(DegreeReport(s, pieces, assembled))
+        degrees.append(DegreeReport(s, tuple(pieces), assembled))
     return FiltrationReport(
         period=first.period,
         cap=first.cap,
@@ -211,14 +207,15 @@ def assemble_target(run: SpectralRun) -> FiltrationReport:
 class SweepReport:
     """Per-cap snapshots plus the caps at which answers stop changing.
 
-    ``cell_stable_at[(p, q)]`` is the smallest cap from which the first-page
-    cell stays the same for every later cap in the sweep (None if it never
-    settles within the sweep); ``assembled_stable_at`` does the same per
-    target degree.
+    ``e1_cells[cap]`` holds the nonzero first-page cells at that cap.
+    ``cell_stable_at[(p, q)]``, for each cell nonzero at some cap, is the
+    smallest cap from which the cell stays the same for every later cap in
+    the sweep (None if it never settles within the sweep);
+    ``assembled_stable_at`` does the same per target degree.
     """
 
     caps: tuple[int, ...]
-    e1_cells: Mapping[int, Mapping[tuple[int, int], FgAbGroup]]
+    e1_cells: Mapping[int, Mapping[tuple[int, int], FgAbGroup | CountableRank]]
     reports: Mapping[int, FiltrationReport]
     cell_stable_at: Mapping[tuple[int, int], int | None]
     assembled_stable_at: Mapping[int, int | None]
@@ -243,17 +240,14 @@ def _stable_from(values: Sequence, caps: Sequence[int]) -> int | None:
 def truncation_sweep(family: Callable[[int], MvInput], caps: Sequence[int]) -> SweepReport:
     """Run the pipeline once at each distinct cap and report where answers settle."""
     caps = tuple(sorted(set(caps)))
-    e1_cells: dict[int, dict[tuple[int, int], FgAbGroup]] = {}
+    e1_cells: dict[int, dict[tuple[int, int], FgAbGroup | CountableRank]] = {}
     reports: dict[int, FiltrationReport] = {}
     period = None
     for cap in caps:
-        inp = family(cap)
-        page = build_mv_e1(inp)
+        page = build_mv_e1(family(cap))
         period = page.period
-        cells = {key: page.cell_group(*key) for key in page.support()}
-        run = run_to_infinity(page)
-        e1_cells[cap] = cells
-        reports[cap] = assemble_target(run)
+        e1_cells[cap] = page.groups
+        reports[cap] = assemble_target(run_to_infinity(page))
     all_keys = sorted({k for cells in e1_cells.values() for k in cells})
     cell_stable: dict[tuple[int, int], int | None] = {}
     for key in all_keys:

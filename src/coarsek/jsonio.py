@@ -227,12 +227,11 @@ def ideal_chain_from_json(obj: Any, default_period: int = 2) -> assembly.IdealCh
         key = (p, _get(item, "s", int, at) % period)
         _add(groups, key, group_from_json(_need(item, "group", at), f"{at}.group"), at)
     d1 = _d1_from_json(obj, period)
-    default_zero = _get(obj, "default_zero", bool, default=False)
-    for p in range(length + 1):
-        for s in ((p + q) % period for q in range(period)):
-            if (p, s) not in groups and not default_zero:
-                raise SchemaError(f"no K-group declared at (p={p}, s={s})")
-            groups.setdefault((p, s), FgAbGroup.zero())
+    if not _get(obj, "default_zero", bool, default=False):
+        for p in range(length + 1):
+            for s in ((p + q) % period for q in range(period)):
+                if (p, s) not in groups:
+                    raise SchemaError(f"no K-group declared at (p={p}, s={s})")
     return assembly.IdealChainInput(length=length, period=period, groups=groups, d1=d1)
 
 
@@ -284,11 +283,11 @@ def report_to_json(report: assembly.FiltrationReport) -> dict:
 
 def _degree_line(d: assembly.DegreeReport, verbose: bool) -> str:
     if d.ambiguous:
-        pieces = ", ".join(f"p={p}: {g}" for p, g in d.nonzero_pieces)
+        pieces = ", ".join(f"p={p}: {g}" for p, g in d.pieces)
         return f"K_{d.degree} = ambiguous extension; pieces: {pieces}"
     line = f"K_{d.degree} = {d.assembled}"
     if verbose:
-        pieces = ", ".join(f"p={p}: {g}" for p, g in d.nonzero_pieces) or "none"
+        pieces = ", ".join(f"p={p}: {g}" for p, g in d.pieces) or "none"
         line += f"    [pieces: {pieces}]"
     return line
 

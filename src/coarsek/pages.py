@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cache
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .abelian import (
     AbelianError,
@@ -118,10 +118,10 @@ class Page:
         cell = self.cells.get(key)
         return cell.group if cell is not None else self.countable.get(key, FgAbGroup.zero())
 
-    def support(self) -> Iterator[tuple[int, int]]:
-        for p in range(self.cap + 1):
-            for q in range(self.period):
-                yield (p, q)
+    @property
+    def groups(self) -> dict[tuple[int, int], FgAbGroup | CountableRank]:
+        """Every nonzero cell's group; a cell absent here is zero."""
+        return {**self.countable, **{key: cell.group for key, cell in self.cells.items()}}
 
 
 def first_page(
@@ -300,11 +300,7 @@ class SpectralRun:
 
     @property
     def e_infinity(self) -> dict[tuple[int, int], FgAbGroup | CountableRank]:
-        final = self.pages[-1]
-        return {**final.countable, **{key: cell.group for key, cell in final.cells.items()}}
-
-    def e_infinity_at(self, p: int, q: int) -> FgAbGroup | CountableRank:
-        return self.pages[-1].cell_group(p, q)
+        return self.pages[-1].groups
 
 
 def run_to_infinity(

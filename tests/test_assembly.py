@@ -1,6 +1,7 @@
 """First-page builders, filtration assembly, truncation sweeps."""
 
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -52,7 +53,7 @@ def test_chain_single_nonzero_column_layout():
     run = run_to_infinity(page)
     assert run.stabilized_at == 1
     # degree s pieces sit at q = s - p mod 2
-    assert run.e_infinity_at(n, 0 - n) == Z
+    assert run.pages[-1].cell_group(n, 0 - n) == Z
 
 
 def test_chain_all_zero_quotients():
@@ -79,7 +80,17 @@ def test_chain_missing_cell_rejected():
     with pytest.raises(SchemaError, match=r"^no K-group declared at \(p=0, s=1\)$"):
         ideal_chain_from_json(obj)
     page = build_ideal_chain_e1(ideal_chain_from_json({**obj, "default_zero": True}))
-    assert {k: page.cell_group(*k) for k in page.support() if not page.cell_group(*k).is_zero} == {(0, 0): Z}
+    assert page.groups == {(0, 0): Z}
+
+
+def test_chain_builds_only_the_groups_it_is_given():
+    # the same chain with every zero group filled in gives the same page;
+    # period 8 tells q = s - p from s + p
+    groups = {(0, 1): Z, (3, 0): FgAbGroup(0, (3,)), (2, 5): FgAbGroup(1, (2,))}
+    dense = {(p, s): groups.get((p, s), ZERO) for p in range(4) for s in range(8)}
+    page = build_ideal_chain_e1(IdealChainInput(length=3, period=8, groups=groups))
+    assert page.groups == build_ideal_chain_e1(IdealChainInput(length=3, period=8, groups=dense)).groups
+    assert page.groups == {(0, 1): Z, (3, 5): FgAbGroup(0, (3,)), (2, 3): FgAbGroup(1, (2,))}
 
 
 def test_chain_d1_maps_are_used():
@@ -90,8 +101,8 @@ def test_chain_d1_maps_are_used():
     assert not page.d1_defaulted
     run = run_to_infinity(page)
     for q in range(2):
-        assert run.e_infinity_at(0, q) == FgAbGroup(0, (2,))
-        assert run.e_infinity_at(1, q).is_zero
+        assert run.pages[-1].cell_group(0, q) == FgAbGroup(0, (2,))
+        assert run.pages[-1].cell_group(1, q).is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +140,7 @@ def test_mv_all_zero():
 
 def test_mv_r2_blocks_layout():
     page = build_mv_e1(rn_mv_input(2))
-    nonzero = {k: g for k in page.support() if not (g := page.cell_group(*k)).is_zero}
-    assert nonzero == {(2, 0): Z}
+    assert page.groups == {(2, 0): Z}
 
 
 def test_mv_missing_intersection():
@@ -202,7 +212,7 @@ def test_mv_user_d1_acts_on_concatenated_summands():
     # kernel of (1, -1)^T : Z -> Z^2 is 0; cokernel is Z
     assert report.degree(0).assembled == Z
     assert report.degree(1).assembled == ZERO
-    assert run.e_infinity_at(1, 0).is_zero
+    assert run.pages[-1].cell_group(1, 0).is_zero
 
 
 def test_mv_two_set_consistency_against_independent_kernels():
@@ -225,8 +235,8 @@ def test_mv_two_set_consistency_against_independent_kernels():
         matrix = random_hom_presented(rng, src_orders, tgt_orders)
         inp = _mv([0, 1], table, d1={(1, 0): matrix})
         run = run_to_infinity(build_mv_e1(inp))
-        assert run.e_infinity_at(0, 0) == oracle_presented_cokernel(matrix, tgt_orders)
-        assert run.e_infinity_at(1, 0) == oracle_presented_kernel(matrix, src_orders, tgt_orders)
+        assert run.pages[-1].cell_group(0, 0) == oracle_presented_cokernel(matrix, tgt_orders)
+        assert run.pages[-1].cell_group(1, 0) == oracle_presented_kernel(matrix, src_orders, tgt_orders)
         done += 1
 
 
@@ -279,7 +289,7 @@ def test_mv_three_set_middle_cell_homology():
             continue
         run = run_to_infinity(page)
         want = oracle_homology(f_hom, g_hom)
-        assert run.e_infinity_at(1, 0) == want
+        assert run.pages[-1].cell_group(1, 0) == want
         done += 1
     assert dims  # loop ran
 
@@ -336,7 +346,7 @@ def test_extension_torsion_quotient_is_ambiguous():
     report = assemble_target(run_to_infinity(page))
     line = report.degree(0)
     assert line.ambiguous and line.assembled is None
-    assert [g for _, g in line.nonzero_pieces] == [FgAbGroup(0, (2,)), FgAbGroup(0, (2,))]
+    assert [g for _, g in line.pieces] == [FgAbGroup(0, (2,)), FgAbGroup(0, (2,))]
     assert report.any_ambiguous
 
 
@@ -379,6 +389,41 @@ def test_sweep_constant_single_ideal_family():
     assert sweep.assembled_stable_at[0] == 0
     assert sweep.assembled_stable_at[1] == 0
     assert sweep.cell_stable_at[(0, 0)] == 0
+
+
+def _stable_at_by_scan(values, caps):
+    """Where the values stop changing: walk back while the earlier value is
+    the last one (None if it changed at the last cap of a longer sweep)."""
+    i = len(values) - 1
+    while i > 0 and values[i - 1] == values[-1]:
+        i -= 1
+    return None if i == len(values) - 1 and len(values) > 1 else caps[i]
+
+
+@pytest.mark.parametrize(
+    "family, caps",
+    [
+        (lambda c: wedge_mv_input(c, truncated=True), range(1, 9)),
+        (lambda c: wedge_mv_input(c, truncated=True), [5, 2, 3]),
+        (lambda c: zinf_mv_input(6, c), range(0, 7)),
+        (lambda c: replace(rn_mv_input(4), cap=c, truncated_at=c), range(0, 5)),
+    ],
+    ids=["wedge-countable", "wedge-countable-unsorted", "zinf6", "rn4-truncated"],
+)
+def test_sweep_cells_are_the_nonzero_part_of_a_dense_scan(family, caps):
+    # reference: every first-page cell of 0..cap at every cap, read one by
+    # one with cell_group, kept when it is nonzero at some cap
+    sweep = truncation_sweep(family, caps)
+    firsts = [build_mv_e1(family(c)) for c in sweep.caps]
+    dense = {}
+    for p in range(max(page.cap for page in firsts) + 1):
+        for q in range(firsts[0].period):
+            values = [page.cell_group(p, q) for page in firsts]
+            if any(not g.is_zero for g in values):
+                dense[(p, q)] = _stable_at_by_scan(values, sweep.caps)
+    assert sweep.cell_stable_at == dense
+    for c, page in zip(sweep.caps, firsts):
+        assert sweep.e1_cells[c] == page.groups
 
 
 def test_sweep_monotone_stability():

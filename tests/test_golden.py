@@ -83,6 +83,9 @@ CASES = {
         name.replace("_", "-"): ["run", "--input", str(GOLDEN / "inputs" / f"{name}.json")]
         for name in ("page_torsion_d1", "ideal_chain_d1", "mv_countable")
     },
+    # two nonzero cells at p = 0 and p = 10**12: a report reads only its
+    # nonzero cells, so this runs as fast as a cap-1 page
+    "page-huge-cap": ["run", "--input", str(GOLDEN / "inputs" / "page_huge_cap.json")],
     # the sizes the torsion benchmark runs: ranks 6..9, cap 3, d1 with torsion
     # factors, written by perfbench/chains.py from random.Random(f"golden-{kind}:1")
     **{
@@ -93,7 +96,7 @@ CASES = {
 
 
 # cases whose report leaves an extension ambiguous, so the CLI exits with 2
-AMBIGUOUS = {"bench-page", "bench-ideal-chain", "bench-mv"}
+AMBIGUOUS = {"bench-page", "bench-ideal-chain", "bench-mv", "page-huge-cap"}
 
 
 def _exit_code(case: str) -> int:

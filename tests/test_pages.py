@@ -251,9 +251,9 @@ def test_injected_d2_out_of_cut_cycles_matches_oracles():
             assert page2.diffs[(2, 0)] == d2
             cut += (2, 0) in page1.diffs
             lifted += _lands_on_torsion(page2, (2, 0))
-        assert run.e_infinity_at(2, 0) == oracle_hom_kernel(d2)
-        assert run.e_infinity_at(1, 0) == oracle_presented_cokernel(d1, _orders(g1))
-        assert run.e_infinity_at(0, 1) == oracle_hom_cokernel(d2)
+        assert run.pages[-1].cell_group(2, 0) == oracle_hom_kernel(d2)
+        assert run.pages[-1].cell_group(1, 0) == oracle_presented_cokernel(d1, _orders(g1))
+        assert run.pages[-1].cell_group(0, 1) == oracle_hom_cokernel(d2)
     assert cut >= 30 and lifted >= 10
 
 
@@ -345,7 +345,7 @@ def test_a_page_with_no_differential_is_the_whole_run():
     # a first page with no differential is E^infinity, whatever the cap
     run = run_to_infinity(_page(100000, {(100000, 1): Z}))
     assert len(run.pages) == 1 and run.stabilized_at == 1
-    assert run.e_infinity_at(100000, 1) == Z
+    assert run.pages[-1].cell_group(100000, 1) == Z
 
 
 def test_run_ends_at_the_first_still_page():
@@ -396,15 +396,15 @@ def test_single_column_stabilizes_immediately():
     assert run.stabilized_at == 1
     assert run.stabilized_at <= 1
     for q in range(2):
-        assert run.e_infinity_at(3, q) == FgAbGroup(1, (2,))
+        assert run.pages[-1].cell_group(3, q) == FgAbGroup(1, (2,))
 
 
 def test_two_column_page_stabilizes_by_three():
     page = _page(1, {(1, 0): Z, (0, 0): Z}, d1={(1, 0): IntMatrix.from_rows([[3]])})
     run = run_to_infinity(page)
     assert run.stabilized_at <= 3
-    assert run.e_infinity_at(0, 0) == FgAbGroup(0, (3,))
-    assert run.e_infinity_at(1, 0).is_zero
+    assert run.pages[-1].cell_group(0, 0) == FgAbGroup(0, (3,))
+    assert run.pages[-1].cell_group(1, 0).is_zero
 
 
 def test_times_two_run_collapse_bounds():
@@ -481,6 +481,35 @@ def _random_valid_page(rng, cap, period=2):
     return _page(cap, groups, d1, period)
 
 
+def _random_d2(rng, page2):
+    """Random d2 maps on the E^2 generators, only out of columns p = 2, 3
+    mod 4, so that no two of them compose."""
+    d2 = {}
+    for (p, q), cell in page2.cells.items():
+        tgt = page2.cells.get(page2.target_key(p, q))
+        if p % 4 in (2, 3) and tgt and rng.random() < 0.8:
+            d2[(p, q)] = random_hom(rng, cell.group, tgt.group).matrix
+    return d2
+
+
+def test_pieces_are_the_nonzero_cells_of_a_dense_scan():
+    # reference: every cell on each degree's diagonal, p = 0..cap, read one
+    # by one with cell_group and zeros dropped
+    rng = random.Random(53)
+    live_d2 = 0
+    for _ in range(80):
+        period = rng.choice((2, 8))
+        page = _random_valid_page(rng, cap=rng.randint(0, 6), period=period)
+        injected = {2: _random_d2(rng, turn_page(page))} if rng.random() < 0.5 else {}
+        run = run_to_infinity(page, injected)
+        live_d2 += any(pg.r == 2 and pg.diffs for pg in run.pages)
+        last, report = run.pages[-1], assemble_target(run)
+        for s in range(period):
+            dense = [(p, g) for p in range(page.cap + 1) if not (g := last.cell_group(p, s - p)).is_zero]
+            assert list(report.degree(s).pieces) == dense
+    assert live_d2 >= 15
+
+
 def test_projection_inverts_generators_on_every_page():
     for seed in (31, 41, 43):
         rng = random.Random(seed)
@@ -545,8 +574,8 @@ def test_period_eight_bidegrees():
     # d1 target of (1, 3) is (0, 3): q + r - 1 = 3 mod 8
     page = _page(1, groups, d1={(1, 3): IntMatrix.from_rows([[2]])}, period=8)
     run = run_to_infinity(page)
-    assert run.e_infinity_at(0, 3) == FgAbGroup(0, (2,))
-    assert run.e_infinity_at(0, 11) == FgAbGroup(0, (2,))  # q reduced mod 8
+    assert run.pages[-1].cell_group(0, 3) == FgAbGroup(0, (2,))
+    assert run.pages[-1].cell_group(0, 11) == FgAbGroup(0, (2,))  # q reduced mod 8
 
 
 # ---------------------------------------------------------------------------
@@ -587,8 +616,8 @@ def test_injected_d2_through_torsion_subquotient():
         d1={(1, 0): IntMatrix.from_rows([[2]])},
     )
     run = run_to_infinity(page, injected_by_page={2: {(2, 1): IntMatrix.from_rows([[1]])}})
-    assert run.e_infinity_at(0, 0).is_zero
-    assert run.e_infinity_at(2, 1) == Z  # kernel of Z ->> Z/2 is 2Z = Z
+    assert run.pages[-1].cell_group(0, 0).is_zero
+    assert run.pages[-1].cell_group(2, 1) == Z  # kernel of Z ->> Z/2 is 2Z = Z
 
 
 def test_injected_d2_gets_the_d1_checks():
