@@ -42,21 +42,6 @@ class CapTooSmall(AssemblyError):
 
 
 @dataclass(frozen=True)
-class IdealChainInput:
-    """K-data of the successive subquotients of a chain of ideals.
-
-    ``groups[(p, s)]`` is the degree-s K-group of the p-th subquotient,
-    for 0 <= p <= length and s modulo ``period``; a group it leaves out is
-    zero.
-    """
-
-    length: int
-    period: int = 2
-    groups: Mapping[tuple[int, int], FgAbGroup | CountableRank] = field(default_factory=dict)
-    d1: Mapping[tuple[int, int], IntMatrix] | None = None
-
-
-@dataclass(frozen=True)
 class MvInput:
     """K-data of the finite intersections of a decomposition into ideals.
 
@@ -89,10 +74,11 @@ class MvInput:
 # first-page builders
 
 
-def build_ideal_chain_e1(inp: IdealChainInput) -> Page:
-    """Cell (p, q) carries the degree-(p+q) K-group of the p-th subquotient."""
-    parts = {(p, (s - p) % inp.period): [g] for (p, s), g in inp.groups.items()}
-    return first_page(inp.length, inp.period, parts, inp.d1)
+def build_ideal_chain_e1(length: int, period: int, groups: Mapping, d1: Mapping | None = None) -> Page:
+    """Cell (p, q) carries ``groups[(p, s)]`` with s = p + q modulo ``period``,
+    for 0 <= p <= length; ``d1`` is keyed by cell, as for ``first_page``."""
+    parts = {(p, (s - p) % period): [g] for (p, s), g in groups.items()}
+    return first_page(length, period, parts, d1)
 
 
 def build_mv_e1(inp: MvInput) -> Page:

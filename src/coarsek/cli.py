@@ -123,7 +123,7 @@ def _cmd_run(args) -> int:
         if kind == "mv":
             page = assembly.build_mv_e1(jsonio.mv_from_json(obj, args.period))
         elif kind == "ideal_chain":
-            page = assembly.build_ideal_chain_e1(jsonio.ideal_chain_from_json(obj, args.period))
+            page = jsonio.ideal_chain_from_json(obj, args.period)
         elif kind == "page":
             page = jsonio.page_from_json(obj, args.period)
         else:
@@ -257,13 +257,12 @@ def _cmd_excision(args) -> int:
 
 
 def _cmd_simplex(args) -> int:
-    for flag, value in (("--dim", args.dim), ("--samples", args.samples)):
-        if value < 1:
-            raise CliError(f"{flag}: expected at least 1, got {value}")
+    if args.dim < 1:
+        raise CliError(f"--dim: expected at least 1, got {args.dim}")
     if args.verbose:
         print("input:")
-        print(jsonio.dumps({"dim": args.dim, "samples": args.samples, "seed": args.seed}))
-    checks = simplex.verify_geometry(args.dim, args.samples, args.seed)
+        print(jsonio.dumps({"dim": args.dim}))
+    checks = simplex.verify_geometry(args.dim)
     if args.format == "json":
         print(jsonio.dumps([{"name": c.name, "ok": c.ok} for c in checks]))
     else:
@@ -318,7 +317,6 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("table", "json"), default="table")
     parser.add_argument("--period", type=int, choices=(2, 8), default=2)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -348,8 +346,6 @@ def _parser() -> argparse.ArgumentParser:
     p_sx = sub.add_parser("simplex", help="verify the cake-piece geometry exactly")
     p_sx.add_argument("action", choices=("verify",))
     p_sx.add_argument("--dim", type=int, required=True)
-    p_sx.add_argument("--samples", type=int, default=1000)
-    p_sx.add_argument("--seed", type=int, dest="seed", default=argparse.SUPPRESS)
     p_sx.set_defaults(func=_cmd_simplex)
 
     p_sw = sub.add_parser("sweep", help="truncation sweep over caps")

@@ -178,6 +178,10 @@ def mv_from_json(obj: Any, default_period: int = 2) -> assembly.MvInput:
     mode = obj.get("mode", "exact" if truncated_at is None else "truncated")
     if mode not in ("exact", "truncated") or (mode == "truncated") != (truncated_at is not None):
         raise SchemaError(f"mode: expected 'truncated' with truncated_at or 'exact' without, got {mode!r}")
+    top = max(len(labels) - 1, 0)
+    cap = _get(obj, "cap", int, default=top)
+    if not 0 <= cap <= top:
+        raise SchemaError(f"cap: expected 0..{top}, got {cap}")
     inter: dict[tuple, dict[int, FgAbGroup]] = {}
     for i, item in enumerate(_get(obj, "intersections", list, default=[])):
         at = f"intersections[{i}]"
@@ -193,10 +197,9 @@ def mv_from_json(obj: Any, default_period: int = 2) -> assembly.MvInput:
             if x not in labels:
                 raise SchemaError(f"{at}.J: {x!r} is not one of the labels {list(labels)}")
         _add(inter, tuple(sorted(j)), graded, f"{at}.J")
-    top = max(len(labels) - 1, 0)
-    cap = _get(obj, "cap", int, default=top)
-    if not 0 <= cap <= top:
-        raise SchemaError(f"cap: expected 0..{top}, got {cap}")
+        # an exact input says every set past the cap has zero K-theory
+        if truncated_at is None and len(j) > cap + 1 and not all(g.is_zero for g in graded.values()):
+            raise SchemaError(f"{at}.J: nonzero K-data above cap {cap} in an exact input; raise the cap or mark it truncated")
     inp = assembly.MvInput(
         labels=labels,
         cap=cap,
@@ -213,7 +216,7 @@ def mv_from_json(obj: Any, default_period: int = 2) -> assembly.MvInput:
     return inp
 
 
-def ideal_chain_from_json(obj: Any, default_period: int = 2) -> assembly.IdealChainInput:
+def ideal_chain_from_json(obj: Any, default_period: int = 2) -> pages.Page:
     _known(obj, ("kind", "period", "length", "default_zero", "groups", "d1"))
     length = _size(_need(obj, "length"), "length")
     period = _period(obj, default_period)
@@ -232,7 +235,7 @@ def ideal_chain_from_json(obj: Any, default_period: int = 2) -> assembly.IdealCh
             for s in ((p + q) % period for q in range(period)):
                 if (p, s) not in groups:
                     raise SchemaError(f"no K-group declared at (p={p}, s={s})")
-    return assembly.IdealChainInput(length=length, period=period, groups=groups, d1=d1)
+    return assembly.build_ideal_chain_e1(length, period, groups, d1)
 
 
 def blocky_from_json(obj: Any, where: str = "space") -> coarse.BlockySpace:

@@ -1,24 +1,27 @@
 """Exact checks of the affine geometry behind the first page.
 
 The standard simplex splits into cake pieces (regions where a chosen set
-of barycentric coordinates is minimal).  Two affine maps are verified:
-the forward/inverse pair identifying a cake piece with a smaller simplex,
-and the reparametrization that exhibits the extra coordinate gained by
-adjoining a zero ideal as a suspension coordinate.
+of barycentric coordinates is minimal).  Two maps are verified: the
+linear inverse pair (f, g) identifying the n-simplex with its 0th cake
+piece P_0, and the reparametrization phi adjoining a suspension coordinate.
 
-Both maps have rational coefficients, so every property is an identity or
-an inequality over Q, checked on Fractions by exact comparison.
-Sample points are random compositions of GRID into n + 1 parts, divided
-by GRID; t is drawn on the same grid between its two ends.
+Each property is checked exactly at finitely many points, and that proves
+it: an affine function on a polytope is settled by its values at the
+vertices.  f and g are linear, so their three properties (f_0 <= f_j among
+them) hold on the simplex iff they hold at e_0..e_n; f(e_0) = c, the centre.
+P_0 = conv{c, e_1..e_n}, and on it phi(y, t) = (y - t*y_0, (n+1)*t*y_0) is
+bilinear, so sum(phi) = 1, rest_0 = min(rest) and last - rest_0 =
+y_0*((n+2)*t - 1) (a tie exactly at t = 1/(n+2) or y_0 = 0, above otherwise)
+hold on P_0 x [1/(n+2), 1] iff they hold at its vertices times both ends.
+On the face y_0 = 0, conv{e_1..e_n}, phi(y, t) = (y, 0).  phi commutes with
+permutations of y, so every other piece and face follows.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Iterable, NamedTuple, Sequence
-
-GRID = 10**6
 
 
 def in_cake_piece(x: Sequence, piece: Iterable[int]) -> bool:
@@ -73,52 +76,33 @@ def suspension_reparam(n: int) -> Callable:
     return phi
 
 
-def sample_simplex(n: int, rng: random.Random) -> tuple[Fraction, ...]:
-    """A random point of the n-simplex: n cuts of 0..GRID, sorted, give a
-    composition of GRID into n + 1 parts, each divided by GRID."""
-    cuts = sorted(rng.randint(0, GRID) for _ in range(n))
-    return tuple(Fraction(b - a, GRID) for a, b in zip([0, *cuts], [*cuts, GRID]))
-
-
-def sample_boundary(n: int, rng: random.Random) -> tuple[Fraction, ...]:
-    """A random boundary point: a point of the (n-1)-simplex with a zero
-    coordinate put in at a random place."""
-    j, rest = rng.randrange(n + 1), sample_simplex(n - 1, rng)
-    return rest[:j] + (Fraction(0),) + rest[j:]
-
-
-def sample_t(n: int, rng: random.Random) -> Fraction:
-    """A random t in [1/(n+2), 1] on the grid, both ends included."""
-    return Fraction(1, n + 2) + Fraction(n + 1, n + 2) * Fraction(rng.randint(0, GRID), GRID)
-
-
 class PropertyCheck(NamedTuple):
     name: str
     ok: bool
 
 
-def verify_geometry(n: int, samples: int, seed: int) -> list[PropertyCheck]:
-    """Deterministic, seeded verification of all simplex properties, each
-    on ``samples`` points drawn one at a time (up to its first failure)."""
-    rng = random.Random(seed)
+def verify_geometry(n: int) -> list[PropertyCheck]:
+    """Each property, decided at the points the module docstring names:
+    the vertices are made one at a time, so memory stays O(n)."""
     f, g = cake_affine_maps(n)
     phi = suspension_reparam(n)
+    ends = (Fraction(1, n + 2), 1)
+    centre = (Fraction(1, n + 1),) * (n + 1)
+    vertices = lambda first: ((0,) * j + (1,) + (0,) * (n - j) for j in range(first, n + 1))  # noqa: E731
+    simplex = lambda: ((x,) for x in vertices(0))  # noqa: E731
+    face = lambda: ((y, t) for y in vertices(1) for t in ends)  # noqa: E731
+    piece = lambda: chain(((centre, t) for t in ends), face())  # noqa: E731
 
     def avoids_last_piece_interior(y, t) -> bool:
-        # the new coordinate never drops below the others; it ties them
-        # exactly at t = 1/(n+2) and on the boundary
         *rest, last = phi(y, t)
-        return last == min(rest) if t * (n + 2) == 1 or min(y) == 0 else last > min(rest)
+        return rest[0] == min(rest) and last - rest[0] == y[0] * ((n + 2) * t - 1)
 
-    point = lambda: (sample_simplex(n, rng),)  # noqa: E731
-    point_t = lambda: (sample_simplex(n, rng), sample_t(n, rng))  # noqa: E731
-    boundary_t = lambda: (sample_boundary(n, rng), sample_t(n, rng))  # noqa: E731
     properties = (
-        ("inverse_pair", point, lambda x: g(f(x)) == x),
-        ("f_lands_in_piece_0", point, lambda x: in_cake_piece(f(x), [0])),
-        ("f_preserves_sum", point, lambda x: sum(f(x)) == 1),
-        ("phi_preserves_sum", point_t, lambda y, t: sum(phi(y, t)) == 1),
-        ("phi_collapses_boundary", boundary_t, lambda y, t: min(phi(y, t)) == 0),
-        ("phi_avoids_last_piece_interior", point_t, avoids_last_piece_interior),
+        ("inverse_pair", simplex, lambda x: g(f(x)) == x),
+        ("f_lands_in_piece_0", simplex, lambda x: in_cake_piece(f(x), [0])),
+        ("f_preserves_sum", simplex, lambda x: sum(f(x)) == 1),
+        ("phi_preserves_sum", piece, lambda y, t: sum(phi(y, t)) == 1),
+        ("phi_collapses_boundary", face, lambda y, t: phi(y, t) == (*y, 0)),
+        ("phi_avoids_last_piece_interior", piece, avoids_last_piece_interior),
     )
-    return [PropertyCheck(name, all(holds(*draw()) for _ in range(samples))) for name, draw, holds in properties]
+    return [PropertyCheck(name, all(holds(*args) for args in points())) for name, points, holds in properties]

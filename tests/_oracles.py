@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import floor, gcd, prod
 
 from coarsek.abelian import FgAbGroup, GroupHom, IntMatrix, smith_normal_form
@@ -507,7 +507,60 @@ def cells_isomorphic(a, b) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# the cake-piece geometry, point by point
+
+
+def _composition_points(n: int, d: int):
+    """Every point of the n-simplex whose coordinates are multiples of 1/d:
+    n sorted cuts of 0..d give a composition of d into n + 1 parts."""
+    for cuts in combinations_with_replacement(range(d + 1), n):
+        yield tuple(Fraction(b - a, d) for a, b in zip([0, *cuts], [*cuts, d]))
+
+
+def geometry_by_enumeration(n: int, f, g, phi, max_den: int = 6) -> list[tuple[str, bool]]:
+    """The six properties of ``coarsek.simplex.verify_geometry``, each decided
+    point by point on every rational point of the n-simplex with denominator
+    at most ``max_den``, and for phi at t in {1/(n+2), 1/2, 1}."""
+    points = sorted({x for d in range(1, max_den + 1) for x in _composition_points(n, d)})
+    pairs = [(y, t) for y in points for t in (Fraction(1, n + 2), Fraction(1, 2), Fraction(1))]
+
+    def avoids(y, t) -> bool:
+        *rest, last = phi(y, t)
+        return last == min(rest) if (n + 2) * t == 1 or min(y) == 0 else last > min(rest)
+
+    return [
+        ("inverse_pair", all(g(f(x)) == x for x in points)),
+        ("f_lands_in_piece_0", all(f(x)[0] == min(f(x)) for x in points)),
+        ("f_preserves_sum", all(sum(f(x)) == 1 for x in points)),
+        ("phi_preserves_sum", all(sum(phi(y, t)) == 1 for y, t in pairs)),
+        ("phi_collapses_boundary", all(phi(y, t) == (*y, 0) for y, t in pairs if 0 in y)),
+        ("phi_avoids_last_piece_interior", all(avoids(y, t) for y, t in pairs)),
+    ]
+
+
+# ---------------------------------------------------------------------------
 # random instance generators (seeded by the caller)
+
+GRID = 10**6
+
+
+def sample_simplex(n: int, rng: random.Random) -> tuple[Fraction, ...]:
+    """A random point of the n-simplex: n cuts of 0..GRID, sorted, give a
+    composition of GRID into n + 1 parts, each divided by GRID."""
+    cuts = sorted(rng.randint(0, GRID) for _ in range(n))
+    return tuple(Fraction(b - a, GRID) for a, b in zip([0, *cuts], [*cuts, GRID]))
+
+
+def sample_boundary(n: int, rng: random.Random) -> tuple[Fraction, ...]:
+    """A random boundary point: a point of the (n-1)-simplex with a zero
+    coordinate put in at a random place."""
+    j, rest = rng.randrange(n + 1), sample_simplex(n - 1, rng)
+    return rest[:j] + (Fraction(0),) + rest[j:]
+
+
+def sample_t(n: int, rng: random.Random) -> Fraction:
+    """A random t in [1/(n+2), 1] on the grid, both ends included."""
+    return Fraction(1, n + 2) + Fraction(n + 1, n + 2) * Fraction(rng.randint(0, GRID), GRID)
 
 
 def random_group(rng: random.Random, max_rank: int = 2, max_torsion: int = 2) -> FgAbGroup:

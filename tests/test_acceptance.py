@@ -25,14 +25,7 @@ from coarsek.coarse import (
     zinf_mv_input,
 )
 from coarsek.pages import first_page, run_to_infinity, turn_page
-from coarsek.simplex import (
-    cake_affine_maps,
-    in_cake_piece,
-    sample_boundary,
-    sample_simplex,
-    sample_t,
-    suspension_reparam,
-)
+from coarsek.simplex import cake_affine_maps, in_cake_piece, suspension_reparam
 
 from _oracles import (
     cells_isomorphic,
@@ -46,6 +39,9 @@ from _oracles import (
     random_hom,
     random_hom_presented,
     random_matrix,
+    sample_boundary,
+    sample_simplex,
+    sample_t,
     set_distance,
 )
 

@@ -9,7 +9,6 @@ import pytest
 from coarsek.abelian import FgAbGroup, IntMatrix
 from coarsek.assembly import (
     CapTooSmall,
-    IdealChainInput,
     MvInput,
     assemble_target,
     build_ideal_chain_e1,
@@ -45,7 +44,7 @@ def test_chain_single_nonzero_column_layout():
             groups[(p, s)] = ZERO
     groups[(n, 0)] = Z
     groups[(n, 1)] = FgAbGroup(0, (2,))
-    page = build_ideal_chain_e1(IdealChainInput(length=n, groups=groups))
+    page = build_ideal_chain_e1(n, 2, groups)
     for p in range(n + 1):
         for q in range(2):
             expected = groups[(p, (p + q) % 2)]
@@ -57,19 +56,14 @@ def test_chain_single_nonzero_column_layout():
 
 
 def test_chain_all_zero_quotients():
-    inp = IdealChainInput(length=2, groups={(p, s): ZERO for p in range(3) for s in range(2)})
-    page = build_ideal_chain_e1(inp)
+    page = build_ideal_chain_e1(2, 2, {(p, s): ZERO for p in range(3) for s in range(2)})
     assert not page.cells
     assert page.d1_defaulted
 
 
 def test_chain_compact_operator_type():
     # two-step chain whose only K-data is (Z, 0) at p = 0
-    inp = IdealChainInput(
-        length=1,
-        groups={(0, 0): Z, (0, 1): ZERO, (1, 0): ZERO, (1, 1): ZERO},
-    )
-    page = build_ideal_chain_e1(inp)
+    page = build_ideal_chain_e1(1, 2, {(0, 0): Z, (0, 1): ZERO, (1, 0): ZERO, (1, 1): ZERO})
     assert page.cell_group(0, 0) == Z
     assert sum(1 for _ in page.cells) == 1
 
@@ -79,7 +73,7 @@ def test_chain_missing_cell_rejected():
     obj = {"length": 1, "groups": [{"p": 0, "s": 0, "group": {"free_rank": 1}}]}
     with pytest.raises(SchemaError, match=r"^no K-group declared at \(p=0, s=1\)$"):
         ideal_chain_from_json(obj)
-    page = build_ideal_chain_e1(ideal_chain_from_json({**obj, "default_zero": True}))
+    page = ideal_chain_from_json({**obj, "default_zero": True})
     assert page.groups == {(0, 0): Z}
 
 
@@ -88,8 +82,8 @@ def test_chain_builds_only_the_groups_it_is_given():
     # period 8 tells q = s - p from s + p
     groups = {(0, 1): Z, (3, 0): FgAbGroup(0, (3,)), (2, 5): FgAbGroup(1, (2,))}
     dense = {(p, s): groups.get((p, s), ZERO) for p in range(4) for s in range(8)}
-    page = build_ideal_chain_e1(IdealChainInput(length=3, period=8, groups=groups))
-    assert page.groups == build_ideal_chain_e1(IdealChainInput(length=3, period=8, groups=dense)).groups
+    page = build_ideal_chain_e1(3, 8, groups)
+    assert page.groups == build_ideal_chain_e1(3, 8, dense).groups
     assert page.groups == {(0, 1): Z, (3, 5): FgAbGroup(0, (3,)), (2, 3): FgAbGroup(1, (2,))}
 
 
@@ -97,7 +91,7 @@ def test_chain_d1_maps_are_used():
     # column p=1 maps onto column p=0 by multiplication by 2 in both degrees
     groups = {(p, s): Z for p in range(2) for s in range(2)}
     d1 = {(1, q): IntMatrix.from_rows([[2]]) for q in range(2)}
-    page = build_ideal_chain_e1(IdealChainInput(length=1, groups=groups, d1=d1))
+    page = build_ideal_chain_e1(1, 2, groups, d1)
     assert not page.d1_defaulted
     run = run_to_infinity(page)
     for q in range(2):

@@ -17,7 +17,7 @@ import random
 import pytest
 
 from coarsek.abelian import FgAbGroup, GroupHom, IntMatrix
-from coarsek.assembly import IdealChainInput, assemble_target, build_ideal_chain_e1
+from coarsek.assembly import assemble_target, build_ideal_chain_e1
 from coarsek.pages import run_to_infinity
 
 from _oracles import (
@@ -50,10 +50,7 @@ def run_chain_complex(ranks, boundaries):
             groups[(p, p % 8)] = FgAbGroup.free(rank)
     for p, mat in boundaries.items():
         d1[(p, 0)] = mat
-    inp = IdealChainInput(
-        length=len(ranks) - 1, period=8, groups=_filled(groups, len(ranks) - 1), d1=d1
-    )
-    page = build_ideal_chain_e1(inp)
+    page = build_ideal_chain_e1(len(ranks) - 1, 8, _filled(groups, len(ranks) - 1), d1)
     run = run_to_infinity(page)
     assert run.stabilized_at <= 2
     return assemble_target(run)
@@ -155,8 +152,7 @@ def run_pair(sub_homology, rel_homology, connecting):
     d1 = {}
     for s, mat in connecting.items():
         d1[(1, (s - 1) % 8)] = mat
-    inp = IdealChainInput(length=1, period=8, groups=_filled(groups, 1), d1=d1)
-    run = run_to_infinity(build_ideal_chain_e1(inp))
+    run = run_to_infinity(build_ideal_chain_e1(1, 8, _filled(groups, 1), d1))
     return assemble_target(run)
 
 
@@ -204,9 +200,7 @@ def test_sphere_from_circle_and_two_twocells():
 
 def run_crossing_filtration(e1_groups, d1, d2):
     """``d2`` acts on the generators of the E^2 cell groups."""
-    inp_page = build_ideal_chain_e1(
-        IdealChainInput(length=2, period=8, groups=_filled(e1_groups, 2), d1=d1)
-    )
+    inp_page = build_ideal_chain_e1(2, 8, _filled(e1_groups, 2), d1)
     run = run_to_infinity(inp_page, injected_by_page={2: d2})
     return assemble_target(run), run
 

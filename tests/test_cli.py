@@ -3,6 +3,7 @@
 import contextlib
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -21,6 +22,9 @@ from coarsek.assembly import truncation_sweep
 from coarsek.cli import main
 from coarsek.coarse import zinf_mv_input
 from coarsek.pages import CountableRank, first_page
+
+from _oracles import random_group, random_hom_presented
+from test_simplex import MUTANTS
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_MV = GOLDEN / "inputs" / "readme_mv.json"
@@ -105,6 +109,45 @@ def test_run_ideal_chain_input(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "run", "--input", str(path))
     assert code == 0
     assert "K_0 = Z" in out
+
+
+@pytest.mark.parametrize("with_d1", [False, True], ids=["no-d1", "d1"])
+@pytest.mark.parametrize("period", [2, 8])
+def test_ideal_chain_runs_as_the_page_it_names(capsys, tmp_path, period, with_d1):
+    # group (p, s) of an ideal chain is cell (p, (s - p) mod period) of a page;
+    # with the same d1 both files print the same bytes after the input echo
+    rng = random.Random(f"ideal-chain:{period}:{with_d1}")
+    for _ in range(10):
+        length = rng.randint(0, 4)
+        groups = {}
+        for p in range(length + 1):
+            for s in rng.sample(range(period), rng.randint(0, period)):
+                groups[(p, s)] = random_group(rng)
+        cells = {(p, (s - p) % period): g for (p, s), g in groups.items() if not g.is_zero}
+        d1 = []
+        for (p, q), g in sorted(cells.items()):
+            if with_d1 and p % 2 and (p - 1, q) in cells:  # odd p only, so that no two maps compose
+                matrix = random_hom_presented(rng, g.generator_orders(), cells[(p - 1, q)].generator_orders())
+                d1.append({"from": [p, q], "matrix": matrix.to_rows()})
+        as_json = lambda key, g: {"p": key[0], key[1]: key[2], "group": jsonio.group_to_json(g)}  # noqa: E731
+        files = {
+            "ideal_chain": {
+                "length": length, "default_zero": True,
+                "groups": [as_json((p, "s", s), g) for (p, s), g in sorted(groups.items())],
+            },
+            "page": {"cap": length, "cells": [as_json((p, "q", q), g) for (p, q), g in sorted(cells.items())]},
+        }
+        outputs = []
+        for kind, payload in files.items():
+            path = tmp_path / f"{kind}.json"
+            text = json.dumps({"kind": kind, "period": period, **payload, "d1": d1})
+            path.write_text(text)
+            runs = [run_cli(capsys, *flags, "run", "--input", str(path)) for flags in ([], ["--verbose"], ["--format", "json"])]
+            echo = f"input:\n{text}\n"
+            assert runs[1][1].startswith(echo)
+            outputs.append([(code, out.removeprefix(echo), err) for code, out, err in runs])
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0][0] in (0, 2) and not outputs[0][0][2]
 
 
 def test_run_mv_input_file_with_torsion_and_d1(capsys, tmp_path):
@@ -288,6 +331,28 @@ def test_truncated_mv_input_prints_the_note(capsys, tmp_path):
         assert code == 0
         assert "note: truncated at cap 0" in out.splitlines()
         assert "K_0 = Z^3" in out.splitlines()
+
+
+def test_mv_data_above_the_cap_counts_once_the_cap_covers_it(capsys, tmp_path):
+    # an exact file with K-data past its cap is refused (the row
+    # mv-nonzero-above-cap); marked truncated it runs at the cap as before,
+    # and with the cap dropped the set reaches the answer
+    z = {"free_rank": 1}
+    payload = {
+        "kind": "mv",
+        "labels": [0, 1, 2],
+        "intersections": [{"J": [x], "k": {"0": z}} for x in range(3)]
+        + [{"J": list(j), "k": {}} for j in ([0, 1], [0, 2], [1, 2])]
+        + [{"J": [0, 1, 2], "k": {"1": z}}],
+    }
+    path = tmp_path / "mv.json"
+    for extra, lines in (
+        ({"cap": 1, "truncated_at": 1}, ["note: truncated at cap 1", "K_0 = Z^3", "K_1 = 0"]),
+        ({}, ["K_0 = Z^3", "K_1 = Z"]),
+    ):
+        path.write_text(json.dumps({**payload, **extra}))
+        code, out, _ = run_cli(capsys, "run", "--input", str(path))
+        assert code == 0 and out.splitlines()[-len(lines):] == lines
 
 
 def test_run_json_format_reparses(capsys):
@@ -624,7 +689,7 @@ def test_snf_runs_only_cli_abelian_and_jsonio():
     [
         (["excision", "--builtin", "rn:1", "--radius", "1"], {"coarsek.assembly", "coarsek.pages"}),
         (["run", "--input", str(GOLDEN / "inputs" / "readme_page.json")], {"coarsek.coarse", "coarsek.simplex"}),
-        (["simplex", "verify", "--dim", "2", "--samples", "5"], {"coarsek.pages"}),
+        (["simplex", "verify", "--dim", "2"], {"coarsek.pages"}),
     ],
     ids=["excision", "run-page", "simplex"],
 )
@@ -720,35 +785,23 @@ def test_excision_cover_file(capsys, tmp_path):
 
 
 def test_simplex_verify(capsys):
-    code, out, _ = run_cli(
-        capsys, "simplex", "verify", "--dim", "4", "--samples", "200"
-    )
-    assert code == 0
-    assert out.count("pass") >= 6 and "FAIL" not in out
+    for dim in (*range(1, 11), 50, 200):
+        code, out, _ = run_cli(capsys, "simplex", "verify", "--dim", str(dim))
+        assert code == 0
+        assert out.count(": pass\n") == 6 and "FAIL" not in out
 
 
-def test_simplex_seed_after_subcommand(capsys):
-    _, out1, _ = run_cli(
-        capsys, "simplex", "verify", "--dim", "3", "--samples", "50", "--seed", "5"
-    )
-    _, out2, _ = run_cli(
-        capsys, "--seed", "5", "simplex", "verify", "--dim", "3", "--samples", "50"
-    )
-    assert out1 == out2
-
-
-def test_simplex_verify_fails_on_a_perturbation_below_float_resolution(capsys, monkeypatch):
-    # g(f(x)) off by 10^-15 in one coordinate: the exact check must say so
-    exact = simplex.cake_affine_maps
-
-    def perturbed(n):
-        f, g = exact(n)
-        return f, lambda x: (g(x)[0] + Fraction(1, 10**15),) + g(x)[1:]
-
-    monkeypatch.setattr(simplex, "cake_affine_maps", perturbed)
-    code, out, _ = run_cli(capsys, "simplex", "verify", "--dim", "3", "--samples", "20")
-    assert code == 1
-    assert "inverse_pair: FAIL\n" in out and out.count(": pass\n") == 5
+@pytest.mark.parametrize("mutant", MUTANTS)
+def test_simplex_verify_fails_exactly_what_a_mutant_breaks(capsys, monkeypatch, mutant):
+    # a map off by 10^-15 (below float resolution) or by a lot: the exact
+    # vertex checks must fail the properties it breaks, and only those
+    attr, make, broken = MUTANTS[mutant]
+    monkeypatch.setattr(simplex, attr, make)
+    for dim in ("1", "3", "10"):
+        code, out, _ = run_cli(capsys, "simplex", "verify", "--dim", dim)
+        assert code == 1
+        assert {line.split(":")[0] for line in out.splitlines() if line.endswith(": FAIL")} == broken
+        assert out.count(": pass\n") == 6 - len(broken)
 
 
 def test_metric_schema_round_trip():
@@ -1217,6 +1270,19 @@ def test_schema_errors():
             {"kind": "mv", "labels": [0, 1], "cap": 0, "intersections": [{"J": [0], "k": {"0": {"free_rank": 1}}}, {"J": [1], "k": {}}]},
             "nonzero group at the cap boundary p=0; raise the cap or mark the run as truncated",
         ),
+        # an exact input asserts zero K-theory past its cap, so a set there
+        # with K-data would otherwise be dropped from the answer unseen
+        (
+            {
+                "kind": "mv",
+                "labels": [0, 1, 2],
+                "cap": 1,
+                "intersections": [{"J": [x], "k": {"0": {"free_rank": 1}}} for x in range(3)]
+                + [{"J": list(j), "k": {}} for j in ([0, 1], [0, 2], [1, 2])]
+                + [{"J": [0, 1, 2], "k": {"1": {"free_rank": 1}}}],
+            },
+            "intersections[6].J: nonzero K-data above cap 1 in an exact input; raise the cap or mark it truncated",
+        ),
     ],
     ids=[
         "mv-no-labels", "page-no-cap", "top-level-list", "cell-no-group", "bool-free-rank",
@@ -1236,7 +1302,7 @@ def test_schema_errors():
         "ideal-chain-period-3", "page-period-0", "mv-period-0", "ideal-chain-period-0",
         "page-unknown-key", "cell-unknown-key", "group-unknown-key", "d1-item-unknown-key",
         "matrix-unknown-key", "mv-unknown-key", "intersection-unknown-key", "ideal-chain-unknown-key",
-        "groups-item-unknown-key", "d1-wrong-shape", "mv-cap-too-small",
+        "groups-item-unknown-key", "d1-wrong-shape", "mv-cap-too-small", "mv-nonzero-above-cap",
     ],
 )
 def test_bad_input_is_one_error_line(capsys, tmp_path, payload, message):
@@ -1388,8 +1454,10 @@ def test_bad_cover_is_one_error_line(capsys, tmp_path, cover, message):
         ),
         (["excision", "--builtin", "rn:2", "--radius", "1", "--box", "3.5"], "argument --box: invalid int value: '3.5'"),
         (["run", "--builtin", "rn:2", "--no-such-flag"], "unrecognized arguments: --no-such-flag"),
-        (["simplex", "verify", "--dim", "2", "--samples", "0"], "--samples: expected at least 1, got 0"),
-        (["simplex", "verify", "--dim", "2", "--samples", "-3"], "--samples: expected at least 1, got -3"),
+        # the vertex checks are complete, so there is nothing to sample or seed
+        (["simplex", "verify", "--dim", "2", "--samples", "0"], "unrecognized arguments: --samples 0"),
+        (["simplex", "verify", "--dim", "2", "--samples", "-3"], "unrecognized arguments: --samples -3"),
+        (["simplex", "verify", "--dim", "2", "--seed", "5"], "unrecognized arguments: --seed 5"),
         (["simplex", "verify", "--dim", "0"], "--dim: expected at least 1, got 0"),
         (
             ["excision", "--builtin", "rn:1", "--radius", "1" * 5001],
@@ -1400,8 +1468,8 @@ def test_bad_cover_is_one_error_line(capsys, tmp_path, cover, message):
             f"argument --box: more than the interpreter's limit of {_DIGIT_LIMIT} digits",
         ),
         (
-            ["simplex", "verify", "--dim", "1", "--samples", "1" * 5001],
-            f"argument --samples: more than the interpreter's limit of {_DIGIT_LIMIT} digits",
+            ["simplex", "verify", "--dim", "1" * 5001],
+            f"argument --dim: more than the interpreter's limit of {_DIGIT_LIMIT} digits",
         ),
         (
             ["sweep", "--builtin", "zinf:3", "--caps", "1/0"],
@@ -1436,8 +1504,8 @@ def test_bad_cover_is_one_error_line(capsys, tmp_path, cover, message):
         "sweep-zinf-ko-period", "sweep-wedge-ko-period",
         "excision-radius-1/0", "excision-s-3/0", "excision-weights-2/0", "excision-dinf-weights",
         "excision-d1-weights", "excision-rn-x", "excision-box-3.5", "run-no-such-flag", "simplex-samples-0",
-        "simplex-samples-negative", "simplex-dim-0", "radius-past-digit-limit", "box-past-digit-limit",
-        "samples-past-digit-limit", "caps-1/0", "caps-1..2..3", "caps-empty-range", "caps-0..3",
+        "simplex-samples-negative", "simplex-seed", "simplex-dim-0", "radius-past-digit-limit",
+        "box-past-digit-limit", "dim-past-digit-limit", "caps-1/0", "caps-1..2..3", "caps-empty-range", "caps-0..3",
         "weight-count", "weight-zero", "run-builtin-and-input", "excision-builtin-and-custom",
     ],
 )
@@ -1446,6 +1514,13 @@ def test_bad_arguments_are_one_error_line(capsys, args, message):
     assert code == 1
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_top_level_seed_is_refused(capsys):
+    # with no top-level --seed, argparse reads its value as the subcommand
+    code, out, err = run_cli(capsys, "--seed", "5", "simplex", "verify", "--dim", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: argument command: invalid choice: ") and err.count("\n") == 1
 
 
 def test_hostile_input_ends_without_a_traceback(tmp_path):
@@ -1488,25 +1563,19 @@ def test_calls_in_one_process_share_no_state(capsys):
     # main parses every call with one parser; no flag, default or failed
     # parse of one call may reach the next
     plain = (GOLDEN / "rn2.table").read_text(encoding="utf-8")
-    verbose_simplex = ["--verbose", "simplex", "verify", "--dim", "2", "--samples", "1"]
     calls = [
         (["--format", "json", "run", "--builtin", "rn:2"], 0),
         (["--verbose", "run", "--builtin", "rn:2"], 0),
         (["--period", "8", "run", "--builtin", "rn:2"], 1),
         (["--format", "json", "--verbose", "--period", "8", "sweep", "--builtin", "zinf:3", "--caps", "1..2"], 1),
         (["--format", "json", "run", "--builtin", "rn:2", "--cap", "1"], 1),
-        (verbose_simplex + ["--seed", "7"], 0),
         (["run", "--builtin", "rn:2", "--no-such-flag"], 1),
         (["--format", "xml", "run", "--builtin", "rn:2"], 1),
-        (["--seed", "5"] + verbose_simplex, 0),
-        (verbose_simplex, 0),
+        (["--verbose", "simplex", "verify", "--dim", "2"], 0),
     ]
     for argv, code in calls:
         assert run_cli(capsys, *argv)[0] == code, argv
         assert run_cli(capsys, "run", "--builtin", "rn:2") == (0, plain, ""), argv
-    # simplex --seed defaults to SUPPRESS: without it the global --seed (default 0) holds
-    for argv, seed in ((verbose_simplex + ["--seed", "7"], 7), (["--seed", "5"] + verbose_simplex, 5), (verbose_simplex, 0)):
-        assert f'"seed": {seed}\n' in run_cli(capsys, *argv)[1]
 
 
 def test_null_or_missing_d1_means_none(capsys, tmp_path):
@@ -1529,7 +1598,7 @@ def test_null_or_missing_d1_means_none(capsys, tmp_path):
     "args",
     [
         ("--format", "json", "run", "--builtin", "wedge:7"),
-        ("--format", "json", "--seed", "9", "simplex", "verify", "--dim", "3"),
+        ("--format", "json", "simplex", "verify", "--dim", "3"),
         ("--format", "json", "sweep", "--builtin", "zinf:4", "--caps", "1..3"),
     ],
 )

@@ -10,8 +10,8 @@ example can ask for an oversized computation.
 Each argument example picks a subcommand and a few of its flags, with values
 drawn from a small pool of good and bad ones.  The good values stay small:
 builtin parameters at most 4 (at most 2 for excision, whose search grows
-with the dimension), radii at most 3, ``--box`` at most 12, ``--dim`` at most 4
-and ``--samples`` at most 20.
+with the dimension), radii at most 3, ``--box`` at most 12 and ``--dim`` at
+most 4.
 """
 
 import contextlib
@@ -113,20 +113,20 @@ FLAGS = {
         "--s": ["1", "3/2"],
         "--box": ["8", "12"],
     },
-    "simplex": {"--dim": ["1", "2", "4"], "--samples": ["20", "5"], "--seed": ["7"]},
+    "simplex": {"--dim": ["1", "2", "4"]},
     "sweep": {
         "--builtin": ["zinf:3", "wedge:countable", "wedge:countable:junk", "rn:2"],
         "--caps": ["1..4", "1,2", "3..1", "0..2"],
     },
 }
-GLOBAL = {"--format": ["table", "json"], "--period": ["2", "8"], "--seed": ["7"]}
+GLOBAL = {"--format": ["table", "json"], "--period": ["2", "8"]}
 
 
 # a tuple stands for one of its flags: excision needs one source of a cover
 REQUIRED = {
     "snf": ["--matrix"],
     "excision": ["--radius", ("--builtin", "--custom", "--cover")],
-    "simplex": ["--dim", "--samples"],
+    "simplex": ["--dim"],
     "sweep": ["--builtin", "--caps"],
 }
 

@@ -58,8 +58,8 @@ CASES = {
     # S = 17 sits just below the farthest-point bound of rn:6 (S = 18 passes), so
     # three subsets fail and the search decides the subsets the bound leaves open
     "excision-rn6-d1-tight": ["excision", "--builtin", "rn:6", "--metric", "d1", "--radius", "3", "--s", "17", "--box", "21"],
-    # the exact cake-piece checks, with the seed after the subcommand
-    "simplex-verify-d3": ["simplex", "verify", "--dim", "3", "--samples", "50", "--seed", "5"],
+    # the exact cake-piece checks at the vertices
+    "simplex-verify-d3": ["simplex", "verify", "--dim", "3"],
     # Smith forms with their transforms: a coprime pair and three pairwise
     # non-dividing factors settled by gcd/lcm steps, a full divisibility
     # chain, a rank drop and the empty shapes

@@ -1,21 +1,21 @@
 """Cake-piece membership, the affine inverse pair, and the reparametrization,
-each checked exactly on Fractions."""
+each checked exactly on Fractions at random points, and ``verify_geometry``'s
+vertex checks held against every point of small denominator."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from coarsek import simplex
 from coarsek.simplex import (
-    GRID,
     cake_affine_maps,
     in_cake_piece,
-    sample_boundary,
-    sample_simplex,
-    sample_t,
     suspension_reparam,
     verify_geometry,
 )
+
+from _oracles import GRID, geometry_by_enumeration, sample_boundary, sample_simplex, sample_t
 
 
 def test_center_is_in_every_piece():
@@ -132,13 +132,68 @@ def test_pairwise_membership_intersection():
 
 
 def test_verify_geometry_all_pass():
-    for n in (1, 4, 7):
-        checks = verify_geometry(n, samples=300, seed=11)
+    for n in range(1, 11):
+        checks = verify_geometry(n)
         assert all(c.ok for c in checks), [c for c in checks if not c.ok]
 
 
 def test_verify_geometry_deterministic():
-    a = verify_geometry(3, samples=100, seed=42)
-    b = verify_geometry(3, samples=100, seed=42)
+    a = verify_geometry(3)
+    b = verify_geometry(3)
     assert a == b
+
+
+# Each mutant breaks one of the two maps by a little (10^-15, below float
+# resolution) or by a lot, and names the properties it must fail.
+_exact_maps, _exact_phi = simplex.cake_affine_maps, simplex.suspension_reparam
+_EPS = Fraction(1, 10**15)
+
+
+def _nudged_g(n):
+    f, g = _exact_maps(n)
+    return f, lambda x: (g(x)[0] + _EPS,) + g(x)[1:]
+
+
+def _wide_share(n):
+    def f(x):
+        share = x[0] * Fraction(1, n + 2)
+        return (share,) + tuple(v + share for v in x[1:])
+
+    return f, _exact_maps(n)[1]
+
+
+def _nudged_last(n):
+    phi = _exact_phi(n)
+    return lambda y, t: phi(y, t)[:-1] + (phi(y, t)[-1] + _EPS,)
+
+
+def _short_last(n):
+    phi = _exact_phi(n)
+    return lambda y, t: phi(y, t)[:-1] + (n * t * min(y),)
+
+
+MUTANTS = {
+    "g-plus-1e-15": ("cake_affine_maps", _nudged_g, {"inverse_pair"}),
+    "f-share-over-n-plus-2": ("cake_affine_maps", _wide_share, {"inverse_pair", "f_preserves_sum"}),
+    "phi-last-plus-1e-15": (
+        "suspension_reparam",
+        _nudged_last,
+        {"phi_preserves_sum", "phi_collapses_boundary", "phi_avoids_last_piece_interior"},
+    ),
+    "phi-last-n-shift": ("suspension_reparam", _short_last, {"phi_preserves_sum", "phi_avoids_last_piece_interior"}),
+}
+
+
+@pytest.mark.parametrize("mutant", ["exact", *MUTANTS])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_verify_geometry_agrees_with_every_point_of_small_denominator(monkeypatch, n, mutant):
+    # the vertex checks decide each property as a check of every rational
+    # point with denominator at most 6 does, for the exact maps and each mutant
+    attr, make, broken = MUTANTS.get(mutant, (None, None, set()))
+    if make is not None:
+        monkeypatch.setattr(simplex, attr, make)
+    f, g = simplex.cake_affine_maps(n)
+    expected = geometry_by_enumeration(n, f, g, simplex.suspension_reparam(n))
+    assert verify_geometry(n) == expected
+    assert {name for name, ok in expected if not ok} == broken
 
