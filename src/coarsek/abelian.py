@@ -94,10 +94,6 @@ class IntMatrix:
         return cls(n, n, tuple(flat))
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
-
-    @classmethod
     def diagonal(cls, diag: Sequence[int]) -> "IntMatrix":
         n = len(diag)
         return cls(n, n, tuple(diag[i] if i == j else 0 for i in range(n) for j in range(n)))
@@ -540,23 +536,15 @@ class SubquotientCell:
     proj: IntMatrix
 
 
-def subquotient(boundaries: IntMatrix | SnfResult) -> SubquotientCell:
-    """Z/B from generators of B, given by their coordinates in a basis of
-    the cycle lattice Z or by the Smith form of those; the cell keeps that
-    basis.
+def subquotient(s: SnfResult) -> SubquotientCell:
+    """Z/B from the Smith form of B's generators, given by their
+    coordinates in a basis of the cycle lattice Z; the cell keeps that
+    basis.  That one Smith form gives the group, its generators and a
+    basis of B.
 
-    One Smith normal form of the coordinates gives the group, its
-    generators and a basis of B.  When the coordinates are the identity,
-    B = Z and the cell dies without one.
-
-    >>> print(subquotient(IntMatrix.from_rows([[2], [4]])).group)
+    >>> print(subquotient(smith_normal_form(IntMatrix.from_rows([[2], [4]]))).group)
     Z + Z/2
     """
-    s = boundaries
-    if isinstance(s, IntMatrix):
-        if s.is_identity():
-            return SubquotientCell(s, FgAbGroup.zero(), IntMatrix.zeros(s.rows, 0), IntMatrix.zeros(0, s.rows))
-        s = smith_normal_form(s)
     diag, k = s.diagonal, s.matrix.rows
     free = [i for i in range(k) if i >= len(diag) or diag[i] == 0]
     torsion = [i for i, d in enumerate(diag) if d >= 2]

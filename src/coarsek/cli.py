@@ -361,10 +361,15 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit
         return code
-    except (CliError, ValueError, MemoryError) as exc:
-        # each engine error is a ValueError (naming its class would run its
-        # module); MemoryError: an input too large to allocate
+    except (CliError, ValueError) as exc:
+        # each engine error is a ValueError (naming its class would run its module)
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # an input too large to allocate; the error often has no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
+    except RecursionError:  # such as the excision search, which takes one call per axis
+        print(f"error: the input nests deeper than the interpreter's recursion limit ({sys.getrecursionlimit()})", file=sys.stderr)
         return 1
     except BrokenPipeError:
         # the reader closed stdout: what is still buffered goes to devnull,

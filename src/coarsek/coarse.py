@@ -5,8 +5,8 @@ Blocky subsets of Z^n are products of four per-coordinate constraints
 flasqueness syntactically (a half-ray factor admits a shift to infinity),
 looks up the K-theory of the Roe algebra for the shapes in the grammar,
 tabulates the nonzero K-data of the covers behind the worked examples
-(the index sets whose meet is not flasque, found in one depth-first walk
-per cover; a wedge of rays is a table of its double rays), and verifies coarse
+(the index sets whose meet is not flasque, found one size at a time per
+cover; a wedge of rays is a table of its double rays), and verifies coarse
 excisiveness exhaustively on finite lattice boxes, with one integer
 search per subset of a cover inside the box its members' neighbourhoods
 share; the farthest point of that box from the members' intersection
@@ -75,6 +75,9 @@ def meet(a: Factor, b: Factor) -> Factor:
     return b if a == Factor.FULL else Factor.ZERO
 
 
+_INTERVALS = {Factor.ZERO: (0, 0), Factor.NONNEG: (0, None), Factor.NONPOS: (None, 0), Factor.FULL: (None, None)}
+
+
 @dataclass(frozen=True)
 class BlockySpace:
     """Product of per-coordinate constraints; always contains the origin."""
@@ -84,6 +87,11 @@ class BlockySpace:
     @property
     def dim(self) -> int:
         return len(self.factors)
+
+    @property
+    def intervals(self) -> tuple[tuple[int | None, int | None], ...]:
+        """Each factor as an integer interval (lo, hi), None meaning unbounded, as in ``LatticeBox``."""
+        return tuple(_INTERVALS[f] for f in self.factors)
 
 
 def intersect(spaces: Sequence[BlockySpace]) -> BlockySpace:
@@ -158,10 +166,11 @@ def _blocky_mv_input(spaces: Sequence[BlockySpace], cap: int) -> assembly.MvInpu
     Each piece is two bit masks: pos, the coordinates whose factor allows
     the + side (nonneg, full), and neg, those allowing the - side; a meet
     ands the masks, and its rays are pos & ~neg and neg & ~pos.
-    A depth-first walk over the sorted labels carries the running meet.  A
-    ray is fixed only by a later label lacking its side, so a level stops
-    once the meet holds a ray that no label from there on can fix.  Copies
-    at smaller caps (``dataclasses.replace``) share the table.
+    The table grows level by level, by index-set size, with no recursion;
+    each set carries its meet.  A ray is fixed only by a later label lacking
+    its side, so a set is kept only while every ray of its meet has such a
+    label after its last one.  Copies at smaller caps
+    (``dataclasses.replace``) share the table.
     """
     dim = spaces[0].dim
     full = (1 << dim) - 1
@@ -174,20 +183,19 @@ def _blocky_mv_input(spaces: Sequence[BlockySpace], cap: int) -> assembly.MvInpu
     for i in range(len(spaces) - 1, -1, -1):
         fixable[i] = (fixable[i + 1][0] | full ^ sides[i][0], fixable[i + 1][1] | full ^ sides[i][1])
     table: dict[tuple, dict[int, FgAbGroup]] = {}
-
-    def below(j: tuple, pos: int, neg: int) -> None:
-        up, down = pos & ~neg, neg & ~pos
-        if j and not up | down:
-            factors = tuple(Factor.FULL if pos >> c & 1 else Factor.ZERO for c in range(dim))
-            table[j] = roe_k_theory(BlockySpace(factors))
-        if len(j) == cap + 1:
-            return
-        for i in range(j[-1] + 1 if j else 0, len(spaces)):
-            if up & ~fixable[i][0] or down & ~fixable[i][1]:
-                return
-            below(j + (i,), pos & sides[i][0], neg & sides[i][1])
-
-    below((), full, full)
+    level = [((), full, full)]  # the index sets of one size, each with its meet's masks
+    for _ in range(cap + 1):
+        grown = []
+        for j, pos, neg in level:
+            for i in range(j[-1] + 1 if j else 0, len(spaces)):
+                p, n = pos & sides[i][0], neg & sides[i][1]
+                if p & ~n & ~fixable[i + 1][0] or n & ~p & ~fixable[i + 1][1]:
+                    continue  # a ray no later label fixes: neither this set nor an extension is stored
+                if p == n:  # no ray
+                    factors = tuple(Factor.FULL if p >> c & 1 else Factor.ZERO for c in range(dim))
+                    table[j + (i,)] = roe_k_theory(BlockySpace(factors))
+                grown.append((j + (i,), p, n))
+        level = grown
     return assembly.MvInput(tuple(range(len(spaces))), cap, table)
 
 
@@ -248,9 +256,10 @@ class Metric:
 class LatticeBox:
     """Product of integer intervals (lo, hi), None meaning unbounded.
 
-    Blocky sets embed as boxes; boxes are closed under intersection and
-    admit per-coordinate nearest-point distances, which is what makes the
-    excision check exact against the untruncated sets.
+    A blocky set reads as a box through its ``intervals``; boxes are
+    closed under intersection and admit per-coordinate nearest-point
+    distances, which is what makes the excision check exact against the
+    untruncated sets.
     """
 
     intervals: tuple[tuple[int | None, int | None], ...]
@@ -258,24 +267,6 @@ class LatticeBox:
     @property
     def dim(self) -> int:
         return len(self.intervals)
-
-    @classmethod
-    def from_blocky(cls, space: BlockySpace) -> "LatticeBox":
-        table = {
-            Factor.ZERO: (0, 0),
-            Factor.NONNEG: (0, None),
-            Factor.NONPOS: (None, 0),
-            Factor.FULL: (None, None),
-        }
-        return cls(tuple(table[f] for f in space.factors))
-
-
-def as_box(space) -> LatticeBox:
-    if isinstance(space, LatticeBox):
-        return space
-    if isinstance(space, BlockySpace):
-        return LatticeBox.from_blocky(space)
-    raise UnknownSpace(f"cannot view {space!r} as a lattice set")
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +289,8 @@ def _check_subsets(
     box: int,
 ) -> dict[tuple[int, ...], ExcisionResult]:
     """Excision verdict of each subset of the cover on one lattice box, with
-    the lexicographically first violating grid point as witness.
+    the lexicographically first violating grid point as witness.  Each
+    member is read through its ``dim`` and ``intervals``.
 
     The search runs on integer intervals (lo, hi), with unbounded ends at
     -far and far as the module docstring says; an empty member's near-box
@@ -326,9 +318,8 @@ def _check_subsets(
     counts the whole grid, while time and memory follow the windows, not
     the box.
     """
-    boxes = [as_box(space) for space in cover]
-    dim = boxes[0].dim
-    if any(b.dim != dim for b in boxes):
+    dim = cover[0].dim
+    if any(space.dim != dim for space in cover):
         raise DimensionMismatch("cover sets of different dimensions")
     radius = Fraction(radius)
     s_radius = Fraction(s_radius)
@@ -348,8 +339,8 @@ def _check_subsets(
     else:
         combine, spare = sum, sub
 
-    far = inner + 1 + max((abs(e) for b in boxes for end in b.intervals for e in end if e is not None), default=0)
-    sets = [[(-far if lo is None else lo, far if hi is None else hi) for lo, hi in b.intervals] for b in boxes]
+    far = inner + 1 + max((abs(e) for space in cover for end in space.intervals for e in end if e is not None), default=0)
+    sets = [[(-far if lo is None else lo, far if hi is None else hi) for lo, hi in space.intervals] for space in cover]
     reach = [radius * w.denominator // w.numerator for w in weights]  # floor(R / w_i)
     near = [
         [(max(a - g, -inner), min(b + g, inner)) for (a, b), g in zip(s, reach)]

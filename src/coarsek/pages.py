@@ -55,7 +55,7 @@ def _concatenated_cell(parts: Sequence[FgAbGroup]) -> SubquotientCell:
     total = FgAbGroup.zero().direct_sum(*parts)
     if total.generator_orders() == tuple(orders):
         return SubquotientCell(rels, total, eye, eye)
-    return subquotient(rels)
+    return subquotient(smith_normal_form(rels))
 
 
 @dataclass(frozen=True)
@@ -280,7 +280,9 @@ def turn_page(page: Page, injected: Mapping[tuple[int, int], IntMatrix] | None =
             coords = coords.hstack(cell.gens @ in_h.matrix)
         if out_h is not None:
             coords = _cut_cycles(out_h, cell, coords, factor)
-        new_cell = subquotient(coords if coords.is_identity() else factor(coords))
+        if coords.is_identity():  # B = Z: the cell dies unfactored
+            continue
+        new_cell = subquotient(factor(coords))
         if not new_cell.group.is_zero:
             new_cells[(p, q)] = new_cell
 

@@ -23,6 +23,10 @@ from coarsek.coarse import DimensionMismatch
 # matrix-vector products
 
 
+def zeros(rows: int, cols: int) -> IntMatrix:
+    return IntMatrix(rows, cols, (0,) * (rows * cols))
+
+
 def apply(matrix: IntMatrix, vec) -> tuple[int, ...]:
     """matrix @ vec for a plain integer vector."""
     assert len(vec) == matrix.cols, "vector length mismatch"
@@ -493,7 +497,7 @@ def group_order(g: FgAbGroup) -> int | None:
 
 
 def zero_hom(source: FgAbGroup, target: FgAbGroup) -> GroupHom:
-    return GroupHom(source, target, IntMatrix.zeros(target.gen_count, source.gen_count))
+    return GroupHom(source, target, zeros(target.gen_count, source.gen_count))
 
 
 # ---------------------------------------------------------------------------

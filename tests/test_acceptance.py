@@ -15,7 +15,6 @@ from coarsek.cli import main
 from coarsek.coarse import (
     BlockySpace,
     Factor,
-    LatticeBox,
     Metric,
     block_decomposition,
     check_cover_excision,
@@ -246,7 +245,7 @@ def test_criterion_08_excision_oracle(capsys):
     for _ in range(30):
         n = rng.randint(1, 3)
         space = BlockySpace(tuple(rng.choice(list(Factor)) for _ in range(n)))
-        box = LatticeBox.from_blocky(space).intervals
+        box = space.intervals
         r = rng.randint(1, 4)
         for point in product(range(-6, 7), repeat=n):
             d1 = set_distance(point, box, Metric("d1"))

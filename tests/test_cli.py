@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarsek import coarse, jsonio, simplex
+from coarsek import assembly, coarse, jsonio, simplex
 from coarsek.abelian import FgAbGroup, IntMatrix, decimal_str, smith_normal_form
 from coarsek.assembly import truncation_sweep
 from coarsek.cli import main
@@ -1393,6 +1393,27 @@ def test_bad_cover_is_one_error_line(capsys, tmp_path, cover, message):
     assert code == 1
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("metric", ["dinf", "d1"])
+def test_excision_past_the_recursion_limit_is_one_error_line(capsys, tmp_path, metric):
+    # the search takes one call per axis, so 100 axes past the limit overflow
+    axes = sys.getrecursionlimit() + 100
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps([{"factors": [side] * axes} for side in ("nonneg", "nonpos")]))
+    code, out, err = run_cli(capsys, "excision", "--cover", str(path), "--metric", metric, "--radius", "1", "--s", "1/2")
+    assert (code, out) == (1, "")
+    assert err == f"error: the input nests deeper than the interpreter's recursion limit ({sys.getrecursionlimit()})\n"
+
+
+def test_out_of_memory_is_one_error_line(capsys, monkeypatch):
+    # MemoryError() carries no message; a first page too large to build
+    # raises it, and the line still says what happened
+    def exhausted(inp):
+        raise MemoryError()
+
+    monkeypatch.setattr(assembly, "build_mv_e1", exhausted)
+    assert run_cli(capsys, "run", "--builtin", "wedge:20000") == (1, "", "error: out of memory\n")
 
 
 @pytest.mark.parametrize(

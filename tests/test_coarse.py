@@ -1,7 +1,9 @@
 """Blocky grammar, K-theory lookup, covers, and the excision oracle."""
 
 import dataclasses
+import inspect
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor
@@ -20,7 +22,6 @@ from coarsek.coarse import (
     LatticeBox,
     Metric,
     UnknownSpace,
-    as_box,
     _blocky_mv_input,
     block_decomposition,
     check_cover_excision,
@@ -57,8 +58,8 @@ def test_meet_table_spec_cases():
         assert meet(f, f) == f
     # every pair agrees with intersecting the two sets as integer intervals
     for a, b in product(ALL_FACTORS, repeat=2):
-        box = box_meet(*(LatticeBox.from_blocky(BlockySpace((f,))).intervals for f in (a, b)))
-        assert LatticeBox.from_blocky(BlockySpace((meet(a, b),))).intervals == box
+        box = box_meet(*(BlockySpace((f,)).intervals for f in (a, b)))
+        assert BlockySpace((meet(a, b),)).intervals == box
 
 
 def test_meet_is_commutative_associative_idempotent_exhaustive():
@@ -225,6 +226,18 @@ def test_blocky_table_at_sizes_brute_force_cannot_reach():
     assert zinf_mv_input(30, 30).intersections == {}
 
 
+def test_blocky_table_nests_no_call_per_label():
+    # rn:300 stores a set of 301 labels; building it may not recurse once
+    # per label, under a limit of 100 frames above this one
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        inp = rn_mv_input(300)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert inp.intersections == {tuple(range(301)): {0: Z, 1: ZERO}}
+
+
 def _first_page_or_refusal(inp):
     try:
         return build_mv_e1(inp)
@@ -287,7 +300,7 @@ def test_set_distance_closed_form_vs_brute_force():
     for _ in range(60):
         n = 3
         space = BlockySpace(tuple(rng.choice(ALL_FACTORS) for _ in range(n)))
-        box = LatticeBox.from_blocky(space).intervals
+        box = space.intervals
         point = tuple(rng.randint(-8, 8) for _ in range(n))
         for metric in metrics:
             closed = set_distance(point, box, metric)
@@ -301,7 +314,7 @@ def test_metric_sandwich_pointwise():
     for _ in range(40):
         n = rng.randint(1, 3)
         space = BlockySpace(tuple(rng.choice(ALL_FACTORS) for _ in range(n)))
-        box = LatticeBox.from_blocky(space).intervals
+        box = space.intervals
         r = rng.randint(1, 4)
         for point in product(range(-6, 7), repeat=n):
             d1 = set_distance(point, box, Metric("d1"))
@@ -380,10 +393,9 @@ def _agrees_with_oracle(cover, radius, s_radius, metric, box):
     results = check_cover_excision(cover, radius, metric, box, s_radius=s_radius)
     n = len(cover)
     assert list(results) == [j for size in range(1, n + 1) for j in combinations(range(n), size)]
-    boxes = [as_box(space) for space in cover]
-    points = (2 * floor(Fraction(box) - Fraction(s_radius)) + 1) ** boxes[0].dim
+    points = (2 * floor(Fraction(box) - Fraction(s_radius)) + 1) ** cover[0].dim
     for j, res in results.items():
-        want = oracle_excision([boxes[i].intervals for i in j], radius, s_radius, metric, box)
+        want = oracle_excision([cover[i].intervals for i in j], radius, s_radius, metric, box)
         assert (res.ok, res.witness, res.points_checked) == (want is None, want, points), (cover, j)
     assert check_excision(cover, range(n), radius, s_radius, metric, box) == results[tuple(range(n))]
     return results
@@ -448,19 +460,18 @@ def test_cover_excision_matches_brute_force_oracle():
     for _ in range(100):
         dim = rng.randint(1, 3)
         cover = [_random_member(rng, dim, extremes=True) for _ in range(rng.randint(1, 3))]
-        boxes = [as_box(c) for c in cover]
-        far += any(abs(end or 0) == FAR for b in boxes for interval in b.intervals for end in interval)
-        empty_member += any(box_is_empty(b.intervals) for b in boxes)
+        far += any(abs(end or 0) == FAR for b in cover for interval in b.intervals for end in interval)
+        empty_member += any(box_is_empty(b.intervals) for b in cover)
         metric = _random_metric(rng, rng.choice(("d1", "dinf", "weighted")), dim)
         radius = Fraction(rng.randint(1, 8), rng.randint(1, 4))
         s_radius = Fraction(rng.randint(1, 10), rng.randint(1, 4))
         box = floor(radius + s_radius) + 1 + rng.randint(0, 2)
         results = _agrees_with_oracle(cover, radius, s_radius, metric, box)
         failed += sum(not r.ok for r in results.values())
-        empty += any(box_is_empty(box_meet(boxes[0].intervals, b.intervals)) for b in boxes)
+        empty += any(box_is_empty(box_meet(cover[0].intervals, b.intervals)) for b in cover)
         if metric.kind != "dinf":
             kinds = [
-                _settled_by_farthest_point([as_box(cover[i]) for i in j], radius, s_radius, metric, box)
+                _settled_by_farthest_point([cover[i] for i in j], radius, s_radius, metric, box)
                 for j in results
             ]
             settled += kinds.count(True)
@@ -502,7 +513,7 @@ def test_dinf_intervals_match_brute_force_oracle():
         box = ceil(s_radius + rng.randint(1, 6 - dim))
         radius = (box - s_radius) * Fraction(rng.randint(1, 7), 8)
         results = _agrees_with_oracle(cover, radius, s_radius, dinf, box)
-        boxes = [as_box(space).intervals for space in cover]
+        boxes = [space.intervals for space in cover]
         for j, res in results.items():
             members = [boxes[i] for i in j]
             meet = box_meet(*members)
